@@ -8,8 +8,11 @@ Runs from the root of a source checkout and imports ``rulefill`` from its
 (several times, in fresh processes, to report a median).  Then passes of the
 workflow run back to back until ``--seconds`` have passed (at least three),
 each in its own directory with a garbage collection before it, and every
-pass's files are checked.  ``--trace 0`` prints the end-to-end metrics.
-``--trace 1`` spends half the time untraced and half with spans around the
+pass's files are checked.  Every timing is put on one host-speed scale
+(``speed.py``): a fixed calibration unit runs before set-up and after each
+pass, and a wall time is multiplied by the reference unit time over the
+mean unit time measured around it.  ``--trace 0`` prints the end-to-end
+metrics.  ``--trace 1`` spends half the time untraced and half with spans around the
 program's public functions, and prints the per-layer table with the tracing
 overhead.  Human-readable lines come first; the last line is one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``.
@@ -39,6 +42,7 @@ SRC = ROOT / "src"
 DEFAULT_SEED = 0
 SETUP_PROBES = 4
 MIN_PASSES = 3
+TIMINGS = ("total_s", "mine_s", "impute_s")  # a pass's timings, scaled by on_scale
 
 END_TO_END = (
     ("total_s", "s"),
@@ -105,17 +109,45 @@ def median(values):
     return statistics.median(values) if values else 0.0
 
 
-class Bench:
-    """One workload's inputs, its reference outputs, and the passes run on them."""
+def on_scale(record: dict, factor: float, layer_metrics) -> None:
+    """Multiply a pass's timings by the host-speed ``factor``; keep its wall time."""
+    if "total_s" not in record:  # the pass raised before it was timed
+        return
+    record["wall_s"] = record["total_s"]
+    record["factor"] = factor
+    for name in TIMINGS:
+        if name in record:
+            record[name] *= factor
+    record["cells_per_s"] = record["cells"] / record["total_s"]
+    table = record.get("layers", {})
+    for name, unit in layer_metrics:
+        if name in table and unit == "s":
+            table[name] *= factor
+        elif name in table and unit == "1/s":
+            table[name] /= factor
 
-    def __init__(self, workloads, layers, workload, seed, work_dir):
-        self.workloads, self.layers = workloads, layers
+
+class Bench:
+    """One workload's inputs, its reference outputs, and the passes run on them.
+
+    It times the calibration unit when made and again by ``calibrate``; each
+    timing is scaled by the mean of the two calibrations around it.
+    """
+
+    def __init__(self, workloads, layers, speed, workload, seed, work_dir):
+        self.workloads, self.layers, self.speed = workloads, layers, speed
         self.workload, self.seed, self.work_dir = workload, seed, work_dir
         self.inputs = None
         self.reference = None
         self.digest = None
         self.passes = 0
         self.absent: set[str] = set()
+        self.units = [speed.unit_seconds()]  # also warms the CPU up before timing
+
+    def calibrate(self) -> float:
+        """Time the calibration unit again; the scale factor since the last time."""
+        self.units.append(self.speed.unit_seconds())
+        return self.speed.factor(self.units[-2], self.units[-1])
 
     def set_up(self, import_s: float) -> float:
         """Generate the inputs here and in fresh processes; median set-up seconds."""
@@ -168,7 +200,6 @@ class Bench:
         if outcome["digest"] != self.digest:
             problems.append("output digest differs from the recorded one")
         record = {**outcome, **timing, "problems": problems}
-        record["cells_per_s"] = record["cells"] / record["total_s"]
         for problem in problems:
             print(f"pass {self.passes - 1} failed: {problem}", file=sys.stderr)
         return record
@@ -177,7 +208,9 @@ class Bench:
         records = []
         start = time.perf_counter()
         while len(records) < min_passes or time.perf_counter() - start < seconds:
-            records.append(self.one_pass(tracer))
+            record = self.one_pass(tracer)
+            on_scale(record, self.calibrate(), self.layers.METRICS)
+            records.append(record)
         return records
 
 
@@ -200,6 +233,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     import rulefill
     import layers
+    import speed
     import tracing
     import workloads
     import_s = time.perf_counter() - start
@@ -220,8 +254,8 @@ def main(argv=None) -> int:
 
     work_dir = Path(tempfile.mkdtemp(prefix=".perfbench-", dir=ROOT))
     try:
-        bench = Bench(workloads, layers, workload, args.seed, work_dir)
-        setup_s = bench.set_up(import_s)
+        bench = Bench(workloads, layers, speed, workload, args.seed, work_dir)
+        setup_s = bench.set_up(import_s) * bench.calibrate()
         if args.trace:
             plain = bench.measure(args.seconds / 2, 2)
             traced = bench.measure(args.seconds / 2, 2, tracing.Tracer())
@@ -234,10 +268,12 @@ def main(argv=None) -> int:
     good = [r for r in records if not r["problems"]]
     failed = len(records) - len(good)
     print("env: " + json.dumps(environment(args.seed), sort_keys=True))
+    print(f"host speed: calibration unit median {median(bench.units)} s over "
+          f"{len(bench.units)} calibrations; reference {speed.REFERENCE_UNIT_S} s")
     print(f"workload {workload.name}: {len(records)} passes, {failed} failed, "
           f"failed_frac {failed / len(records)}, output digest {bench.digest}")
     for index, record in enumerate(records):
-        timings = " ".join(f"{name} {record[name]:.4f}" for name in ("total_s", "mine_s", "impute_s")
+        timings = " ".join(f"{name} {record[name]:.4f}" for name in (*TIMINGS, "wall_s", "factor")
                            if name in record)
         print(f"  pass {index}{' traced' if 'layers' in record else ''}: {timings}")
     if args.trace:

@@ -140,3 +140,25 @@ def test_benchmark_json_lists_the_metrics_the_benchmark_prints():
     assert {w["name"] for w in doc["workloads"]} <= set(workloads.WORKLOADS)
     assert [(m["name"], m["unit"]) for m in doc["end_to_end"]] == list(run.END_TO_END)
     assert [(m["name"], m["unit"]) for m in doc["per_layer"]] == list(layers.METRICS)
+
+
+def test_timings_are_put_on_the_host_speed_scale_and_keep_their_wall_time():
+    import run
+    import speed
+
+    half_speed = speed.factor(2 * speed.REFERENCE_UNIT_S, 2 * speed.REFERENCE_UNIT_S)
+    assert half_speed == pytest.approx(0.5)
+    record = {"total_s": 2.0, "impute_s": 1.5, "cells": 100, "problems": [],
+              "layers": {"knn.s": 1.0, "imputer.rule_cells_per_s": 10.0, "knn.cells": 7}}
+    run.on_scale(record, half_speed, layers.METRICS)
+    assert record["total_s"] == pytest.approx(1.0)
+    assert record["impute_s"] == pytest.approx(0.75)
+    assert record["wall_s"] == 2.0
+    assert record["cells_per_s"] == pytest.approx(100.0)
+    assert record["layers"] == pytest.approx(
+        {"knn.s": 0.5, "imputer.rule_cells_per_s": 20.0, "knn.cells": 7}
+    )
+    raised = {"problems": ["pass raised"]}
+    run.on_scale(raised, half_speed, layers.METRICS)
+    assert raised == {"problems": ["pass raised"]}
+    assert 0.0 < speed.unit_seconds(0.01) < 1.0
