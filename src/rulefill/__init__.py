@@ -29,7 +29,7 @@ from .mining import (
     rules_for_attribute,
     support_count,
 )
-from .knn import KnnImputer, KnnParams, fit_numeric_ranges, heom_distance, impute_knn
+from .knn import KnnImputer, KnnParams, fit_numeric_ranges, heom_distance
 from .imputer import (
     SOURCE_KNN,
     SOURCE_RULES,
@@ -91,7 +91,6 @@ __all__ = [
     "impute_cell",
     "impute_dataset",
     "impute_from_rules",
-    "impute_knn",
     "index_rules",
     "inject_missing",
     "load_csv",

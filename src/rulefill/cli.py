@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -75,12 +76,10 @@ def _values_list(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"bad range: {text!r}") from None
         if step <= 0 or hi < lo:
             raise argparse.ArgumentTypeError(f"bad range: {text!r}")
-        values = []
-        x = lo
-        while x <= hi + 1e-9:
-            values.append(x)
-            x += step
-        return values
+        # lo + i*step, rounded, so "0..1:0.1" ends at 1.0 rather than
+        # accumulating to 0.9999999999999999
+        count = math.floor((hi - lo) / step + 1e-9) + 1
+        return [round(lo + i * step, 10) for i in range(count)]
     try:
         return [float(part) for part in text.split(",") if part.strip()]
     except ValueError:

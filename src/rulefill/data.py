@@ -174,9 +174,6 @@ class Dataset:
     def present_values(self, attribute: int) -> list:
         return [r.cells[attribute] for r in self.records if r.cells[attribute] is not None]
 
-    def is_missing(self, record_id: int, attribute: int) -> bool:
-        return self.record_by_id(record_id).cells[attribute] is None
-
     def missing_cells(self) -> list[tuple[int, int]]:
         """(record id, attribute index) pairs for every missing cell."""
         return [

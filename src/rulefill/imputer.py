@@ -191,14 +191,15 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
         for attribute, bucket in index_rules(rules).items()
     }
 
-    knn = None
-    imputations: list[CellImputation] = []
+    # Phase 1 fires rules for every missing cell; the cells no rule covers
+    # keep a slot, and phase 2 fills them all in one batched kNN call.
+    imputations: list[CellImputation | None] = []
+    pending = []  # (record, attribute) of each cell no rule covers
     for record in dataset.records:
         missing = [j for j, cell in enumerate(record.cells) if cell is None]
         if not missing:
             continue
         known = dataset.known_items(record, bins, exclude)
-        squared = None  # one distance scan shared by all of this record's cells
         for j in missing:
             fired = tuple(r for r in rule_index.get(j, ()) if r.antecedent <= known)
             if fired:
@@ -207,13 +208,16 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
                     CellImputation(record.id, j, value, SOURCE_RULES, rules=fired)
                 )
             else:
-                if knn is None:
-                    knn = KnnImputer(dataset, knn_params, exclude)
-                if squared is None:
-                    squared = knn.squared_distances(record)
-                value, neighbor_ids = knn.impute(record, j, squared)
-                imputations.append(
-                    CellImputation(record.id, j, value, SOURCE_KNN, neighbor_ids=neighbor_ids)
+                pending.append((record, j))
+                imputations.append(None)
+    if pending:
+        knn = KnnImputer(dataset, knn_params, exclude)
+        filled = zip(pending, knn.impute_cells(pending))
+        for slot, cell in enumerate(imputations):
+            if cell is None:
+                (record, j), (value, neighbor_ids) = next(filled)
+                imputations[slot] = CellImputation(
+                    record.id, j, value, SOURCE_KNN, neighbor_ids=neighbor_ids
                 )
 
     completed = dataset.replace_cells(

@@ -4,9 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rulefill
 from rulefill import load_csv
-from rulefill.cli import main
+from rulefill.cli import _values_list, main
 
 
 def run_cli(argv, capsys):
@@ -131,6 +134,21 @@ def test_bench_range_values_and_fixed_mask_coverage(tmp_path, car_csv, capsys):
     assert coverages == sorted(coverages, reverse=True)
 
 
+def test_range_values_do_not_accumulate_float_error():
+    assert _values_list("0..1:0.1") == [i / 10 for i in range(11)]
+
+
+@given(lo=st.integers(0, 1000), step=st.integers(1, 100), count=st.integers(1, 60),
+       scale=st.sampled_from([1, 10, 100]))
+@settings(max_examples=200, deadline=None)
+def test_range_values_hit_both_endpoints(lo, step, count, scale):
+    hi = lo + (count - 1) * step
+    values = _values_list(f"{lo / scale}..{hi / scale}:{step / scale}")
+    assert len(values) == count
+    assert values[0] == lo / scale and values[-1] == hi / scale
+    assert values == [(lo + i * step) / scale for i in range(count)]
+
+
 def test_bench_empty_values_is_usage_error(car_csv):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--data", str(car_csv), "--sweep", "support", "--values", ""])
@@ -165,7 +183,10 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "rulefill", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ},
+        # the package's own source root, so a bare `python -m pytest` works too
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(rulefill.__file__)), os.environ.get("PYTHONPATH", "")]
+        )},
     )
     assert proc.returncode == 0
     assert "mine" in proc.stdout and "impute" in proc.stdout and "bench" in proc.stdout

@@ -14,10 +14,12 @@ from rulefill import (
     KnnImputer,
     KnnParams,
     Record,
+    fit_all_bins,
     fit_numeric_ranges,
     heom_distance,
-    impute_knn,
+    impute_dataset,
 )
+from rulefill import knn as knn_module
 from oracles import oracle_heom, oracle_knn_value, oracle_neighbors, random_dataset
 
 MIXED_SCHEMA = [
@@ -74,7 +76,7 @@ def test_knn_params_validation():
 
 def test_nearest_exact_match_wins():
     ds = mixed_dataset([(None, "red"), ("2.0", "red"), ("9.0", "blue")])
-    assert impute_knn(ds.records[0], 0, ds, KnnParams(k=1)) == 2.0
+    assert KnnImputer(ds, KnnParams(k=1)).impute(ds.records[0], 0)[0] == 2.0
 
 
 def test_majority_vote():
@@ -91,17 +93,17 @@ def test_majority_vote():
             Record(3, ("blue", "a")),
         ],
     )
-    assert impute_knn(ds.records[0], 0, ds, KnnParams(k=3)) == "red"
+    assert KnnImputer(ds, KnnParams(k=3)).impute(ds.records[0], 0)[0] == "red"
 
 
 def test_numeric_mean():
     ds = mixed_dataset([(None, "red"), ("4.0", "red"), ("6.0", "red")])
-    assert impute_knn(ds.records[0], 0, ds, KnnParams(k=2)) == 5.0
+    assert KnnImputer(ds, KnnParams(k=2)).impute(ds.records[0], 0)[0] == 5.0
 
 
 def test_fewer_candidates_than_k_uses_all():
     ds = mixed_dataset([(None, "red"), ("4.0", "red")])
-    assert impute_knn(ds.records[0], 0, ds, KnnParams(k=10)) == 4.0
+    assert KnnImputer(ds, KnnParams(k=10)).impute(ds.records[0], 0)[0] == 4.0
 
 
 def test_vote_tie_breaks_to_smallest_level_index():
@@ -118,7 +120,7 @@ def test_vote_tie_breaks_to_smallest_level_index():
         ],
     )
     # one vote each: the tie goes to level index 0 regardless of label text
-    assert impute_knn(ds.records[0], 0, ds, KnnParams(k=2)) == "z_first"
+    assert KnnImputer(ds, KnnParams(k=2)).impute(ds.records[0], 0)[0] == "z_first"
 
 
 def test_distance_tie_breaks_by_record_id():
@@ -247,3 +249,66 @@ def test_vectorized_distances_match_scalar_bit_for_bit():
         for position, other in enumerate(ds.records):
             scalar = heom_distance(record, other, ds.schema, ranges)
             assert math.sqrt(squared[position]) == scalar
+
+
+BATCH_SCHEMA = [
+    AttributeSchema("c", CATEGORICAL, ("a", "b", "c")),
+    AttributeSchema("x", NUMERIC),
+    AttributeSchema("flat", NUMERIC),  # one value wherever present: zero range
+    AttributeSchema("d", CATEGORICAL, ("u", "v")),
+    AttributeSchema("rare", CATEGORICAL, ("p", "q")),  # one holder: global fallback
+]
+
+
+def batch_dataset(rng, n_records):
+    """Records in shuffled order under non-contiguous ids, with distance ties."""
+    ids = rng.sample(range(10 * n_records), n_records)
+
+    def maybe(value):
+        return None if rng.random() < 0.25 else value
+
+    records = [
+        Record(record_id, (
+            maybe(rng.choice("abc")),
+            maybe(f"{rng.choice([-1.5, 0.0, 2.25, 7.0])}"),
+            maybe("4.0"),
+            maybe(rng.choice("uv")),
+            "q" if position == 0 else None,
+        ))
+        for position, record_id in enumerate(ids)
+    ]
+    return Dataset(BATCH_SCHEMA, records)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_batched_path_matches_oracle(block_rows, monkeypatch):
+    rng = random.Random(4242 + (block_rows or 0))
+    for _ in range(12):
+        ds = batch_dataset(rng, rng.randint(3, 30))
+        if block_rows is not None:
+            monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * block_rows)
+        k = rng.randint(1, ds.n_records + 3)  # often more than the candidates
+        knn = KnnImputer(ds, KnnParams(k=k))
+
+        by_id = sorted(ds.records, key=lambda r: r.id)
+        ranges = fit_numeric_ranges(ds)
+        queries = ds.records[:5]
+        block = knn._distances(queries)
+        for row, record in zip(block, queries):
+            for squared, other in zip(row, by_id):
+                assert math.sqrt(squared) == heom_distance(record, other, ds.schema, ranges)
+
+        # every cell, present ones too, so candidate counts differ within a block
+        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        for (record, j), (value, ids) in zip(cells, knn.impute_cells(cells), strict=True):
+            expected = oracle_neighbors(ds, record, j, k)
+            assert list(ids) == expected
+            assert knn.neighbors(record, j) == expected
+            assert value == oracle_knn_value(ds, record, j, k)
+
+        _, report = impute_dataset(ds, [], KnnParams(k=k), fit_all_bins(ds))
+        assert report.n_imputed == len(ds.missing_cells())
+        for cell in report.cells:
+            record = ds.record_by_id(cell.record_id)
+            assert list(cell.neighbor_ids) == oracle_neighbors(ds, record, cell.attribute, k)
+            assert cell.value == oracle_knn_value(ds, record, cell.attribute, k)
