@@ -24,9 +24,7 @@ from .mining import (
     FrequentItemset,
     MiningParams,
     generate_rules,
-    index_rules,
     mine_frequent,
-    rules_for_attribute,
     support_count,
 )
 from .knn import KnnImputer, KnnParams, fit_numeric_ranges, heom_distance
@@ -35,8 +33,6 @@ from .imputer import (
     SOURCE_RULES,
     CellImputation,
     ImputationReport,
-    fire_rules,
-    impute_cell,
     impute_dataset,
     impute_from_rules,
     mine_rules,
@@ -82,22 +78,18 @@ __all__ = [
     "bin_of",
     "check_compatible",
     "evaluate",
-    "fire_rules",
     "fit_all_bins",
     "fit_bins",
     "fit_numeric_ranges",
     "generate_rules",
     "heom_distance",
-    "impute_cell",
     "impute_dataset",
     "impute_from_rules",
-    "index_rules",
     "inject_missing",
     "load_csv",
     "mine_frequent",
     "mine_rules",
     "read_rules",
-    "rules_for_attribute",
     "run_sweep",
     "support_count",
     "write_csv",

@@ -166,6 +166,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method: {m!r}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
+        rate_axis = self.sweep_axis == "missing_rate"
+        for value in self.sweep_values if self.sweep_axis != "none" else ():
+            if not (0.0 <= value < 1.0 if rate_axis else 0.0 < value <= 1.0):
+                bounds = "[0, 1)" if rate_axis else "(0, 1]"
+                raise ValueError(f"{self.sweep_axis} must be in {bounds}, got {value}")
 
     def to_dict(self) -> dict:
         out = asdict(self)

@@ -162,10 +162,6 @@ class Dataset:
                 items.append((j, self.level_index(j, cell)))
         return frozenset(items)
 
-    def known_items(self, record: Record, bins=None, exclude=()) -> frozenset:
-        """Alias of itemize: the itemset rule antecedents are matched against."""
-        return self.itemize(record, bins, exclude)
-
     def itemize_all(self, bins=None, exclude=()) -> list[frozenset]:
         return [self.itemize(r, bins, exclude) for r in self.records]
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .binning import Bins
-from .data import CATEGORICAL, NUMERIC, DataError, Dataset, Record
+from .data import CATEGORICAL, NUMERIC, DataError, Dataset
 from .knn import KnnImputer, KnnParams
-from .mining import AssociationRule, MiningParams, generate_rules, index_rules, mine_frequent
+from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
 
 SOURCE_RULES = "rules"
 SOURCE_KNN = "knn"
@@ -99,19 +99,6 @@ class ImputationReport:
         }
 
 
-def fire_rules(known, target_attribute: int, rule_index) -> tuple[AssociationRule, ...]:
-    """Rules aimed at the target attribute whose antecedent is contained in
-    the known items, strongest first.
-
-    Order: confidence descending, support descending, antecedent, consequent
-    level.  An empty antecedent fires on anything.
-    """
-    candidates = rule_index.get(target_attribute, ())
-    fired = [r for r in candidates if r.antecedent <= known]
-    fired.sort(key=_firing_key)
-    return tuple(fired)
-
-
 def _firing_key(rule: AssociationRule):
     return (-rule.confidence, -rule.support, tuple(sorted(rule.antecedent)), rule.consequent[1])
 
@@ -147,22 +134,6 @@ def impute_from_rules(fired, attribute_schema, bins: Bins | None = None):
     return attribute_schema.levels[winner]
 
 
-def impute_cell(dataset: Dataset, record: Record, attribute: int, rules,
-                knn_params: KnnParams | None = None, bins=None,
-                exclude=()) -> CellImputation:
-    """Impute one missing cell, preferring fired rules over the kNN fallback."""
-    if record.cells[attribute] is not None:
-        raise ValueError("target cell is not missing")
-    rule_index = rules if isinstance(rules, dict) else index_rules(rules)
-    known = dataset.known_items(record, bins, exclude)
-    fired = fire_rules(known, attribute, rule_index)
-    if fired:
-        value = impute_from_rules(fired, dataset.schema[attribute], (bins or {}).get(attribute))
-        return CellImputation(record.id, attribute, value, SOURCE_RULES, rules=fired)
-    value, neighbor_ids = KnnImputer(dataset, knn_params, exclude).impute(record, attribute)
-    return CellImputation(record.id, attribute, value, SOURCE_KNN, neighbor_ids=neighbor_ids)
-
-
 def mine_rules(dataset: Dataset, params: MiningParams | None = None, bins=None,
                exclude=()) -> list[AssociationRule]:
     """Itemize the known cells and mine the rule set used for imputation."""
@@ -179,17 +150,26 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     Returns (completed dataset, report).  Each cell is imputed from the
     record's original known values only: fired rules when any match,
     otherwise the kNN fallback over the original dataset.
+
+    A rule fires on a missing cell when its consequent targets the cell's
+    attribute and its antecedent is contained in the record's items
+    (``Dataset.itemize``); an empty antecedent fires on anything.  Fired
+    rules are ordered confidence descending, support descending, sorted
+    antecedent, consequent level, and ``impute_from_rules`` turns them into
+    the value.  A record is itemized only when a rule targets one of its
+    missing attributes, so rule-less (kNN-only) imputation needs no bins.
     """
     rules = list(rules)
     _check_rules_fit_schema(rules, dataset, bins)
     knn_params = knn_params or KnnParams()
 
-    # Pre-sorting each consequent-attribute bucket by the firing key means a
-    # plain filtered scan reproduces fire_rules output exactly.
-    rule_index = {
-        attribute: sorted(bucket, key=_firing_key)
-        for attribute, bucket in index_rules(rules).items()
-    }
+    # Each consequent attribute's rules in firing order, so a plain filtered
+    # scan yields the fired rules already ordered.
+    rule_index: dict[int, list[AssociationRule]] = {}
+    for rule in rules:
+        rule_index.setdefault(rule.consequent[0], []).append(rule)
+    for bucket in rule_index.values():
+        bucket.sort(key=_firing_key)
 
     # Phase 1 fires rules for every missing cell; the cells no rule covers
     # keep a slot, and phase 2 fills them all in one batched kNN call.
@@ -197,9 +177,8 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     pending = []  # (record, attribute) of each cell no rule covers
     for record in dataset.records:
         missing = [j for j, cell in enumerate(record.cells) if cell is None]
-        if not missing:
-            continue
-        known = dataset.known_items(record, bins, exclude)
+        targeted = any(j in rule_index for j in missing)
+        known = dataset.itemize(record, bins, exclude) if targeted else frozenset()
         for j in missing:
             fired = tuple(r for r in rule_index.get(j, ()) if r.antecedent <= known)
             if fired:

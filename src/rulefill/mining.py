@@ -170,15 +170,3 @@ def generate_rules(frequents, params: MiningParams) -> list[AssociationRule]:
     rules.sort(key=AssociationRule.sort_key)
     return rules
 
-
-def rules_for_attribute(rules, attribute: int) -> list[AssociationRule]:
-    """The rules whose consequent targets ``attribute``, order preserved."""
-    return [r for r in rules if r.consequent[0] == attribute]
-
-
-def index_rules(rules) -> dict[int, list[AssociationRule]]:
-    """Rules grouped by consequent attribute, input order preserved."""
-    index: dict[int, list[AssociationRule]] = {}
-    for rule in rules:
-        index.setdefault(rule.consequent[0], []).append(rule)
-    return index

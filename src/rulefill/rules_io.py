@@ -28,11 +28,21 @@ def rule_to_dict(rule: AssociationRule) -> dict:
 
 def rule_from_dict(payload: dict) -> AssociationRule:
     return AssociationRule(
-        antecedent=frozenset(tuple(item) for item in payload["antecedent"]),
-        consequent=tuple(payload["consequent"]),
-        support=payload["support"],
-        confidence=payload["confidence"],
+        antecedent=frozenset(_item(raw) for raw in payload["antecedent"]),
+        consequent=_item(payload["consequent"]),
+        support=float(payload["support"]),
+        confidence=float(payload["confidence"]),
     )
+
+
+def _item(raw) -> tuple[int, int]:
+    try:
+        attribute, level = raw
+    except (TypeError, ValueError):
+        attribute = level = None
+    if type(attribute) is not int or type(level) is not int:
+        raise ValueError(f"item {raw!r} is not an [attribute, level] pair")
+    return attribute, level
 
 
 @dataclass
@@ -74,17 +84,25 @@ def read_rules(path) -> RuleFile:
             header = json.loads(first)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: bad rule-file header: {exc}") from None
-        if header.get("format") != FORMAT:
+        if not isinstance(header, dict) or header.get("format") != FORMAT:
             raise DataError(f"{path}: not a {FORMAT} file")
-        rules = []
+        try:
+            rule_file = _rule_file_from_header(header)
+        except KeyError as exc:
+            raise DataError(f"{path}: rule-file header lacks {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad rule-file header: {exc}") from None
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                rules.append(rule_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                rule_file.rules.append(rule_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {lineno}: bad rule record: {exc}") from None
+    return rule_file
 
+
+def _rule_file_from_header(header: dict) -> RuleFile:
     schema = [
         AttributeSchema(entry["name"], entry["kind"], tuple(entry["levels"]))
         for entry in header["schema"]
@@ -95,7 +113,7 @@ def read_rules(path) -> RuleFile:
     }
     raw_params = header.get("params")
     params = MiningParams(**raw_params) if raw_params else None
-    return RuleFile(rules, schema, header.get("class_column"), bins, params)
+    return RuleFile([], schema, header.get("class_column"), bins, params)
 
 
 def check_compatible(rule_file: RuleFile, dataset: Dataset) -> None:

@@ -64,6 +64,17 @@ def brute_force_rules(db, params):
     return rules
 
 
+def oracle_fired(rules, known, attribute):
+    """Rules aimed at ``attribute`` whose antecedent lies within ``known``,
+    ordered confidence descending, support descending, sorted antecedent,
+    consequent level.  A plain filter and one sort with a spelled-out key."""
+    fired = [r for r in rules if r.consequent[0] == attribute and r.antecedent <= known]
+    fired.sort(
+        key=lambda r: (-r.confidence, -r.support, sorted(r.antecedent), r.consequent[1])
+    )
+    return tuple(fired)
+
+
 def oracle_heom(a, b, schema, ranges, exclude=()):
     """Straight per-term HEOM loop."""
     total = 0.0

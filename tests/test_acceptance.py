@@ -19,11 +19,9 @@ from rulefill import (
     KnnImputer,
     SOURCE_RULES,
     evaluate,
-    fire_rules,
     fit_all_bins,
     generate_rules,
     impute_dataset,
-    index_rules,
     inject_missing,
     mine_frequent,
     mine_rules,
@@ -33,6 +31,7 @@ from rulefill import (
 from oracles import (
     brute_force_frequent,
     brute_force_rules,
+    oracle_fired,
     oracle_knn_value,
     oracle_neighbors,
     random_dataset,
@@ -298,10 +297,9 @@ def test_criterion_9_totality_and_branch_soundness(car_dataset):
         rules = mine_rules(ds, params, bins)
         completed, report = impute_dataset(ds, rules, KnnParams(5), bins)
         assert completed.missing_cells() == [], "missing cells survived imputation"
-        index = index_rules(rules)
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)
-            fired = fire_rules(ds.known_items(record, bins), cell.attribute, index)
+            fired = oracle_fired(rules, ds.itemize(record, bins), cell.attribute)
             if cell.source == SOURCE_RULES:
                 assert fired and set(cell.rules) <= set(fired)
             else:

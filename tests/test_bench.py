@@ -209,6 +209,20 @@ def test_spec_validation():
         ExperimentSpec(dataset_path="x", methods=("mystery",))
     with pytest.raises(ValueError):
         ExperimentSpec(dataset_path="x", missing_rate=1.0)
+    # every sweep value is range-checked up front, not when its position runs
+    for axis, values in [
+        ("missing_rate", (0.1, 1.0)),
+        ("missing_rate", (-0.1,)),
+        ("support", (0.3, 1.5)),
+        ("support", (0.0,)),
+        ("confidence", (0.5, 1.01)),
+        ("confidence", (-0.2,)),
+    ]:
+        with pytest.raises(ValueError, match=axis):
+            ExperimentSpec(dataset_path="x", sweep_axis=axis, sweep_values=values)
+    for axis, values in [("missing_rate", (0.0, 0.95)), ("support", (1.0,)),
+                         ("confidence", (0.01, 1.0))]:
+        ExperimentSpec(dataset_path="x", sweep_axis=axis, sweep_values=values)
 
 
 def test_report_files_written(tmp_path, car_csv):

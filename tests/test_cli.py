@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,28 @@ def test_impute_schema_mismatch_exits_one(tmp_path, car_csv, credit_csv, capsys)
     assert "schema" in stderr
 
 
+def test_impute_malformed_rule_header_exits_one(tmp_path, car_csv, capsys):
+    rules = tmp_path / "bad.rules.jsonl"
+    rules.write_text('{"format": "rulefill-rules-v1", "bins": {}, "params": null}\n')
+    code, _, stderr = run_cli(
+        ["impute", "--data", str(car_csv), "--rules", str(rules)], capsys
+    )
+    assert code == 1
+    assert stderr.startswith("error:") and "bad.rules.jsonl" in stderr
+
+
+@pytest.mark.parametrize("sweep, values", [("missing-rate", "5,100"), ("support", "150")])
+def test_bench_out_of_range_values_exit_one(tmp_path, car_csv, capsys, sweep, values):
+    code, _, stderr = run_cli(
+        ["bench", "--data", str(car_csv), "--sweep", sweep, "--values", values,
+         "--out-dir", str(tmp_path / "bench")],
+        capsys,
+    )
+    assert code == 1
+    assert stderr.startswith("error:")
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bench_sweep_reports(tmp_path, car_csv, capsys):
     out_dir = tmp_path / "bench"
     code, stdout, _ = run_cli(
@@ -178,15 +201,32 @@ def test_data_dir_env_var(tmp_path, car_csv, capsys, monkeypatch):
     assert code == 0
 
 
+def child_env():
+    # the package's own source root, so a bare `python -m pytest` works too
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rulefill.__file__)), os.environ.get("PYTHONPATH", "")]
+    )}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "rulefill", "--help"],
         capture_output=True,
         text=True,
-        # the package's own source root, so a bare `python -m pytest` works too
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.dirname(os.path.dirname(rulefill.__file__)), os.environ.get("PYTHONPATH", "")]
-        )},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "mine" in proc.stdout and "impute" in proc.stdout and "bench" in proc.stdout
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # the demos write into tempfile.mkdtemp(); keep that under the test's own directory
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path,
+        env={**child_env(), "TMPDIR": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -122,7 +122,6 @@ def test_itemize_skips_missing_cells():
     ds = Dataset(schema, [Record(0, ("red", None)), Record(1, (None, None))])
     assert ds.itemize(ds.records[0]) == frozenset({(0, 0)})
     assert ds.itemize(ds.records[1]) == frozenset()
-    assert ds.known_items(ds.records[0]) == ds.itemize(ds.records[0])
 
 
 def test_itemize_numeric_uses_bins():

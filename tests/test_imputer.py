@@ -15,16 +15,14 @@ from rulefill import (
     Record,
     SOURCE_KNN,
     SOURCE_RULES,
-    fire_rules,
-    impute_cell,
+    fit_all_bins,
     impute_dataset,
     impute_from_rules,
-    index_rules,
     mine_rules,
 )
 from rulefill.binning import Bins
 from rulefill.imputer import _firing_key
-from oracles import random_dataset
+from oracles import oracle_fired, oracle_knn_value, random_dataset
 
 
 def rule(antecedent, consequent, support=0.5, confidence=0.8):
@@ -32,27 +30,44 @@ def rule(antecedent, consequent, support=0.5, confidence=0.8):
 
 
 Y = 3  # target attribute index used in the firing tests
+LEVELS = ("l0", "l1", "l2")
+
+
+def fired_on_y(known, rules):
+    """The rules impute_dataset fires for the missing Y cell of a record
+    whose items are exactly ``known``; a second, complete record gives the
+    kNN fallback a donor.  Checked against the naive oracle on the way."""
+    cells = [None] * (Y + 1)
+    for attribute, level in known:
+        cells[attribute] = LEVELS[level]
+    schema = [AttributeSchema(f"a{j}", CATEGORICAL, LEVELS) for j in range(Y + 1)]
+    ds = Dataset(schema, [Record(0, tuple(cells)), Record(1, ("l0",) * (Y + 1))])
+    assert ds.itemize(ds.record_by_id(0)) == known
+    _, report = impute_dataset(ds, rules)
+    (cell,) = [c for c in report.cells if (c.record_id, c.attribute) == (0, Y)]
+    assert cell.rules == oracle_fired(rules, known, Y)
+    return cell.rules
 
 
 def test_fire_rules_subset_condition():
-    rules = index_rules([
+    rules = [
         rule({(0, 1)}, (Y, 0), confidence=0.9),
         rule({(2, 1)}, (Y, 1), confidence=0.8),
-    ])
+    ]
     known = frozenset({(0, 1), (1, 1)})
-    fired = fire_rules(known, Y, rules)
+    fired = fired_on_y(known, rules)
     assert [r.consequent for r in fired] == [(Y, 0)]
 
 
 def test_fire_rules_empty_known():
-    rules = index_rules([rule({(0, 1)}, (Y, 0))])
-    assert fire_rules(frozenset(), Y, rules) == ()
+    rules = [rule({(0, 1)}, (Y, 0))]
+    assert fired_on_y(frozenset(), rules) == ()
 
 
 def test_empty_antecedent_fires_on_anything():
-    rules = index_rules([rule(set(), (Y, 0))])
+    rules = [rule(set(), (Y, 0))]
     for known in (frozenset(), frozenset({(0, 1)})):
-        fired = fire_rules(known, Y, rules)
+        fired = fired_on_y(known, rules)
         assert len(fired) == 1
         # oracle: set inclusion says the empty set is a subset of anything
         assert all(r.antecedent <= known for r in fired)
@@ -62,9 +77,7 @@ def test_fire_rules_ordering():
     r_low = rule({(0, 1)}, (Y, 1), support=0.3, confidence=0.7)
     r_high = rule({(0, 1)}, (Y, 0), support=0.3, confidence=0.9)
     r_support = rule({(1, 1)}, (Y, 2), support=0.6, confidence=0.7)
-    fired = fire_rules(
-        frozenset({(0, 1), (1, 1)}), Y, index_rules([r_low, r_high, r_support])
-    )
+    fired = fired_on_y(frozenset({(0, 1), (1, 1)}), [r_low, r_high, r_support])
     assert list(fired) == [r_high, r_support, r_low]
 
 
@@ -135,19 +148,26 @@ def tiny_dataset():
     return Dataset(schema, records)
 
 
+def only_cell(report, record_id, attribute):
+    (cell,) = [c for c in report.cells if (c.record_id, c.attribute) == (record_id, attribute)]
+    return cell
+
+
 def test_impute_cell_branches():
     ds = tiny_dataset()
     matching = [rule({(0, 0)}, (2, 0), confidence=0.9), rule({(1, 0)}, (2, 0), confidence=0.8)]
-    cell = impute_cell(ds, ds.record_by_id(4), 2, matching)
+    _, report = impute_dataset(ds, matching)
+    cell = only_cell(report, 4, 2)
     assert cell.source == SOURCE_RULES
     assert len(cell.rules) == 2
     assert cell.value == "y0"
 
-    cell = impute_cell(ds, ds.record_by_id(4), 2, [rule({(0, 1)}, (2, 1))])
+    _, report = impute_dataset(ds, [rule({(0, 1)}, (2, 1))])
+    cell = only_cell(report, 4, 2)
     assert cell.source == SOURCE_KNN
     assert cell.neighbor_ids
-    with pytest.raises(ValueError):
-        impute_cell(ds, ds.record_by_id(0), 2, [])  # cell is not missing
+    # present cells are never imputed: the table's one missing cell is the only entry
+    assert [(c.record_id, c.attribute) for c in report.cells] == [(4, 2)]
 
 
 def test_constant_attribute_imputes_the_constant_either_way():
@@ -160,8 +180,29 @@ def test_constant_attribute_imputes_the_constant_either_way():
         [Record(0, ("a0", "only")), Record(1, ("a1", "only")), Record(2, ("a0", None))],
     )
     for rules in ([], mine_rules(ds, MiningParams(0.5, 0.5))):
-        cell = impute_cell(ds, ds.record_by_id(2), 1, rules)
-        assert cell.value == "only"
+        _, report = impute_dataset(ds, rules)
+        assert only_cell(report, 2, 1).value == "only"
+
+
+def test_rule_less_imputation_needs_no_bins():
+    # kNN alone reads numbers directly; bins only matter for itemizing
+    schema = [
+        AttributeSchema("x", NUMERIC),
+        AttributeSchema("c", CATEGORICAL, ("p", "q")),
+    ]
+    ds = Dataset(schema, [
+        Record(0, ("1.0", "p")),
+        Record(1, ("2.0", None)),
+        Record(2, (None, "q")),
+        Record(3, ("4.0", "q")),
+        Record(4, (None, None)),
+    ])
+    done, report = impute_dataset(ds, [], KnnParams(2))
+    assert not done.missing_cells()
+    assert report.n_imputed == report.n_from_knn == 4
+    for cell in report.cells:
+        expected = oracle_knn_value(ds, ds.record_by_id(cell.record_id), cell.attribute, 2)
+        assert cell.value == expected
 
 
 def test_impute_dataset_no_missing_is_identity():
@@ -176,17 +217,14 @@ def test_impute_dataset_totality_and_branch_soundness():
     for _ in range(10):
         ds = random_dataset(rng, max_records=40)
         params = MiningParams(0.3, 0.5)
-        from rulefill import fit_all_bins
-
         bins = fit_all_bins(ds, 3)
         rules = mine_rules(ds, params, bins)
         done, report = impute_dataset(ds, rules, KnnParams(3), bins)
         assert not done.missing_cells()
-        index = index_rules(rules)
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)
-            known = ds.known_items(record, bins)
-            fired = fire_rules(known, cell.attribute, index)
+            known = ds.itemize(record, bins)
+            fired = oracle_fired(rules, known, cell.attribute)
             if cell.source == SOURCE_RULES:
                 assert fired
                 assert set(cell.rules) <= set(fired)
@@ -194,20 +232,8 @@ def test_impute_dataset_totality_and_branch_soundness():
                 assert fired == ()
 
 
-def test_impute_dataset_matches_impute_cell():
-    ds = tiny_dataset()
-    rules = [rule({(0, 0)}, (2, 0), confidence=0.9)]
-    done, report = impute_dataset(ds, rules)
-    by_cell = {(c.record_id, c.attribute): c for c in report.cells}
-    single = impute_cell(ds, ds.record_by_id(4), 2, rules)
-    batch = by_cell[(4, 2)]
-    assert batch.value == single.value
-    assert batch.source == single.source
-    assert batch.rules == single.rules
-
-
 def test_batched_firing_order_matches_fire_rules():
-    # pre-sorted buckets must reproduce fire_rules ordering exactly
+    # pre-sorted buckets must reproduce the naive filter-then-sort exactly
     rules = [
         rule({(0, 0)}, (2, 0), support=0.4, confidence=0.7),
         rule({(1, 0)}, (2, 1), support=0.6, confidence=0.7),
@@ -216,8 +242,8 @@ def test_batched_firing_order_matches_fire_rules():
     ds = tiny_dataset()
     done, report = impute_dataset(ds, rules)
     cell = next(c for c in report.cells if (c.record_id, c.attribute) == (4, 2))
-    known = ds.known_items(ds.record_by_id(4))
-    assert cell.rules == fire_rules(known, 2, index_rules(rules))
+    known = ds.itemize(ds.record_by_id(4))
+    assert cell.rules == oracle_fired(rules, known, 2)
     assert list(cell.rules) == sorted(cell.rules, key=_firing_key)
 
 

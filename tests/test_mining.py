@@ -8,9 +8,7 @@ from rulefill import (
     AssociationRule,
     MiningParams,
     generate_rules,
-    index_rules,
     mine_frequent,
-    rules_for_attribute,
     support_count,
 )
 from oracles import brute_force_frequent, brute_force_rules, random_itemized_db
@@ -91,15 +89,6 @@ def test_singletons_make_no_rules():
     frequents = mine_frequent([frozenset({A}), frozenset({A})], params)
     assert all(len(f.itemset) == 1 for f in frequents)
     assert generate_rules(frequents, params) == []
-
-
-def test_rules_for_attribute_filters():
-    r1 = AssociationRule(frozenset({A}), (1, 1), 0.5, 0.9)
-    r2 = AssociationRule(frozenset({A}), (2, 2), 0.5, 0.8)
-    assert rules_for_attribute([r1, r2], 1) == [r1]
-    assert rules_for_attribute([], 1) == []
-    assert rules_for_attribute([r1, r2], 5) == []
-    assert index_rules([r1, r2]) == {1: [r1], 2: [r2]}
 
 
 def test_rule_rejects_overlapping_consequent():

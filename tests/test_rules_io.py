@@ -75,3 +75,34 @@ def test_bad_files_rejected(tmp_path):
     )
     with pytest.raises(DataError, match="line 2"):
         read_rules(broken)
+
+    good = {"format": "rulefill-rules-v1", "schema": [], "bins": {}, "params": None}
+    bad_headers = [
+        {"format": "rulefill-rules-v1", "bins": {}, "params": None},  # no schema
+        {**good, "params": {"min_support": 0.4, "bogus": 1}},         # unknown param
+        {**good, "params": {"min_support": 7.0}},                     # param out of range
+        {**good, "schema": [{"name": "a", "kind": "mystery", "levels": []}]},
+        {**good, "bins": {"0": {"edges": [1.0]}}},                    # no representatives
+        {**good, "bins": []},
+        {**good, "schema": 3},
+        ["rulefill-rules-v1"],                                        # not an object
+    ]
+    for header in bad_headers:
+        bad = tmp_path / "bad_header.jsonl"
+        bad.write_text(json.dumps(header) + "\n")
+        with pytest.raises(DataError, match="bad_header.jsonl"):
+            read_rules(bad)
+    bad_records = [
+        {"antecedent": [], "consequent": [1], "support": 0.5, "confidence": 0.9},
+        {"antecedent": [[0, 1, 2]], "consequent": [1, 0], "support": 0.5, "confidence": 0.9},
+        {"antecedent": [0], "consequent": [1, 0], "support": 0.5, "confidence": 0.9},
+        {"antecedent": [], "consequent": ["a", 0], "support": 0.5, "confidence": 0.9},
+        [[], [1, 0], 0.5, 0.9],
+        {"antecedent": [], "consequent": [1, 0], "support": "high", "confidence": 0.9},
+        {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": None},
+    ]
+    for record in bad_records:
+        bad = tmp_path / "bad_rule.jsonl"
+        bad.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="bad_rule.jsonl: line 3"):
+            read_rules(bad)
