@@ -8,6 +8,7 @@ counts as maximally dissimilar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,8 +71,15 @@ def heom_distance(a: Record, b: Record, schema, ranges, exclude=()) -> float:
 
 
 # Distance rows computed at once: a block of query records is at most this
-# many bytes of float64, which bounds the kNN fallback's working memory.
+# many bytes of float64 distances, which bounds the kNN fallback's working
+# memory (the block's match counts, masks and nearest-record positions are
+# each at most this size again).
 _BLOCK_BYTES = 1 << 18
+
+# A query record's cells pick their neighbours from its 2k + _NEAREST_SLACK
+# nearest records (k from KnnParams, at most every record) and their ties:
+# room for k holders of the target value even when half of the nearest lack it.
+_NEAREST_SLACK = 8
 
 
 class KnnImputer:
@@ -79,9 +87,11 @@ class KnnImputer:
 
     The table is encoded once, with columns in ascending record id so that
     position order is id order.  Queries run in blocks: one squared-HEOM
-    array per block of records, then per target attribute a partition-based
-    pick of the k nearest and a single vote.  Evidence is always the dataset
-    as given (never previously imputed values).
+    array per block of records, one partition per record for its nearest
+    records, then per cell a pick of the k nearest holders of the target
+    attribute among them and, per target attribute, a single vote.
+    Evidence is always the dataset as given (never previously imputed
+    values).
     """
 
     def __init__(self, dataset: Dataset, params: KnnParams | None = None, exclude=()):
@@ -92,26 +102,33 @@ class KnnImputer:
 
         records = sorted(dataset.records, key=lambda r: r.id)
         self._ids = np.array([r.id for r in records], dtype=np.int64)
+        self._position = {r.id: p for p, r in enumerate(records)}
         # id position of each record in dataset order
-        self._dataset_order = np.searchsorted(self._ids, [r.id for r in dataset.records])
+        self._dataset_order = np.array([self._position[r.id] for r in dataset.records],
+                                       dtype=np.intp)
         shape = (dataset.n_attributes, len(records))
         self._codes = np.full(shape, -1, dtype=np.int32)  # level index; -1 missing
         self._values = np.full(shape, math.nan)  # numeric value; NaN missing
-        self._absent = np.empty(shape, dtype=bool)
-        self._known = []  # count of present values per attribute
+        self._present = np.empty(shape, dtype=bool)
         for j, attr in enumerate(dataset.schema):
             cells = [r.cells[j] for r in records]
             if attr.kind == NUMERIC:
                 self._values[j] = [math.nan if c is None else float(c) for c in cells]
             else:
                 self._codes[j] = [-1 if c is None else dataset.level_index(j, c) for c in cells]
-            self._absent[j] = [c is None for c in cells]
-            self._known.append(len(cells) - cells.count(None))
+            self._present[j] = [c is not None for c in cells]
+        self._known = self._present.sum(axis=1).tolist()  # present values per attribute
         # Participating attributes in schema order, so the block accumulation
         # matches heom_distance term for term; the scale is None for categorical.
         self._terms = [
             (j, self.ranges.get(j)) for j in range(dataset.n_attributes) if j not in self.exclude
         ]
+
+        # The leading run of categorical terms (those before the first numeric
+        # one) sums 0/1 terms, an exact integer in any order: its length minus
+        # the matches, counted in the narrowest integer type that holds it.
+        self._lead = len(list(itertools.takewhile(lambda term: term[1] is None, self._terms)))
+        self._match_dtype = np.min_scalar_type(self._lead)
 
     def squared_distances(self, record: Record) -> np.ndarray:
         """HEOM squared distance from ``record`` to every dataset record, in dataset order."""
@@ -169,14 +186,15 @@ class KnnImputer:
 
     def _distances(self, records) -> np.ndarray:
         """Squared HEOM from each of ``records`` to every encoded record: one block."""
-        total = np.zeros((len(records), self._ids.size))
-        for j, scale in self._terms:
-            cells = [r.cells[j] for r in records]
+        matches = np.zeros((len(records), self._ids.size), dtype=self._match_dtype)
+        for j, _ in self._terms[: self._lead]:
+            matches += self._codes[j] == self._query_codes(records, j)
+        total = (self._lead - matches).astype(np.float64)
+        for j, scale in self._terms[self._lead:]:
             if scale is None:
-                # A missing query (-2) mismatches everything, missing cells (-1) too.
-                codes = [-2 if c is None else self.dataset.level_index(j, c) for c in cells]
-                total += self._codes[j] != np.array(codes, dtype=np.int32)[:, None]
+                total += self._codes[j] != self._query_codes(records, j)
                 continue
+            cells = [r.cells[j] for r in records]
             x = np.array([math.nan if c is None else float(c) for c in cells])[:, None]
             if scale > 0.0:
                 term = np.abs(self._values[j] - x)
@@ -188,6 +206,16 @@ class KnnImputer:
                 total += self._values[j] != x  # NaN is unequal to everything
         return total
 
+    def _query_codes(self, records, j: int) -> np.ndarray:
+        """Level codes of ``records`` at categorical ``j`` as a column.
+
+        A missing query cell is -2, so it matches no encoded cell, and a
+        missing encoded cell (-1) matches no query cell either.
+        """
+        codes = [-2 if r.cells[j] is None else self.dataset.level_index(j, r.cells[j])
+                 for r in records]
+        return np.array(codes, dtype=np.int32)[:, None]
+
     def _block_nearest(self, records, block_cells):
         """Neighbor positions for (block row, attribute) cells of one block.
 
@@ -197,31 +225,35 @@ class KnnImputer:
         """
         block = self._distances(records)
         own = self._own_positions(records)
+        for row, p in enumerate(own):
+            if p >= 0:
+                block[row, p] = np.inf  # never one's own neighbor
+        # Each row's nearest records: its positions at or below the row's K-th
+        # smallest value, ties included, in position order.  An empty table
+        # has none.
+        n = block.shape[1]
+        size = min(n, 2 * self.params.k + _NEAREST_SLACK)
+        kth = np.partition(block, size - 1, axis=1)[:, size - 1] if n else np.zeros(len(records))
+        flat = np.flatnonzero(block <= kth[:, None])
+        ends = np.searchsorted(flat, np.arange(1, len(records) + 1) * n).tolist()
+        nearest = [flat[start:end] - row * n
+                   for row, (start, end) in enumerate(zip([0, *ends], ends))]
+
         groups: dict[tuple[int, int], tuple[list, list]] = {}
         for index, (row, attribute) in enumerate(block_cells):
             p = own[row]
-            candidates = self._known[attribute] - (p >= 0 and not self._absent[attribute, p])
-            k = min(self.params.k, candidates)
-            if k:
-                d2 = np.where(self._absent[attribute], np.inf, block[row])
-                if p >= 0:
-                    d2[p] = np.inf  # never one's own neighbor
-                chosen = _k_smallest(d2, k)
-            else:
-                chosen = np.empty(0, dtype=np.intp)
+            present = self._present[attribute]
+            k = min(self.params.k, self._known[attribute] - (p >= 0 and present[p]))
+            chosen = _select(block[row], nearest[row], kth[row], present, k)
             indices, positions = groups.setdefault((attribute, k), ([], []))
             indices.append(index)
             positions.append(chosen)
         for (attribute, _), (indices, positions) in groups.items():
-            yield attribute, indices, np.array(positions)
+            yield attribute, indices, np.array(positions, dtype=np.intp)
 
-    def _own_positions(self, records) -> np.ndarray:
+    def _own_positions(self, records) -> list[int]:
         """Encoded position of each record's id, or -1 when the dataset lacks it."""
-        ids = np.array([r.id for r in records], dtype=np.int64)
-        positions = np.searchsorted(self._ids, ids)
-        found = positions < self._ids.size
-        found[found] = self._ids[positions[found]] == ids[found]
-        return np.where(found, positions, -1)
+        return [self._position.get(r.id, -1) for r in records]
 
     def _global_fallback(self, attribute: int):
         # No candidate holds the target value: fall back to the dataset-wide
@@ -234,21 +266,32 @@ class KnnImputer:
         if attr.kind == NUMERIC:
             numbers = [float(v) for v in self.dataset.present_values(attribute)]
             return sum(numbers) / len(numbers)
-        codes = self._codes[attribute][~self._absent[attribute]]
+        codes = self._codes[attribute][self._present[attribute]]
         return attr.levels[_mode(codes[None, :], len(attr.levels))[0]]
 
 
-def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest entries of d2 in (value, position) order.
+def _select(row: np.ndarray, nearest: np.ndarray, kth: float, present: np.ndarray,
+            k: int) -> np.ndarray:
+    """Positions of the k nearest holders (``present``) in ``row``, in (value, position) order.
 
-    Everything strictly below the k-th smallest value is taken, then the tie
-    band at that value fills the rest in position order.  Needs at least k
-    finite entries.
+    ``nearest`` is every position of ``row`` at or below ``kth``, in position
+    order.  Its holders below ``kth`` come first, sorted by value (stably, so
+    ties keep position order), then its holders in the tie band at ``kth``,
+    in position order and never sorted.  When they are short of k, the pick
+    runs once more with the cell's own threshold, the k-th smallest holder
+    value, which then always yields k.  Needs at least k finite holder
+    values.
     """
-    kth = np.partition(d2, k - 1)[k - 1]
-    below = np.flatnonzero(d2 < kth)
-    chosen = np.concatenate((below, np.flatnonzero(d2 == kth)[: k - below.size]))
-    return chosen[np.argsort(d2[chosen], kind="stable")]
+    candidates = nearest[present[nearest]]
+    if candidates.size < k:
+        kth = np.partition(row[present], k - 1)[k - 1]
+        return _select(row, np.flatnonzero(row <= kth), kth, present, k)
+    values = row[candidates]
+    below = values < kth
+    chosen = candidates[below][np.argsort(values[below], kind="stable")]
+    if chosen.size < k:
+        chosen = np.concatenate((chosen, candidates[~below][: k - chosen.size]))
+    return chosen[:k]
 
 
 def _mode(codes: np.ndarray, n_levels: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +281,64 @@ def batch_dataset(rng, n_records):
     return Dataset(BATCH_SCHEMA, records)
 
 
+def assert_block_is_scalar_heom(knn, queries):
+    ds = knn.dataset
+    by_id = sorted(ds.records, key=lambda r: r.id)
+    for row, record in zip(knn._distances(queries), queries, strict=True):
+        for squared, other in zip(row, by_id, strict=True):
+            scalar = heom_distance(record, other, ds.schema, knn.ranges, knn.exclude)
+            assert math.sqrt(squared) == scalar
+
+
+def expected_retries(knn, ds, cells, size):
+    """Cells whose nearest records hold fewer target holders than they need.
+
+    A record's nearest records are those at or below its ``size``-th smallest
+    squared distance, the record itself counting as infinitely far.
+    """
+    retries = 0
+    for record, attribute in cells:
+        row = [math.inf if other.id == record.id else squared
+               for squared, other in zip(knn.squared_distances(record), ds.records)]
+        kth = sorted(row)[size - 1]
+        holders = [squared for squared, other in zip(row, ds.records)
+                   if other.id != record.id and other.cells[attribute] is not None]
+        need = min(knn.params.k, len(holders))
+        retries += sum(squared <= kth for squared in holders) < need
+    return retries
+
+
+def check_knn_against_oracles(monkeypatch, ds, k, cells):
+    """impute_cells, neighbors and impute_dataset agree with the oracles, and the
+    per-cell threshold retry runs exactly where the nearest records fall short
+    (each cell calls _select once, and once more for a retry)."""
+    knn = KnnImputer(ds, KnnParams(k=k))
+    select, calls = knn_module._select, [0]
+
+    def counting_select(*args):
+        calls[0] += 1
+        return select(*args)
+
+    monkeypatch.setattr(knn_module, "_select", counting_select)
+    results = list(knn.impute_cells(cells))
+    monkeypatch.setattr(knn_module, "_select", select)
+    size = min(ds.n_records, 2 * k + knn_module._NEAREST_SLACK)
+    assert calls[0] - len(cells) == expected_retries(knn, ds, cells, size)
+
+    for (record, j), (value, ids) in zip(cells, results, strict=True):
+        expected = oracle_neighbors(ds, record, j, k)
+        assert list(ids) == expected
+        assert knn.neighbors(record, j) == expected
+        assert value == oracle_knn_value(ds, record, j, k)
+
+    _, report = impute_dataset(ds, [], KnnParams(k=k), fit_all_bins(ds))
+    assert report.n_imputed == len(ds.missing_cells())
+    for cell in report.cells:
+        record = ds.record_by_id(cell.record_id)
+        assert list(cell.neighbor_ids) == oracle_neighbors(ds, record, cell.attribute, k)
+        assert cell.value == oracle_knn_value(ds, record, cell.attribute, k)
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 def test_batched_path_matches_oracle(block_rows, monkeypatch):
     rng = random.Random(4242 + (block_rows or 0))
@@ -288,27 +347,177 @@ def test_batched_path_matches_oracle(block_rows, monkeypatch):
         if block_rows is not None:
             monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * block_rows)
         k = rng.randint(1, ds.n_records + 3)  # often more than the candidates
-        knn = KnnImputer(ds, KnnParams(k=k))
-
-        by_id = sorted(ds.records, key=lambda r: r.id)
-        ranges = fit_numeric_ranges(ds)
-        queries = ds.records[:5]
-        block = knn._distances(queries)
-        for row, record in zip(block, queries):
-            for squared, other in zip(row, by_id):
-                assert math.sqrt(squared) == heom_distance(record, other, ds.schema, ranges)
-
+        assert_block_is_scalar_heom(KnnImputer(ds, KnnParams(k=k)), ds.records[:5])
         # every cell, present ones too, so candidate counts differ within a block
         cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
-        for (record, j), (value, ids) in zip(cells, knn.impute_cells(cells), strict=True):
-            expected = oracle_neighbors(ds, record, j, k)
-            assert list(ids) == expected
-            assert knn.neighbors(record, j) == expected
-            assert value == oracle_knn_value(ds, record, j, k)
+        check_knn_against_oracles(monkeypatch, ds, k, cells)
 
-        _, report = impute_dataset(ds, [], KnnParams(k=k), fit_all_bins(ds))
-        assert report.n_imputed == len(ds.missing_cells())
-        for cell in report.cells:
-            record = ds.record_by_id(cell.record_id)
-            assert list(cell.neighbor_ids) == oracle_neighbors(ds, record, cell.attribute, k)
-            assert cell.value == oracle_knn_value(ds, record, cell.attribute, k)
+
+FAR_SCHEMA = [
+    AttributeSchema("c", CATEGORICAL, ("a", "b", "far")),
+    AttributeSchema("x", NUMERIC),
+    AttributeSchema("d", CATEGORICAL, ("u", "v", "far")),
+    AttributeSchema("rare", CATEGORICAL, ("p", "q")),  # held only by the far records
+]
+
+
+def far_holders_dataset(rng, n_records, n_far):
+    """A cluster of records plus a few far-away ones, the only holders of ``rare``."""
+    ids = rng.sample(range(10 * n_records), n_records)
+
+    def maybe(value):
+        return None if rng.random() < 0.2 else value
+
+    records = []
+    for position, record_id in enumerate(ids):
+        far = position < n_far
+        records.append(Record(record_id, (
+            "far" if far else maybe(rng.choice("ab")),
+            maybe(f"{rng.choice([0.0, 0.5, 1.0, 2.0]) + (60.0 if far else 0.0)}"),
+            "far" if far else maybe(rng.choice("uv")),
+            rng.choice("pq") if far else None,
+        )))
+    rng.shuffle(records)
+    return Dataset(FAR_SCHEMA, records)
+
+
+def near_constant_dataset(rng, n_records):
+    """All-categorical records that nearly all agree: huge distance ties."""
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(3)]
+    records = [
+        Record(record_id, tuple(
+            None if rng.random() < 0.15 else ("b" if rng.random() < 0.02 else "a")
+            for _ in schema
+        ))
+        for record_id in rng.sample(range(10 * n_records), n_records)
+    ]
+    return Dataset(schema, records)
+
+
+@pytest.mark.parametrize("slack", [1, 8])
+def test_few_near_holders_take_tie_band_then_retry(slack, monkeypatch):
+    monkeypatch.setattr(knn_module, "_NEAREST_SLACK", slack)
+    rng = random.Random(808 + slack)
+    for _ in range(3):
+        ds = far_holders_dataset(rng, rng.randint(100, 130), rng.randint(2, 5))
+        k = rng.choice([1, 3, 10])
+        # every rare cell (its holders all lie far away) and a sample of the rest
+        cells = [(r, 3) for r in ds.records] + [
+            (r, j) for r in rng.sample(ds.records, 25) for j in range(3)
+        ]
+        check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+@pytest.mark.parametrize("k", [1, 10, None])  # None: more than the records
+def test_heavy_ties_match_oracle(k, monkeypatch):
+    rng = random.Random(9090)
+    ds = near_constant_dataset(rng, 300)
+    k = k or ds.n_records + 3
+    cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+    check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+EDGE_SCHEMA = [
+    AttributeSchema("c0", CATEGORICAL, ("a", "b", "c")),
+    AttributeSchema("c1", CATEGORICAL, ("u", "v")),
+    AttributeSchema("c2", CATEGORICAL, ("p", "q", "r", "s")),
+    AttributeSchema("x", NUMERIC),
+    AttributeSchema("c4", CATEGORICAL, ("m", "n")),
+]
+
+
+def edge_dataset(rng, schema, n_records):
+    def cell(attr):
+        if rng.random() < 0.2:
+            return None
+        if attr.kind == NUMERIC:
+            return f"{rng.choice([-3.0, 0.0, 1.5, 8.0])}"
+        return rng.choice(attr.levels)
+
+    ids = rng.sample(range(10 * n_records), n_records)
+    return Dataset(schema, [Record(i, tuple(cell(a) for a in schema)) for i in ids])
+
+
+@pytest.mark.parametrize("exclude", [(), (1,), (0, 2), (3,), (0, 1, 2)])
+def test_leading_categorical_run_with_exclusions_is_bit_exact(exclude):
+    # (1,) and (0, 2) cut into the run; (3,) drops the numeric term, so c4
+    # joins it; (0, 1, 2) empties it, so the numeric term comes first.
+    rng = random.Random(str(exclude))
+    ds = edge_dataset(rng, EDGE_SCHEMA, 40)
+    knn = KnnImputer(ds, KnnParams(k=4), exclude)
+    assert_block_is_scalar_heom(knn, ds.records)
+    for record in ds.records[:10]:
+        for j in range(ds.n_attributes):
+            assert knn.neighbors(record, j) == oracle_neighbors(ds, record, j, 4, exclude)
+
+
+def test_numeric_first_schema_has_no_leading_run():
+    schema = [EDGE_SCHEMA[3], *EDGE_SCHEMA[:3], EDGE_SCHEMA[4]]
+    ds = edge_dataset(random.Random(5), schema, 40)
+    knn = KnnImputer(ds)
+    assert knn._lead == 0
+    assert_block_is_scalar_heom(knn, ds.records)
+
+
+def test_query_record_outside_the_dataset_with_missing_cells():
+    rng = random.Random(6)
+    ds = edge_dataset(rng, EDGE_SCHEMA, 40)
+    knn = KnnImputer(ds, KnnParams(k=5))
+    stranger = Record(10**6, (None, "v", None, None, "m"))  # own position -1
+    assert_block_is_scalar_heom(knn, [stranger])
+    for j in range(ds.n_attributes):
+        assert knn.neighbors(stranger, j) == oracle_neighbors(ds, stranger, j, 5)
+        assert knn.impute(stranger, j)[0] == oracle_knn_value(ds, stranger, j, 5)
+
+
+def test_unique_valued_leading_column_keeps_memory_small():
+    # a name column: one level per record, first in schema order
+    n = 3000
+    rng = random.Random(8)
+    schema = [AttributeSchema("name", CATEGORICAL, tuple(f"n{i}" for i in range(n))),
+              AttributeSchema("c", CATEGORICAL, ("a", "b", "c")),
+              AttributeSchema("x", NUMERIC)]
+    ds = Dataset(schema, [
+        Record(i, (f"n{i}", None if i % 7 == 0 else rng.choice("abc"), f"{rng.random():.3f}"))
+        for i in range(n)
+    ])
+    cells = [(r, 1) for r in ds.records if r.cells[1] is None]
+    tracemalloc.start()
+    try:
+        knn = KnnImputer(ds, KnnParams(k=5))
+        results = list(knn.impute_cells(cells))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a per-level table of the name column alone would take n * n bytes
+    assert peak < n * n // 4
+    for (record, j), (value, ids) in list(zip(cells, results))[:20]:
+        assert list(ids) == oracle_neighbors(ds, record, j, 5)
+        assert value == oracle_knn_value(ds, record, j, 5)
+    assert_block_is_scalar_heom(knn, ds.records[:2])
+
+
+def test_match_counts_do_not_overflow_on_long_categorical_runs():
+    # 300 leading categorical terms: a uint8 match count would wrap past 255
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
+    schema.append(AttributeSchema("x", NUMERIC))
+    rng = random.Random(7)
+    base = tuple(rng.choice("ab") for _ in range(300))
+    records = [Record(0, (*base, "1.0")), Record(1, (*base, "2.0")),
+               Record(2, (*base[:-1], None, "3.0")),
+               Record(3, (*(rng.choice("ab") for _ in range(300)), None))]
+    ds = Dataset(schema, records)
+    knn = KnnImputer(ds)
+    assert knn._lead == 300
+    assert_block_is_scalar_heom(knn, ds.records)
+    assert knn.squared_distances(records[0])[1] == 0.25
+
+
+def test_empty_dataset_has_no_neighbors():
+    ds = Dataset(MIXED_SCHEMA, [])
+    knn = KnnImputer(ds, KnnParams(k=3))
+    query = Record(5, (None, "red"))
+    assert knn.neighbors(query, 0) == []
+    assert knn.squared_distances(query).size == 0
+    with pytest.raises(DataError):
+        knn.impute(query, 0)
