@@ -84,9 +84,6 @@ class EvalMetrics:
     n_categorical_correct: int
     n_numeric: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(imputed: Dataset, truth: dict, schema=None) -> EvalMetrics:
     """Score imputations against the ground-truth cell map.

@@ -114,9 +114,6 @@ def _repaired(edges, reps, freq_vals):
             mid = lo + (hi - lo) / 2.0
             candidate = mid if lo <= mid < hi else lo
         fixed[i] = candidate
-    last = len(fixed) - 1
-    if not (edges[last] <= fixed[last] <= edges[last + 1]):
-        fixed[last] = edges[last + 1]
     return fixed
 
 

@@ -246,9 +246,7 @@ def cmd_impute(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    path = _resolve_data_path(args.data)
-    probe = load_csv(path, args.marker)
-    class_column = _class_column(args, [a.name for a in probe.schema])
+    dataset = _load(args)
 
     axis = args.sweep.replace("-", "_")
     values: tuple = ()
@@ -258,9 +256,9 @@ def cmd_bench(args) -> int:
         values = tuple(_normalize(v) for v in args.values)
 
     spec = ExperimentSpec(
-        dataset_path=path,
+        dataset_path=_resolve_data_path(args.data),
         missing_marker=args.marker,
-        class_column=class_column,
+        class_column=dataset.class_column,
         missing_rate=args.missing_rate,
         seed=args.seed,
         mining=_mining_params(args),
@@ -275,7 +273,7 @@ def cmd_bench(args) -> int:
     )
     _echo_config("bench", spec.to_dict())
 
-    report = run_sweep(spec)
+    report = run_sweep(spec, dataset)
     written = write_report_files(report, args.out_dir)
     for row in report.rows:
         accuracy = "-" if row.categorical_accuracy is None else f"{row.categorical_accuracy:.4f}"

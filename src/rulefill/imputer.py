@@ -214,26 +214,28 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
 
 
 def _check_rules_fit_schema(rules, dataset: Dataset, bins) -> None:
-    for rule in rules:
-        for attribute, level in [*rule.antecedent, rule.consequent]:
-            if not 0 <= attribute < dataset.n_attributes:
+    # Each distinct item once, in sorted order, so the item an error names
+    # does not depend on the rule order.
+    items = set().union(*[r.antecedent for r in rules], [r.consequent for r in rules])
+    for attribute, level in sorted(items):
+        if not 0 <= attribute < dataset.n_attributes:
+            raise DataError(
+                f"rule references attribute index {attribute}, "
+                f"dataset has {dataset.n_attributes}"
+            )
+        attr = dataset.schema[attribute]
+        if attr.kind == CATEGORICAL:
+            if not 0 <= level < len(attr.levels):
                 raise DataError(
-                    f"rule references attribute index {attribute}, "
-                    f"dataset has {dataset.n_attributes}"
+                    f"rule references level {level} of {attr.name!r}, "
+                    f"which has {len(attr.levels)} levels"
                 )
-            attr = dataset.schema[attribute]
-            if attr.kind == CATEGORICAL:
-                if not 0 <= level < len(attr.levels):
-                    raise DataError(
-                        f"rule references level {level} of {attr.name!r}, "
-                        f"which has {len(attr.levels)} levels"
-                    )
-            else:
-                fitted = (bins or {}).get(attribute)
-                if fitted is None:
-                    raise DataError(f"rules target numeric {attr.name!r} but no bins given")
-                if not 0 <= level < fitted.n_bins:
-                    raise DataError(
-                        f"rule references bin {level} of {attr.name!r}, "
-                        f"which has {fitted.n_bins} bins"
-                    )
+        else:
+            fitted = (bins or {}).get(attribute)
+            if fitted is None:
+                raise DataError(f"rules target numeric {attr.name!r} but no bins given")
+            if not 0 <= level < fitted.n_bins:
+                raise DataError(
+                    f"rule references bin {level} of {attr.name!r}, "
+                    f"which has {fitted.n_bins} bins"
+                )

@@ -1,10 +1,10 @@
 """Frequent-itemset mining and single-consequent association rules.
 
-Levelwise (Apriori-style) search over a vertical layout: each item carries a
-bitset of the record positions containing it, so counting a candidate is a
-bitwise AND plus a popcount.  The bitsets are an internal performance
-choice; the published contract is the exact thresholded output in a
-deterministic order.
+Levelwise search over a vertical layout (Eclat's tidsets): each item carries
+a bitset of the record positions containing it, and each candidate, the
+prefix join of two frequent itemsets, is counted exactly by a bitwise AND
+plus a popcount.  The bitsets are an internal performance choice; the
+published contract is the exact thresholded output in a deterministic order.
 """
 
 from __future__ import annotations
@@ -87,6 +87,12 @@ def mine_frequent(db, params: MiningParams) -> list[FrequentItemset]:
 
     Ordering is by itemset length, then lexicographically on the sorted
     (attribute, level) pairs, so identical inputs give identical output.
+    Each level joins, in sorted order, the pairs of frequent itemsets that
+    share all but their last item, so the output comes out in that order,
+    and counts every candidate exactly.  No subset check is needed: support
+    is anti-monotone, so a candidate with an infrequent subset fails the
+    threshold itself, and the output stays downward closed (acceptance
+    criterion 2 and ``test_downward_closure_on_random_dbs`` check it).
     """
     n = len(db)
     if n == 0:
@@ -120,24 +126,14 @@ def mine_frequent(db, params: MiningParams) -> list[FrequentItemset]:
                     break  # keys are sorted, so shared prefixes are contiguous
                 if a[-1][0] == b[-1][0]:
                     continue  # two levels of one attribute never co-occur
-                candidate = a + (b[-1],)
-                # Downward closure: every (size-1)-subset must already be
-                # frequent.  Dropping either of the last two items gives a or
-                # b, so only the earlier positions need checking.
-                if any(
-                    candidate[:i] + candidate[i + 1:] not in level
-                    for i in range(size - 2)
-                ):
-                    continue
                 mask = level[a] & level[b]
                 count = mask.bit_count()
                 if frequent_enough(count):
+                    candidate = a + (b[-1],)
                     next_level[candidate] = mask
                     found.append(FrequentItemset(frozenset(candidate), count, count / n))
         level = next_level
         size += 1
-
-    found.sort(key=lambda f: (len(f.itemset), tuple(sorted(f.itemset))))
     return found
 
 

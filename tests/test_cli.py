@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulefill
-from rulefill import load_csv
+from rulefill import (
+    KnnParams,
+    MiningParams,
+    fit_all_bins,
+    impute_dataset,
+    inject_missing,
+    load_csv,
+    mine_rules,
+    write_csv,
+)
 from rulefill.cli import _values_list, main
 
 
@@ -75,6 +84,62 @@ def test_impute_roundtrip(tmp_path, credit_csv, capsys):
     payload = json.loads(report.read_text())
     assert payload["totals"]["imputed"] == payload["totals"]["rules"] + payload["totals"]["knn"]
     assert "parameters" in payload
+
+
+@pytest.fixture(scope="module")
+def masked_car_csv(tmp_path_factory, car_dataset):
+    masked, _ = inject_missing(car_dataset, 0.2, seed=5)
+    path = tmp_path_factory.mktemp("masked") / "car_masked.csv"
+    write_csv(masked, path, "?")
+    return path
+
+
+@pytest.mark.parametrize("table", ["masked_car_csv", "credit_csv"])
+def test_impute_with_mined_rule_file_equals_inline_impute(tmp_path, table, request, capsys):
+    # mine -> impute --rules must write what one inline impute writes
+    data = str(request.getfixturevalue(table))
+    thresholds = ["--support-count", "40", "--confidence", "60"]
+    rules = tmp_path / "rules.jsonl"
+    assert run_cli(["mine", "--data", data, *thresholds, "--out", str(rules)], capsys)[0] == 0
+    outputs = {}
+    for name, extra in [("file", ["--rules", str(rules)]), ("inline", thresholds)]:
+        out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        code, _, _ = run_cli(
+            ["impute", "--data", data, *extra, "--out", str(out), "--report", str(report)],
+            capsys,
+        )
+        assert code == 0
+        outputs[name] = (out.read_bytes(), report.read_bytes())
+    assert outputs["file"] == outputs["inline"]
+    payload = json.loads(outputs["file"][1])
+    assert payload["totals"]["rules"] > 0 and payload["totals"]["knn"] > 0
+    assert not load_csv(tmp_path / "file.csv", "?").missing_cells()
+
+
+@pytest.mark.parametrize("no_class, exclude_class", [
+    (False, False), (False, True), (True, True),
+])
+def test_impute_class_flags_match_library(tmp_path, credit_csv, capsys, no_class,
+                                          exclude_class):
+    # --no-class overrides --class-column, and --exclude-class then drops nothing
+    name = load_csv(credit_csv, "?").schema[-1].name
+    flags = ["--class-column", name]
+    flags += ["--no-class"] * no_class + ["--exclude-class"] * exclude_class
+    out = tmp_path / "done.csv"
+    code, _, _ = run_cli(
+        ["impute", "--data", str(credit_csv), "--support-count", "40", "--confidence", "60",
+         *flags, "--out", str(out), "--report", str(tmp_path / "report.json")],
+        capsys,
+    )
+    assert code == 0
+    dataset = load_csv(credit_csv, "?", class_column=None if no_class else name)
+    exclude = frozenset([dataset.class_index] if exclude_class and not no_class else [])
+    bins = fit_all_bins(dataset, 5, "frequency", exclude)
+    params = MiningParams(min_confidence=0.6, min_support_count=40)
+    rules = mine_rules(dataset, params, bins, exclude)
+    completed, _ = impute_dataset(dataset, rules, KnnParams(k=10), bins, exclude)
+    write_csv(completed, tmp_path / "library.csv", "?")
+    assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def test_impute_without_missing_cells_notes_zero(tmp_path, car_csv, capsys):

@@ -297,6 +297,44 @@ def test_schema_mismatch_rejected():
         impute_dataset(ds, [rule({(0, 0)}, (2, 5))])
 
 
+def numeric_target_dataset():
+    schema = [
+        AttributeSchema("a", CATEGORICAL, ("a0", "a1")),
+        AttributeSchema("x", NUMERIC),
+    ]
+    records = [Record(0, ("a0", "1.0")), Record(1, ("a1", "3.0")), Record(2, ("a0", None))]
+    return Dataset(schema, records)
+
+
+def test_numeric_rules_need_bins_in_range():
+    ds = numeric_target_dataset()
+    with pytest.raises(DataError, match=r"^rules target numeric 'x' but no bins given$"):
+        impute_dataset(ds, [rule({(0, 0)}, (1, 0))])
+    bins = {1: Bins((1.0, 2.0, 3.0), (1.0, 3.0))}
+    with pytest.raises(
+        DataError, match=r"^rule references bin 2 of 'x', which has 2 bins$"
+    ):
+        impute_dataset(ds, [rule({(0, 0)}, (1, 2))], bins=bins)
+    _, report = impute_dataset(ds, [rule({(0, 0)}, (1, 1))], bins=bins)
+    assert only_cell(report, 2, 1).value == 3.0
+
+
+def test_schema_error_names_the_same_item_whatever_the_rule_order():
+    ds = tiny_dataset()
+    bad = [(0, 7), (1, 3), (0, 9)]
+    rules = [
+        rule({(1, i % 2), bad[i % 3]}, (2, i % 2), confidence=0.6 + i / 100)
+        for i in range(30)
+    ]
+    rng = random.Random(3)
+    for _ in range(20):
+        rng.shuffle(rules)
+        with pytest.raises(
+            DataError, match=r"^rule references level 7 of 'a', which has 2 levels$"
+        ):
+            impute_dataset(ds, rules)
+
+
 def test_report_serialization_shape():
     ds = tiny_dataset()
     rules = [rule({(0, 0)}, (2, 0), confidence=0.9)]

@@ -170,6 +170,15 @@ def test_global_fallback_mode_and_mean():
     assert value == "blue" and ids == (1,)
 
 
+def test_numeric_global_fallback_for_the_only_holder():
+    # the query is the only record holding x, so no other record can vote
+    ds = mixed_dataset([("2.5", "red"), (None, "red"), (None, "blue")])
+    record = ds.record_by_id(0)
+    value, ids = KnnImputer(ds, KnnParams(k=2)).impute(record, 0)
+    assert ids == ()
+    assert value == oracle_knn_value(ds, record, 0, 2) == 2.5
+
+
 def test_metric_properties_random():
     rng = random.Random(11)
     for _ in range(40):
