@@ -5,7 +5,7 @@ known cell.  Watch the support threshold prune itemsets and the confidence
 threshold prune rules.
 """
 
-from rulefill import MiningParams, generate_rules, mine_frequent, support_count
+from rulefill import MiningParams, generate_rules, mine_frequent
 
 A, B, C = (0, 0), (1, 0), (2, 0)  # one level each of three attributes
 DB = [
@@ -27,7 +27,8 @@ for items in DB:
 
 print("\nsupport counts by direct scan:")
 for probe in (frozenset(), frozenset({A}), frozenset({A, B})):
-    print(f"    support_count({show(probe)}) = {support_count(probe, DB)}")
+    count = sum(probe <= items for items in DB)  # records containing the probe
+    print(f"    {show(probe):6s} count={count}")
 
 params = MiningParams(min_support=0.5, min_confidence=0.6)
 frequents = mine_frequent(DB, params)

@@ -1,4 +1,4 @@
-"""Mixed-type data: quantile binning, HEOM distances, numeric de-binning.
+"""Mixed-type data: quantile binning, numeric de-binning, HEOM neighbours.
 
 Numeric columns join mining through fitted bins; a rule that predicts a bin
 is turned back into a number via the bin's representative value, and the
@@ -12,15 +12,13 @@ from rulefill import (
     NUMERIC,
     KnnParams,
     MiningParams,
-    bin_of,
     fit_all_bins,
     fit_bins,
-    fit_numeric_ranges,
-    heom_distance,
     impute_dataset,
     load_csv,
     mine_rules,
 )
+from rulefill.binning import bin_of
 from rulefill.sample_data import write_credit_csv
 
 print("equal-frequency bins over a skewed column:")
@@ -42,12 +40,6 @@ all_bins = fit_all_bins(dataset, n_bins=5, strategy="frequency")
 j = dataset.attribute_index(numeric[0])
 print(f"fitted bins for {numeric[0]!r}: edges {tuple(round(e, 2) for e in all_bins[j].edges)}")
 
-ranges = fit_numeric_ranges(dataset)
-a, b = dataset.records[0], dataset.records[1]
-print(f"\nHEOM distance between records 0 and 1: "
-      f"{heom_distance(a, b, dataset.schema, ranges):.4f}")
-print(f"identical record distance: {heom_distance(a, a, dataset.schema, ranges):.4f}")
-
 rules = mine_rules(dataset, MiningParams(0.40, 0.60, min_support_count=60), all_bins)
 completed, report = impute_dataset(dataset, rules, KnnParams(k=10), all_bins)
 print(
@@ -60,4 +52,8 @@ numeric_cells = [
 for cell in numeric_cells[:3]:
     name = report.attribute_names[cell.attribute]
     print(f"    {name}[record {cell.record_id}] <- {cell.value:.3f} ({cell.source})")
+knn_cell = next(c for c in report.cells if c.source == "knn")
+name = report.attribute_names[knn_cell.attribute]
+print(f"\n{name}[record {knn_cell.record_id}] <- {knn_cell.value!r}, the vote of its "
+      f"{len(knn_cell.neighbor_ids)} HEOM-nearest records: {list(knn_cell.neighbor_ids)}")
 print(f"missing cells left: {len(completed.missing_cells())}")

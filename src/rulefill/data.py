@@ -213,7 +213,10 @@ def fit_all_bins(dataset: Dataset, n_bins: int = 5, strategy: str = "frequency",
         values = [parse_number(v) for v in dataset.present_values(j)]
         if not values:
             continue
-        fitted[j] = fit_bins(values, n_bins, strategy)
+        try:
+            fitted[j] = fit_bins(values, n_bins, strategy)
+        except ValueError as exc:
+            raise DataError(f"numeric attribute {attr.name!r}: {exc}") from None
     return fitted
 
 

@@ -163,13 +163,10 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     _check_rules_fit_schema(rules, dataset, bins)
     knn_params = knn_params or KnnParams()
 
-    # Each consequent attribute's rules in firing order, so a plain filtered
-    # scan yields the fired rules already ordered.
+    # Each consequent attribute's rules; only the ones that fire get sorted.
     rule_index: dict[int, list[AssociationRule]] = {}
     for rule in rules:
         rule_index.setdefault(rule.consequent[0], []).append(rule)
-    for bucket in rule_index.values():
-        bucket.sort(key=_firing_key)
 
     # Phase 1 fires rules for every missing cell; the cells no rule covers
     # keep a slot, and phase 2 fills them all in one batched kNN call.
@@ -180,7 +177,8 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
         targeted = any(j in rule_index for j in missing)
         known = dataset.itemize(record, bins, exclude) if targeted else frozenset()
         for j in missing:
-            fired = tuple(r for r in rule_index.get(j, ()) if r.antecedent <= known)
+            fired = tuple(sorted((r for r in rule_index.get(j, ()) if r.antecedent <= known),
+                                 key=_firing_key))
             if fired:
                 value = impute_from_rules(fired, dataset.schema[j], (bins or {}).get(j))
                 imputations.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMERIC, DataError, Dataset, Record
+from .data import NUMERIC, DataError, Dataset
 
 
 @dataclass(frozen=True)
@@ -27,47 +27,6 @@ class KnnParams:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.distance != "heom":
             raise ValueError(f"unsupported distance: {self.distance!r}")
-
-
-def fit_numeric_ranges(dataset: Dataset, exclude=()) -> dict[int, float]:
-    """Per numeric attribute, max minus min over its known values."""
-    skip = frozenset(exclude)
-    ranges = {}
-    for j, attr in enumerate(dataset.schema):
-        if attr.kind != NUMERIC or j in skip:
-            continue
-        values = [float(v) for v in dataset.present_values(j)]
-        ranges[j] = (max(values) - min(values)) if values else 0.0
-    return ranges
-
-
-def heom_distance(a: Record, b: Record, schema, ranges, exclude=()) -> float:
-    """HEOM distance between two records.
-
-    Per attribute: 1 when either cell is missing; equality overlap for
-    categorical; |x - y| / range for numeric (a zero range contributes 0 for
-    equal present values, else 1).  The distance is sqrt of the summed
-    squared terms.
-    """
-    skip = frozenset(exclude)
-    total = 0.0
-    for j, attr in enumerate(schema):
-        if j in skip:
-            continue
-        va, vb = a.cells[j], b.cells[j]
-        if va is None or vb is None:
-            term = 1.0
-        elif attr.kind == NUMERIC:
-            x, y = float(va), float(vb)
-            rng = ranges.get(j, 0.0)
-            if rng > 0.0:
-                term = abs(x - y) / rng
-            else:
-                term = 0.0 if x == y else 1.0
-        else:
-            term = 0.0 if va == vb else 1.0
-        total += term * term
-    return math.sqrt(total)
 
 
 # Distance rows computed at once: a block of query records is at most this
@@ -98,28 +57,29 @@ class KnnImputer:
         self.dataset = dataset
         self.params = params or KnnParams()
         self.exclude = frozenset(exclude)
-        self.ranges = fit_numeric_ranges(dataset, self.exclude)
+        self.ranges = {}  # per participating numeric attribute: max minus min, 0.0 if none
 
         records = sorted(dataset.records, key=lambda r: r.id)
         self._ids = np.array([r.id for r in records], dtype=np.int64)
         self._position = {r.id: p for p, r in enumerate(records)}
-        # id position of each record in dataset order
-        self._dataset_order = np.array([self._position[r.id] for r in dataset.records],
-                                       dtype=np.intp)
         shape = (dataset.n_attributes, len(records))
         self._codes = np.full(shape, -1, dtype=np.int32)  # level index; -1 missing
         self._values = np.full(shape, math.nan)  # numeric value; NaN missing
         self._present = np.empty(shape, dtype=bool)
         for j, attr in enumerate(dataset.schema):
             cells = [r.cells[j] for r in records]
+            self._present[j] = [c is not None for c in cells]
             if attr.kind == NUMERIC:
                 self._values[j] = [math.nan if c is None else float(c) for c in cells]
+                if j not in self.exclude:
+                    known = self._values[j][self._present[j]]
+                    self.ranges[j] = float(known.max() - known.min()) if known.size else 0.0
             else:
                 self._codes[j] = [-1 if c is None else dataset.level_index(j, c) for c in cells]
-            self._present[j] = [c is not None for c in cells]
         self._known = self._present.sum(axis=1).tolist()  # present values per attribute
         # Participating attributes in schema order, so the block accumulation
-        # matches heom_distance term for term; the scale is None for categorical.
+        # matches the scalar per-term HEOM sum (oracle_heom in tests/oracles.py)
+        # term for term; the scale is None for categorical.
         self._terms = [
             (j, self.ranges.get(j)) for j in range(dataset.n_attributes) if j not in self.exclude
         ]
@@ -130,27 +90,14 @@ class KnnImputer:
         self._lead = len(list(itertools.takewhile(lambda term: term[1] is None, self._terms)))
         self._match_dtype = np.min_scalar_type(self._lead)
 
-    def squared_distances(self, record: Record) -> np.ndarray:
-        """HEOM squared distance from ``record`` to every dataset record, in dataset order."""
-        return self._distances([record])[0][self._dataset_order]
-
-    def neighbors(self, record: Record, attribute: int) -> list[int]:
-        """Ids of the k nearest candidates holding a value at ``attribute``.
-
-        Candidates are every other record with a present target value; ties
-        on distance break by ascending record id; fewer than k candidates
-        means all of them.
-        """
-        [(_, _, positions)] = self._block_nearest([record], [(0, attribute)])
-        return self._ids[positions[0]].tolist()
-
-    def impute(self, record: Record, attribute: int):
-        """(imputed value, neighbor ids); empty ids when the global fallback ran."""
-        [result] = self.impute_cells([(record, attribute)])
-        return result
-
     def impute_cells(self, cells):
-        """``impute`` for each (record, attribute) pair, yielded in order.
+        """(imputed value, neighbor ids) for each (record, attribute) pair, yielded in order.
+
+        The neighbors are the k nearest other records holding a value at the
+        attribute, ties on distance broken by ascending record id; fewer than
+        k candidates means all of them.  They vote (a count tie goes to the
+        smallest level index) or, for a numeric attribute, average.  Empty
+        ids mean no other record holds a value and the global fallback ran.
 
         Pairs are computed a block of records at a time; adjacent pairs of
         one record share a distance row.
@@ -224,7 +171,7 @@ class KnnImputer:
         order, and a group whose cells have no candidate has zero columns.
         """
         block = self._distances(records)
-        own = self._own_positions(records)
+        own = [self._position.get(r.id, -1) for r in records]  # -1: not in the dataset
         for row, p in enumerate(own):
             if p >= 0:
                 block[row, p] = np.inf  # never one's own neighbor
@@ -250,10 +197,6 @@ class KnnImputer:
             positions.append(chosen)
         for (attribute, _), (indices, positions) in groups.items():
             yield attribute, indices, np.array(positions, dtype=np.intp)
-
-    def _own_positions(self, records) -> list[int]:
-        """Encoded position of each record's id, or -1 when the dataset lacks it."""
-        return [self._position.get(r.id, -1) for r in records]
 
     def _global_fallback(self, attribute: int):
         # No candidate holds the target value: fall back to the dataset-wide

@@ -68,12 +68,6 @@ class AssociationRule:
         )
 
 
-def support_count(itemset, db) -> int:
-    """Number of records whose itemset contains ``itemset`` (direct scan)."""
-    target = frozenset(itemset)
-    return sum(1 for record_items in db if target <= record_items)
-
-
 def _threshold_test(params: MiningParams, n: int):
     if params.min_support_count is not None:
         minimum = params.min_support_count

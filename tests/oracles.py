@@ -10,6 +10,12 @@ from itertools import combinations
 from rulefill.data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, Record
 
 
+def support_count(itemset, db) -> int:
+    """Number of records whose itemset contains ``itemset`` (direct scan)."""
+    target = frozenset(itemset)
+    return sum(1 for record_items in db if target <= record_items)
+
+
 def threshold_ok(count, n, params):
     if params.min_support_count is not None:
         return count >= params.min_support_count

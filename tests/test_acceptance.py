@@ -26,7 +26,6 @@ from rulefill import (
     mine_frequent,
     mine_rules,
     run_sweep,
-    support_count,
 )
 from oracles import (
     brute_force_frequent,
@@ -36,6 +35,7 @@ from oracles import (
     oracle_neighbors,
     random_dataset,
     random_itemized_db,
+    support_count,
 )
 
 SUPPORT = 0.40      # benchmark defaults: 40% support, 60% confidence, k=10
@@ -242,10 +242,10 @@ def test_criterion_7_knn_oracle_exact():
                     if r.id != record.id
                 ):
                     continue
-                assert knn.neighbors(record, attribute) == oracle_neighbors(
+                [(value, ids)] = knn.impute_cells([(record, attribute)])
+                assert list(ids) == oracle_neighbors(
                     ds, record, attribute, k
                 ), "neighbor selection differs from exhaustive sort"
-                value, _ = knn.impute(record, attribute)
                 assert value == oracle_knn_value(ds, record, attribute, k), (
                     "vote/mean differs from oracle"
                 )

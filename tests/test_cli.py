@@ -20,6 +20,7 @@ from rulefill import (
     write_csv,
 )
 from rulefill.cli import _values_list, main
+from rulefill.sample_data import write_car_csv
 
 
 def run_cli(argv, capsys):
@@ -67,6 +68,18 @@ def test_mine_empty_dataset_exits_one(tmp_path, capsys):
     code, _, stderr = run_cli(["mine", "--data", str(empty)], capsys)
     assert code == 1
     assert "empty dataset" in stderr
+
+
+def test_mine_equal_width_overflow_names_the_column(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("span,c\n-1e308,a\n1e308,b\n0,a\n5,b\n")
+    code, _, stderr = run_cli(
+        ["mine", "--data", str(data), "--bin-strategy", "width",
+         "--out", str(tmp_path / "r.jsonl")],
+        capsys,
+    )
+    assert code == 1
+    assert "'span'" in stderr and "overflows" in stderr
 
 
 def test_impute_roundtrip(tmp_path, credit_csv, capsys):
@@ -295,3 +308,13 @@ def test_demo_runs(demo, tmp_path):
         env={**child_env(), "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tour = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    write_car_csv(tmp_path / "car.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(tour, str(readme), "exec"), {})
+    coverage, accuracy = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= coverage <= 1.0 and 0.0 < accuracy <= 1.0

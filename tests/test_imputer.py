@@ -17,11 +17,10 @@ from rulefill import (
     SOURCE_RULES,
     fit_all_bins,
     impute_dataset,
-    impute_from_rules,
     mine_rules,
 )
 from rulefill.binning import Bins
-from rulefill.imputer import _firing_key
+from rulefill.imputer import _firing_key, impute_from_rules
 from oracles import oracle_fired, oracle_knn_value, random_dataset
 
 

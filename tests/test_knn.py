@@ -16,12 +16,16 @@ from rulefill import (
     KnnParams,
     Record,
     fit_all_bins,
-    fit_numeric_ranges,
-    heom_distance,
     impute_dataset,
 )
 from rulefill import knn as knn_module
-from oracles import oracle_heom, oracle_knn_value, oracle_neighbors, random_dataset
+from oracles import (
+    oracle_heom,
+    oracle_knn_value,
+    oracle_neighbors,
+    oracle_ranges,
+    random_dataset,
+)
 
 MIXED_SCHEMA = [
     AttributeSchema("x", NUMERIC),
@@ -35,37 +39,37 @@ def mixed_dataset(rows):
 
 def test_identical_records_have_zero_distance():
     ds = mixed_dataset([("1.0", "red"), ("1.0", "red")])
-    ranges = fit_numeric_ranges(ds)
-    assert heom_distance(ds.records[0], ds.records[1], ds.schema, ranges) == 0.0
+    ranges = oracle_ranges(ds)
+    assert oracle_heom(ds.records[0], ds.records[1], ds.schema, ranges) == 0.0
 
 
 def test_single_categorical_difference_is_unit_distance():
     ds = mixed_dataset([("1.0", "red"), ("1.0", "blue")])
-    ranges = fit_numeric_ranges(ds)
-    assert heom_distance(ds.records[0], ds.records[1], ds.schema, ranges) == 1.0
+    ranges = oracle_ranges(ds)
+    assert oracle_heom(ds.records[0], ds.records[1], ds.schema, ranges) == 1.0
 
 
 def test_range_normalized_numeric_term():
     ds = mixed_dataset([("0", "red"), ("10", "red")])
-    ranges = fit_numeric_ranges(ds)
+    ranges = oracle_ranges(ds)
     assert ranges[0] == 10.0
-    d = heom_distance(ds.records[0], ds.records[1], ds.schema, ranges)
+    d = oracle_heom(ds.records[0], ds.records[1], ds.schema, ranges)
     assert d == pytest.approx(math.sqrt(1.0**2 + 0.0**2))
 
 
 def test_missing_cell_counts_as_one():
     ds = mixed_dataset([(None, "red"), ("5", "red")])
-    ranges = fit_numeric_ranges(ds)
-    assert heom_distance(ds.records[0], ds.records[1], ds.schema, ranges) == 1.0
+    ranges = oracle_ranges(ds)
+    assert oracle_heom(ds.records[0], ds.records[1], ds.schema, ranges) == 1.0
 
 
 def test_zero_range_terms():
     ds = mixed_dataset([("4", "red"), ("4", "blue"), ("4", "red")])
-    ranges = fit_numeric_ranges(ds)
+    ranges = oracle_ranges(ds)
     assert ranges[0] == 0.0
-    assert heom_distance(ds.records[0], ds.records[2], ds.schema, ranges) == 0.0
+    assert oracle_heom(ds.records[0], ds.records[2], ds.schema, ranges) == 0.0
     a, b = ds.records[0], Record(9, ("7", "red"))
-    assert heom_distance(a, b, ds.schema, ranges) == 1.0  # unequal under zero range
+    assert oracle_heom(a, b, ds.schema, ranges) == 1.0  # unequal under zero range
 
 
 def test_knn_params_validation():
@@ -77,7 +81,8 @@ def test_knn_params_validation():
 
 def test_nearest_exact_match_wins():
     ds = mixed_dataset([(None, "red"), ("2.0", "red"), ("9.0", "blue")])
-    assert KnnImputer(ds, KnnParams(k=1)).impute(ds.records[0], 0)[0] == 2.0
+    [(value, _)] = KnnImputer(ds, KnnParams(k=1)).impute_cells([(ds.records[0], 0)])
+    assert value == 2.0
 
 
 def test_majority_vote():
@@ -94,17 +99,20 @@ def test_majority_vote():
             Record(3, ("blue", "a")),
         ],
     )
-    assert KnnImputer(ds, KnnParams(k=3)).impute(ds.records[0], 0)[0] == "red"
+    [(value, _)] = KnnImputer(ds, KnnParams(k=3)).impute_cells([(ds.records[0], 0)])
+    assert value == "red"
 
 
 def test_numeric_mean():
     ds = mixed_dataset([(None, "red"), ("4.0", "red"), ("6.0", "red")])
-    assert KnnImputer(ds, KnnParams(k=2)).impute(ds.records[0], 0)[0] == 5.0
+    [(value, _)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(ds.records[0], 0)])
+    assert value == 5.0
 
 
 def test_fewer_candidates_than_k_uses_all():
     ds = mixed_dataset([(None, "red"), ("4.0", "red")])
-    assert KnnImputer(ds, KnnParams(k=10)).impute(ds.records[0], 0)[0] == 4.0
+    [(value, _)] = KnnImputer(ds, KnnParams(k=10)).impute_cells([(ds.records[0], 0)])
+    assert value == 4.0
 
 
 def test_vote_tie_breaks_to_smallest_level_index():
@@ -121,7 +129,8 @@ def test_vote_tie_breaks_to_smallest_level_index():
         ],
     )
     # one vote each: the tie goes to level index 0 regardless of label text
-    assert KnnImputer(ds, KnnParams(k=2)).impute(ds.records[0], 0)[0] == "z_first"
+    [(value, _)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(ds.records[0], 0)])
+    assert value == "z_first"
 
 
 def test_distance_tie_breaks_by_record_id():
@@ -138,7 +147,8 @@ def test_distance_tie_breaks_by_record_id():
         ],
     )
     knn = KnnImputer(ds, KnnParams(k=1))
-    assert knn.neighbors(ds.record_by_id(5), 0) == [2]
+    [(_, ids)] = knn.impute_cells([(ds.record_by_id(5), 0)])
+    assert list(ids) == [2]
 
 
 def test_global_fallback_mode_and_mean():
@@ -155,18 +165,18 @@ def test_global_fallback_mode_and_mean():
     lonely = Dataset(schema, [Record(0, (None, "1")), Record(1, (None, "3"))])
     knn = KnnImputer(lonely, KnnParams(k=2))
     with pytest.raises(DataError):
-        knn.impute(lonely.records[0], 0)  # no known value anywhere
-    value, ids = KnnImputer(ds, KnnParams(k=2)).impute(ds.records[0], 0)
+        [(_, _)] = knn.impute_cells([(lonely.records[0], 0)])  # no known value anywhere
+    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(ds.records[0], 0)])
     assert ids  # normal path still returns neighbors
     empty_target = Dataset(
         schema, [Record(0, ("red", None)), Record(1, ("red", None)), Record(2, ("blue", "7"))]
     )
     knn = KnnImputer(empty_target, KnnParams(k=2))
-    value, ids = knn.impute(empty_target.records[0], 1)
+    [(value, ids)] = knn.impute_cells([(empty_target.records[0], 1)])
     assert ids == (2,)
     # drop the only carrier: global fallback over known values
     only = Dataset(schema, [Record(0, ("red", None)), Record(1, ("blue", "7"))])
-    value, ids = KnnImputer(only, KnnParams(k=2)).impute(only.records[0], 0)
+    [(value, ids)] = KnnImputer(only, KnnParams(k=2)).impute_cells([(only.records[0], 0)])
     assert value == "blue" and ids == (1,)
 
 
@@ -174,7 +184,7 @@ def test_numeric_global_fallback_for_the_only_holder():
     # the query is the only record holding x, so no other record can vote
     ds = mixed_dataset([("2.5", "red"), (None, "red"), (None, "blue")])
     record = ds.record_by_id(0)
-    value, ids = KnnImputer(ds, KnnParams(k=2)).impute(record, 0)
+    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(record, 0)])
     assert ids == ()
     assert value == oracle_knn_value(ds, record, 0, 2) == 2.5
 
@@ -183,14 +193,14 @@ def test_metric_properties_random():
     rng = random.Random(11)
     for _ in range(40):
         ds = random_dataset(rng, max_records=12)
-        ranges = fit_numeric_ranges(ds)
+        ranges = oracle_ranges(ds)
         a, b = rng.choice(ds.records), rng.choice(ds.records)
-        dab = heom_distance(a, b, ds.schema, ranges)
-        dba = heom_distance(b, a, ds.schema, ranges)
+        dab = oracle_heom(a, b, ds.schema, ranges)
+        dba = oracle_heom(b, a, ds.schema, ranges)
         assert dab == dba
         assert dab >= 0.0
         if all(c is not None for c in a.cells):
-            assert heom_distance(a, a, ds.schema, ranges) == 0.0
+            assert oracle_heom(a, a, ds.schema, ranges) == 0.0
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 10_000))
@@ -209,11 +219,11 @@ def test_numeric_scale_invariance(scale, seed):
                 cells[j] = repr(float(cells[j]) * scale)
         scaled_records.append(Record(r.id, tuple(cells)))
     scaled = Dataset(ds.schema, scaled_records)
-    ranges = fit_numeric_ranges(ds)
-    scaled_ranges = fit_numeric_ranges(scaled)
+    ranges = oracle_ranges(ds)
+    scaled_ranges = oracle_ranges(scaled)
     for a, b in [(0, 1), (0, len(ds.records) - 1)]:
-        d1 = heom_distance(ds.records[a], ds.records[b], ds.schema, ranges)
-        d2 = heom_distance(scaled.records[a], scaled.records[b], ds.schema, scaled_ranges)
+        d1 = oracle_heom(ds.records[a], ds.records[b], ds.schema, ranges)
+        d2 = oracle_heom(scaled.records[a], scaled.records[b], ds.schema, scaled_ranges)
         assert d2 == pytest.approx(d1, rel=1e-9, abs=1e-12)
 
 
@@ -227,7 +237,8 @@ def test_neighbor_selection_matches_oracle():
             record = rng.choice(ds.records)
             attribute = rng.randrange(ds.n_attributes)
             expected = oracle_neighbors(ds, record, attribute, knn.params.k)
-            assert knn.neighbors(record, attribute) == expected
+            [(_, ids)] = knn.impute_cells([(record, attribute)])
+            assert list(ids) == expected
 
 
 def test_imputed_values_match_oracle():
@@ -244,7 +255,7 @@ def test_imputed_values_match_oracle():
                     r.cells[attribute] is not None for r in ds.records if r.id != record.id
                 ):
                     continue
-                value, _ = knn.impute(record, attribute)
+                [(value, _)] = knn.impute_cells([(record, attribute)])
                 assert value == oracle_knn_value(ds, record, attribute, k)
 
 
@@ -253,12 +264,12 @@ def test_vectorized_distances_match_scalar_bit_for_bit():
     for _ in range(20):
         ds = random_dataset(rng, max_records=30)
         knn = KnnImputer(ds)
-        ranges = fit_numeric_ranges(ds)
+        ranges = oracle_ranges(ds)
         record = rng.choice(ds.records)
-        squared = knn.squared_distances(record)
-        for position, other in enumerate(ds.records):
-            scalar = heom_distance(record, other, ds.schema, ranges)
-            assert math.sqrt(squared[position]) == scalar
+        row = knn._distances([record])[0]  # id order
+        for squared, other in zip(row, sorted(ds.records, key=lambda r: r.id), strict=True):
+            scalar = oracle_heom(record, other, ds.schema, ranges)
+            assert math.sqrt(squared) == scalar
 
 
 BATCH_SCHEMA = [
@@ -295,7 +306,7 @@ def assert_block_is_scalar_heom(knn, queries):
     by_id = sorted(ds.records, key=lambda r: r.id)
     for row, record in zip(knn._distances(queries), queries, strict=True):
         for squared, other in zip(row, by_id, strict=True):
-            scalar = heom_distance(record, other, ds.schema, knn.ranges, knn.exclude)
+            scalar = oracle_heom(record, other, ds.schema, knn.ranges, knn.exclude)
             assert math.sqrt(squared) == scalar
 
 
@@ -305,12 +316,13 @@ def expected_retries(knn, ds, cells, size):
     A record's nearest records are those at or below its ``size``-th smallest
     squared distance, the record itself counting as infinitely far.
     """
+    by_id = sorted(ds.records, key=lambda r: r.id)  # the order of a _distances row
     retries = 0
     for record, attribute in cells:
         row = [math.inf if other.id == record.id else squared
-               for squared, other in zip(knn.squared_distances(record), ds.records)]
+               for squared, other in zip(knn._distances([record])[0], by_id)]
         kth = sorted(row)[size - 1]
-        holders = [squared for squared, other in zip(row, ds.records)
+        holders = [squared for squared, other in zip(row, by_id)
                    if other.id != record.id and other.cells[attribute] is not None]
         need = min(knn.params.k, len(holders))
         retries += sum(squared <= kth for squared in holders) < need
@@ -318,7 +330,7 @@ def expected_retries(knn, ds, cells, size):
 
 
 def check_knn_against_oracles(monkeypatch, ds, k, cells):
-    """impute_cells, neighbors and impute_dataset agree with the oracles, and the
+    """impute_cells and impute_dataset agree with the oracles, and the
     per-cell threshold retry runs exactly where the nearest records fall short
     (each cell calls _select once, and once more for a retry)."""
     knn = KnnImputer(ds, KnnParams(k=k))
@@ -337,7 +349,6 @@ def check_knn_against_oracles(monkeypatch, ds, k, cells):
     for (record, j), (value, ids) in zip(cells, results, strict=True):
         expected = oracle_neighbors(ds, record, j, k)
         assert list(ids) == expected
-        assert knn.neighbors(record, j) == expected
         assert value == oracle_knn_value(ds, record, j, k)
 
     _, report = impute_dataset(ds, [], KnnParams(k=k), fit_all_bins(ds))
@@ -454,10 +465,12 @@ def test_leading_categorical_run_with_exclusions_is_bit_exact(exclude):
     rng = random.Random(str(exclude))
     ds = edge_dataset(rng, EDGE_SCHEMA, 40)
     knn = KnnImputer(ds, KnnParams(k=4), exclude)
+    assert knn.ranges == oracle_ranges(ds, exclude)
     assert_block_is_scalar_heom(knn, ds.records)
     for record in ds.records[:10]:
         for j in range(ds.n_attributes):
-            assert knn.neighbors(record, j) == oracle_neighbors(ds, record, j, 4, exclude)
+            [(_, ids)] = knn.impute_cells([(record, j)])
+            assert list(ids) == oracle_neighbors(ds, record, j, 4, exclude)
 
 
 def test_numeric_first_schema_has_no_leading_run():
@@ -475,8 +488,9 @@ def test_query_record_outside_the_dataset_with_missing_cells():
     stranger = Record(10**6, (None, "v", None, None, "m"))  # own position -1
     assert_block_is_scalar_heom(knn, [stranger])
     for j in range(ds.n_attributes):
-        assert knn.neighbors(stranger, j) == oracle_neighbors(ds, stranger, j, 5)
-        assert knn.impute(stranger, j)[0] == oracle_knn_value(ds, stranger, j, 5)
+        [(value, ids)] = knn.impute_cells([(stranger, j)])
+        assert list(ids) == oracle_neighbors(ds, stranger, j, 5)
+        assert value == oracle_knn_value(ds, stranger, j, 5)
 
 
 def test_unique_valued_leading_column_keeps_memory_small():
@@ -519,14 +533,13 @@ def test_match_counts_do_not_overflow_on_long_categorical_runs():
     knn = KnnImputer(ds)
     assert knn._lead == 300
     assert_block_is_scalar_heom(knn, ds.records)
-    assert knn.squared_distances(records[0])[1] == 0.25
+    assert knn._distances([records[0]])[0][1] == 0.25
 
 
 def test_empty_dataset_has_no_neighbors():
     ds = Dataset(MIXED_SCHEMA, [])
     knn = KnnImputer(ds, KnnParams(k=3))
     query = Record(5, (None, "red"))
-    assert knn.neighbors(query, 0) == []
-    assert knn.squared_distances(query).size == 0
+    assert knn._distances([query])[0].size == 0
     with pytest.raises(DataError):
-        knn.impute(query, 0)
+        [(_, _)] = knn.impute_cells([(query, 0)])

@@ -9,9 +9,8 @@ from rulefill import (
     MiningParams,
     generate_rules,
     mine_frequent,
-    support_count,
 )
-from oracles import brute_force_frequent, brute_force_rules, random_itemized_db
+from oracles import brute_force_frequent, brute_force_rules, random_itemized_db, support_count
 
 A, B, C = (0, 0), (1, 0), (2, 0)
 TOY_DB = [

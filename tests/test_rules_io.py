@@ -5,13 +5,13 @@ import pytest
 from rulefill import (
     DataError,
     MiningParams,
-    check_compatible,
     fit_all_bins,
     load_csv,
     mine_rules,
     read_rules,
     write_rules,
 )
+from rulefill.rules_io import check_compatible
 
 
 def test_rule_file_round_trip(tmp_path, credit_dataset):
