@@ -10,7 +10,7 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import CATEGORICAL, NUMERIC, DataError, Dataset, load_csv, parse_number, fit_all_bins
@@ -27,25 +27,21 @@ def inject_missing(dataset: Dataset, rate: float, seed: int,
                    exclude_class: bool = True):
     """Mask round(rate * eligible cells) cells uniformly at random.
 
-    Eligible cells are every cell, minus the class column when
-    ``exclude_class`` is set.  A cell whose removal would leave its record
+    Eligible cells are the present cells, minus the class column when
+    ``exclude_class`` is set; a cell missing already stays missing and is
+    never in the truth map.  A cell whose removal would leave its record
     with no known value is skipped and another is drawn, so no record is
     ever emptied.  Returns (masked dataset, {(record id, attribute): truth}).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"missing rate must be in [0, 1), got {rate}")
     class_index = dataset.class_index if exclude_class else None
-    eligible_columns = [j for j in range(dataset.n_attributes) if j != class_index]
-
-    for j in eligible_columns:
-        for record in dataset.records:
-            if record.cells[j] is None:
-                raise DataError(
-                    f"attribute {dataset.schema[j].name!r} already has missing cells; "
-                    "injection needs complete eligible columns"
-                )
-
-    cells = [(record.id, j) for record in dataset.records for j in eligible_columns]
+    cells = [
+        (record.id, j)
+        for record in dataset.records
+        for j, cell in enumerate(record.cells)
+        if j != class_index and cell is not None
+    ]
     target = round(rate * len(cells))
     if target == 0:
         return dataset, {}
@@ -313,12 +309,7 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
     return BenchReport(spec, rows)
 
 
-CSV_COLUMNS = [
-    "position", "sweep_axis", "sweep_value", "method", "seed_used",
-    "missing_rate", "min_support", "min_support_count", "min_confidence", "k",
-    "n_missing", "rule_count", "rule_coverage", "categorical_accuracy",
-    "numeric_nrmse", "time_mine_s", "time_impute_s", "time_impute_plus_mine_s",
-]
+CSV_COLUMNS = [f.name for f in fields(BenchRow)] + ["time_impute_plus_mine_s"]
 
 
 def write_report_files(report: BenchReport, out_dir) -> list[Path]:

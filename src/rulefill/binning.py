@@ -7,7 +7,7 @@ can be turned back into a number.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from statistics import median_low
 
@@ -119,15 +119,10 @@ def _repaired(edges, reps, freq_vals):
     return fixed
 
 
-def bin_of(value, bins: Bins) -> int:
-    """Bin index for a value: edges[i] <= v < edges[i+1], last bin right-closed.
+def bin_of(value, bins: Bins):
+    """Bin index of a value, or an array of them for an array of values.
 
-    Out-of-range values clamp to the first or last bin.
+    edges[i] <= v < edges[i+1], the last bin right-closed; out-of-range
+    values clamp to the first or last bin.
     """
-    edges = bins.edges
-    value = float(value)
-    if value >= edges[-1]:
-        return len(edges) - 2
-    if value <= edges[0]:
-        return 0
-    return bisect_right(edges, value) - 1
+    return np.clip(np.searchsorted(bins.edges, value, "right") - 1, 0, bins.n_bins - 1)

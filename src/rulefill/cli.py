@@ -157,6 +157,8 @@ def _add_common(parser, default_class_last=False):
 def _load(args):
     path = _resolve_data_path(args.data)
     dataset = load_csv(path, args.marker)
+    if dataset.n_records == 0:
+        raise DataError("empty dataset")
     class_column = _class_column(args, [a.name for a in dataset.schema])
     if class_column is not None:
         dataset = Dataset(dataset.schema, dataset.records, class_column)
@@ -177,8 +179,6 @@ def cmd_mine(args) -> int:
         "class_column": dataset.class_column, "exclude_class": args.exclude_class,
         **asdict(params), "bins": args.bins, "bin_strategy": args.bin_strategy,
     })
-    if dataset.n_records == 0:
-        raise DataError("empty dataset")
     exclude = _exclude(args, dataset)
     bins = fit_all_bins(dataset, args.bins, args.bin_strategy, exclude)
     start = time.perf_counter()
@@ -201,8 +201,6 @@ def cmd_impute(args) -> int:
         "k": args.k, **asdict(params), "bins": args.bins,
         "bin_strategy": args.bin_strategy,
     })
-    if dataset.n_records == 0:
-        raise DataError("empty dataset")
     exclude = _exclude(args, dataset)
 
     if args.rules:

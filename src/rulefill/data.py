@@ -2,7 +2,8 @@
 
 Cells hold the raw text read from disk, with ``None`` marking a missing
 value, so an untouched dataset writes back byte for byte.  Numeric cells are
-parsed on demand; once imputed they may hold a float instead of text.
+parsed once, when ``Dataset.columns`` first encodes the table; once imputed
+they may hold a float instead of text.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .binning import bin_of, fit_bins
 
@@ -91,10 +95,6 @@ class Dataset:
 
         self._index_of = {name: j for j, name in enumerate(names)}
         self._position_of = {r.id: i for i, r in enumerate(self.records)}
-        self._level_index = [
-            {level: i for i, level in enumerate(a.levels)} if a.kind == CATEGORICAL else None
-            for a in self.schema
-        ]
 
     # -- shape -----------------------------------------------------------
 
@@ -122,53 +122,62 @@ class Dataset:
         except KeyError:
             raise DataError(f"no record with id {record_id}") from None
 
-    def level_index(self, attribute: int, value) -> int:
-        table = self._level_index[attribute]
-        if table is None:
-            raise DataError(f"attribute {self.schema[attribute].name!r} is numeric")
-        try:
-            return table[value]
-        except KeyError:
-            raise DataError(
-                f"unknown level {value!r} for attribute {self.schema[attribute].name!r}"
-            ) from None
+    # -- encoding ----------------------------------------------------------
 
-    # -- itemization -------------------------------------------------------
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table as (codes, values), attributes by records in record order (cached).
 
-    def itemize(self, record: Record, bins=None, exclude=()) -> frozenset:
-        """Items for every present cell; missing cells contribute nothing.
-
-        Numeric cells need a fitted ``bins`` entry (attribute index -> Bins)
-        and map to their bin index.
+        ``codes`` holds each categorical cell's level index and ``values``
+        each numeric cell's number; a missing cell, and every cell of the
+        other kind, is -1 in ``codes`` and NaN in ``values``.
         """
+        shape = (self.n_attributes, self.n_records)
+        codes = np.full(shape, -1, dtype=np.int32)
+        values = np.full(shape, math.nan)
+        by_column = zip(*(r.cells for r in self.records))
+        for j, (attr, column) in enumerate(zip(self.schema, by_column)):
+            if attr.kind == NUMERIC:
+                numbers = [math.nan if c is None else parse_number(c) for c in column]
+                if None in numbers:
+                    bad = column[numbers.index(None)]
+                    raise DataError(f"non-numeric cell {bad!r} in numeric attribute {attr.name!r}")
+                values[j] = numbers
+                continue
+            table = {None: -1, **{level: i for i, level in enumerate(attr.levels)}}
+            try:
+                codes[j] = [table[c] for c in column]
+            except KeyError as exc:
+                raise DataError(
+                    f"unknown level {exc.args[0]!r} for attribute {attr.name!r}"
+                ) from None
+        return codes, values
+
+    def itemize_all(self, bins=None, exclude=()) -> list[frozenset]:
+        """Each record's items, in record order: one per present cell outside ``exclude``.
+
+        A numeric cell maps to its bin in ``bins`` (attribute index -> Bins),
+        which a numeric attribute with a present cell must have.
+        """
+        codes, values = self.columns
         skip = frozenset(exclude)
-        items = []
+        columns = []  # per attribute, each record's item or None
         for j, attr in enumerate(self.schema):
             if j in skip:
                 continue
-            cell = record.cells[j]
-            if cell is None:
-                continue
+            levels = codes[j]
             if attr.kind == NUMERIC:
+                present = ~np.isnan(values[j])
+                if not present.any():
+                    continue
                 if not bins or j not in bins:
                     raise DataError(f"no bins fitted for numeric attribute {attr.name!r}")
-                value = parse_number(cell)
-                if value is None:
-                    raise DataError(
-                        f"non-numeric cell {cell!r} in numeric attribute {attr.name!r}"
-                    )
-                items.append((j, bin_of(value, bins[j])))
-            else:
-                items.append((j, self.level_index(j, cell)))
-        return frozenset(items)
+                levels = np.where(present, bin_of(values[j], bins[j]), -1)
+            columns.append([(j, level) if level >= 0 else None for level in levels.tolist()])
+        rows = zip(*columns) if columns else [()] * self.n_records
+        return [frozenset(filter(None, row)) for row in rows]
 
-    def itemize_all(self, bins=None, exclude=()) -> list[frozenset]:
-        return [self.itemize(r, bins, exclude) for r in self.records]
-
-    # -- columns -----------------------------------------------------------
-
-    def present_values(self, attribute: int) -> list:
-        return [r.cells[attribute] for r in self.records if r.cells[attribute] is not None]
+    # -- cells -------------------------------------------------------------
 
     def missing_cells(self) -> list[tuple[int, int]]:
         """(record id, attribute index) pairs for every missing cell."""
@@ -210,7 +219,8 @@ def fit_all_bins(dataset: Dataset, n_bins: int = 5, strategy: str = "frequency",
     for j, attr in enumerate(dataset.schema):
         if attr.kind != NUMERIC or j in skip:
             continue
-        values = [parse_number(v) for v in dataset.present_values(j)]
+        values = dataset.columns[1][j]
+        values = values[~np.isnan(values)].tolist()
         if not values:
             continue
         try:

@@ -153,11 +153,11 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
 
     A rule fires on a missing cell when its consequent targets the cell's
     attribute and its antecedent is contained in the record's items
-    (``Dataset.itemize``); an empty antecedent fires on anything.  Fired
-    rules are ordered confidence descending, support descending, sorted
-    antecedent, consequent level, and ``impute_from_rules`` turns them into
-    the value.  A record is itemized only when a rule targets one of its
-    missing attributes, so rule-less (kNN-only) imputation needs no bins.
+    (``Dataset.itemize_all``); an empty antecedent fires on anything.
+    Fired rules are ordered confidence descending, support descending,
+    sorted antecedent, consequent level, and ``impute_from_rules`` turns
+    them into the value.  The table is itemized only when a rule targets a
+    missing cell, so rule-less (kNN-only) imputation needs no bins.
     """
     rules = list(rules)
     _check_rules_fit_schema(rules, dataset, bins)
@@ -172,10 +172,12 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     # keep a slot, and phase 2 fills them all in one batched kNN call.
     imputations: list[CellImputation | None] = []
     pending = []  # (record, attribute) of each cell no rule covers
-    for record in dataset.records:
+    itemized = None  # every record's items, built when a rule first targets a missing cell
+    for position, record in enumerate(dataset.records):
         missing = [j for j, cell in enumerate(record.cells) if cell is None]
-        targeted = any(j in rule_index for j in missing)
-        known = dataset.itemize(record, bins, exclude) if targeted else frozenset()
+        if itemized is None and any(j in rule_index for j in missing):
+            itemized = dataset.itemize_all(bins, exclude)
+        known = frozenset() if itemized is None else itemized[position]
         for j in missing:
             fired = tuple(sorted((r for r in rule_index.get(j, ()) if r.antecedent <= known),
                                  key=_firing_key))
@@ -187,6 +189,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
             else:
                 pending.append((record, j))
                 imputations.append(None)
+    del itemized  # not held through the kNN pass
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
         filled = zip(pending, knn.impute_cells(pending))

@@ -9,7 +9,6 @@ counts as maximally dissimilar.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,13 @@ _NEAREST_SLACK = 8
 class KnnImputer:
     """Brute-force scan imputer bound to one dataset.
 
-    The table is encoded once, with columns in ascending record id so that
-    position order is id order.  Queries run in blocks: one squared-HEOM
-    array per block of records, one partition per record for its nearest
-    records, then per cell a pick of the k nearest holders of the target
-    attribute among them and, per target attribute, a single vote.
-    Evidence is always the dataset as given (never previously imputed
-    values).
+    It copies the dataset's columns (``Dataset.columns``) into ascending
+    record id, so that position order is id order.  Queries run in blocks:
+    one squared-HEOM array per block of records, one partition per record
+    for its nearest records, then per cell a pick of the k nearest holders
+    of the target attribute among them and, per target attribute, a single
+    vote.  Evidence is always the dataset as given (never previously
+    imputed values).
     """
 
     def __init__(self, dataset: Dataset, params: KnnParams | None = None, exclude=()):
@@ -59,23 +58,20 @@ class KnnImputer:
         self.exclude = frozenset(exclude)
         self.ranges = {}  # per participating numeric attribute: max minus min, 0.0 if none
 
-        records = sorted(dataset.records, key=lambda r: r.id)
-        self._ids = np.array([r.id for r in records], dtype=np.int64)
-        self._position = {r.id: p for p, r in enumerate(records)}
-        shape = (dataset.n_attributes, len(records))
-        self._codes = np.full(shape, -1, dtype=np.int32)  # level index; -1 missing
-        self._values = np.full(shape, math.nan)  # numeric value; NaN missing
-        self._present = np.empty(shape, dtype=bool)
+        # Copies in ascending record id; np.take keeps them C-contiguous,
+        # which the block arithmetic in _distances relies on for speed.
+        ids = np.array([r.id for r in dataset.records], dtype=np.int64)
+        order = np.argsort(ids)  # ids are unique
+        self._ids = ids[order]
+        self._position = {record_id: p for p, record_id in enumerate(self._ids.tolist())}
+        codes, values = dataset.columns
+        self._codes = np.take(codes, order, axis=1)  # level index; -1 missing
+        self._values = np.take(values, order, axis=1)  # numeric value; NaN missing
+        self._present = (self._codes >= 0) | ~np.isnan(self._values)
         for j, attr in enumerate(dataset.schema):
-            cells = [r.cells[j] for r in records]
-            self._present[j] = [c is not None for c in cells]
-            if attr.kind == NUMERIC:
-                self._values[j] = [math.nan if c is None else float(c) for c in cells]
-                if j not in self.exclude:
-                    known = self._values[j][self._present[j]]
-                    self.ranges[j] = float(known.max() - known.min()) if known.size else 0.0
-            else:
-                self._codes[j] = [-1 if c is None else dataset.level_index(j, c) for c in cells]
+            if attr.kind == NUMERIC and j not in self.exclude:
+                known = self._values[j][self._present[j]]
+                self.ranges[j] = float(known.max() - known.min()) if known.size else 0.0
         self._known = self._present.sum(axis=1).tolist()  # present values per attribute
         # Participating attributes in schema order, so the block accumulation
         # matches the scalar per-term HEOM sum (oracle_heom in tests/oracles.py)
@@ -93,110 +89,104 @@ class KnnImputer:
     def impute_cells(self, cells):
         """(imputed value, neighbor ids) for each (record, attribute) pair, yielded in order.
 
-        The neighbors are the k nearest other records holding a value at the
-        attribute, ties on distance broken by ascending record id; fewer than
-        k candidates means all of them.  They vote (a count tie goes to the
-        smallest level index) or, for a numeric attribute, average.  Empty
-        ids mean no other record holds a value and the global fallback ran.
+        Each record must be one of the dataset's own; any other raises
+        ``DataError``.  The neighbors are the k nearest other records
+        holding a value at the attribute, ties on distance broken by
+        ascending record id; fewer than k candidates means all of them.
+        They vote (a count tie goes to the smallest level index) or, for a
+        numeric attribute, average.  Empty ids mean no other record holds a
+        value and the global fallback ran.
 
         Pairs are computed a block of records at a time; adjacent pairs of
         one record share a distance row.
         """
         rows = max(1, _BLOCK_BYTES // (8 * max(self._ids.size, 1)))
-        records, block_cells = [], []  # (block row, attribute)
+        last, positions, block_cells = None, [], []  # block_cells: (block row, attribute)
         for record, attribute in cells:
-            if not records or records[-1] is not record:
-                if len(records) == rows:
-                    yield from self._impute_block(records, block_cells)
-                    records, block_cells = [], []
-                records.append(record)
-            block_cells.append((len(records) - 1, attribute))
+            if record is not last:
+                if len(positions) == rows:
+                    yield from self._impute_block(positions, block_cells)
+                    positions, block_cells = [], []
+                p = self._position.get(record.id)
+                if p is None or self.dataset.record_by_id(record.id) != record:
+                    raise DataError(f"record {record.id} is not in the dataset")
+                positions.append(p)
+                last = record
+            block_cells.append((len(positions) - 1, attribute))
         if block_cells:
-            yield from self._impute_block(records, block_cells)
+            yield from self._impute_block(positions, block_cells)
 
-    def _impute_block(self, records, block_cells) -> list:
+    def _impute_block(self, positions, block_cells) -> list:
         results = [None] * len(block_cells)
-        for attribute, members, positions in self._block_nearest(records, block_cells):
+        for attribute, members, neighbors in self._block_nearest(positions, block_cells):
             attr = self.dataset.schema[attribute]
-            if positions.shape[1] == 0:
+            if neighbors.shape[1] == 0:
                 values = [self._global_fallback(attribute)] * len(members)
             elif attr.kind == NUMERIC:
                 # Python's sum over the values in neighbor order, as the scalar mean does
                 values = [sum(row) / len(row)
-                          for row in self._values[attribute][positions].tolist()]
+                          for row in self._values[attribute][neighbors].tolist()]
             else:
-                winners = _mode(self._codes[attribute][positions], len(attr.levels))
+                winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
                 values = [attr.levels[w] for w in winners.tolist()]
-            for i, value, ids in zip(members, values, self._ids[positions].tolist()):
+            for i, value, ids in zip(members, values, self._ids[neighbors].tolist()):
                 results[i] = (value, tuple(ids))
         return results
 
-    def _distances(self, records) -> np.ndarray:
-        """Squared HEOM from each of ``records`` to every encoded record: one block."""
-        matches = np.zeros((len(records), self._ids.size), dtype=self._match_dtype)
+    def _distances(self, positions) -> np.ndarray:
+        """Squared HEOM from the records at ``positions`` to every record: one block."""
+        # The block's own cells as columns; a missing one is -2 (or NaN), so
+        # it matches no cell, and a missing cell (-1) matches no query cell.
+        codes = np.take(self._codes, positions, axis=1)[:, :, None]
+        codes[codes == -1] = -2
+        values = np.take(self._values, positions, axis=1)[:, :, None]
+        matches = np.zeros((len(positions), self._ids.size), dtype=self._match_dtype)
         for j, _ in self._terms[: self._lead]:
-            matches += self._codes[j] == self._query_codes(records, j)
+            matches += self._codes[j] == codes[j]
         total = (self._lead - matches).astype(np.float64)
         for j, scale in self._terms[self._lead:]:
             if scale is None:
-                total += self._codes[j] != self._query_codes(records, j)
-                continue
-            cells = [r.cells[j] for r in records]
-            x = np.array([math.nan if c is None else float(c) for c in cells])[:, None]
-            if scale > 0.0:
-                term = np.abs(self._values[j] - x)
+                total += self._codes[j] != codes[j]
+            elif scale > 0.0:
+                term = np.abs(self._values[j] - values[j])
                 term /= scale
                 term *= term
                 term[np.isnan(term)] = 1.0  # missing on either side
                 total += term
             else:
-                total += self._values[j] != x  # NaN is unequal to everything
+                total += self._values[j] != values[j]  # NaN is unequal to everything
         return total
 
-    def _query_codes(self, records, j: int) -> np.ndarray:
-        """Level codes of ``records`` at categorical ``j`` as a column.
-
-        A missing query cell is -2, so it matches no encoded cell, and a
-        missing encoded cell (-1) matches no query cell either.
-        """
-        codes = [-2 if r.cells[j] is None else self.dataset.level_index(j, r.cells[j])
-                 for r in records]
-        return np.array(codes, dtype=np.int32)[:, None]
-
-    def _block_nearest(self, records, block_cells):
+    def _block_nearest(self, positions, block_cells):
         """Neighbor positions for (block row, attribute) cells of one block.
 
-        Yields (attribute, cell indices, positions) groups: row i of the
-        positions array holds cell indices[i]'s neighbors in (distance, id)
-        order, and a group whose cells have no candidate has zero columns.
+        Yields (attribute, cell indices, neighbor positions) groups: row i of
+        the positions array holds cell indices[i]'s neighbors in (distance,
+        id) order, and a group whose cells have no candidate has zero
+        columns.
         """
-        block = self._distances(records)
-        own = [self._position.get(r.id, -1) for r in records]  # -1: not in the dataset
-        for row, p in enumerate(own):
-            if p >= 0:
-                block[row, p] = np.inf  # never one's own neighbor
+        block = self._distances(positions)
+        block[np.arange(len(positions)), positions] = np.inf  # never one's own neighbor
         # Each row's nearest records: its positions at or below the row's K-th
-        # smallest value, ties included, in position order.  An empty table
-        # has none.
+        # smallest value, ties included, in position order.
         n = block.shape[1]
         size = min(n, 2 * self.params.k + _NEAREST_SLACK)
-        kth = np.partition(block, size - 1, axis=1)[:, size - 1] if n else np.zeros(len(records))
+        kth = np.partition(block, size - 1, axis=1)[:, size - 1]
         flat = np.flatnonzero(block <= kth[:, None])
-        ends = np.searchsorted(flat, np.arange(1, len(records) + 1) * n).tolist()
+        ends = np.searchsorted(flat, np.arange(1, len(positions) + 1) * n).tolist()
         nearest = [flat[start:end] - row * n
                    for row, (start, end) in enumerate(zip([0, *ends], ends))]
 
         groups: dict[tuple[int, int], tuple[list, list]] = {}
         for index, (row, attribute) in enumerate(block_cells):
-            p = own[row]
             present = self._present[attribute]
-            k = min(self.params.k, self._known[attribute] - (p >= 0 and present[p]))
+            k = min(self.params.k, self._known[attribute] - present[positions[row]])
             chosen = _select(block[row], nearest[row], kth[row], present, k)
-            indices, positions = groups.setdefault((attribute, k), ([], []))
+            indices, neighbors = groups.setdefault((attribute, k), ([], []))
             indices.append(index)
-            positions.append(chosen)
-        for (attribute, _), (indices, positions) in groups.items():
-            yield attribute, indices, np.array(positions, dtype=np.intp)
+            neighbors.append(chosen)
+        for (attribute, _), (indices, neighbors) in groups.items():
+            yield attribute, indices, np.array(neighbors, dtype=np.intp)
 
     def _global_fallback(self, attribute: int):
         # No candidate holds the target value: fall back to the dataset-wide
@@ -207,7 +197,8 @@ class KnnImputer:
                 f"attribute {attr.name!r} has no known value anywhere; cannot impute"
             )
         if attr.kind == NUMERIC:
-            numbers = [float(v) for v in self.dataset.present_values(attribute)]
+            values = self.dataset.columns[1][attribute]  # record order, as oracle_knn_value sums
+            numbers = values[~np.isnan(values)].tolist()
             return sum(numbers) / len(numbers)
         codes = self._codes[attribute][self._present[attribute]]
         return attr.levels[_mode(codes[None, :], len(attr.levels))[0]]

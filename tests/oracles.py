@@ -5,6 +5,7 @@ and plain sorts, written separately from the library code paths.
 """
 
 import math
+from bisect import bisect_right
 from itertools import combinations
 
 from rulefill.data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, Record
@@ -81,6 +82,34 @@ def oracle_fired(rules, known, attribute):
     return tuple(fired)
 
 
+def present_values(dataset, attribute):
+    """The attribute's present cells, in record order."""
+    return [r.cells[attribute] for r in dataset.records if r.cells[attribute] is not None]
+
+
+def oracle_itemize(dataset, record, bins=None, exclude=()):
+    """One record's items, cell by cell: (attribute, level index or bin).
+
+    A number's bin has edges[i] <= v < edges[i+1], the last bin closed on
+    the right, and out-of-range numbers clamp to the first or last bin.
+    """
+    items = set()
+    for j, (attr, cell) in enumerate(zip(dataset.schema, record.cells)):
+        if j in exclude or cell is None:
+            continue
+        if attr.kind == CATEGORICAL:
+            items.add((j, attr.levels.index(cell)))
+            continue
+        edges, value = bins[j].edges, float(cell)
+        if value >= edges[-1]:
+            items.add((j, len(edges) - 2))
+        elif value <= edges[0]:
+            items.add((j, 0))
+        else:
+            items.add((j, bisect_right(edges, value) - 1))
+    return frozenset(items)
+
+
 def oracle_heom(a, b, schema, ranges, exclude=()):
     """Straight per-term HEOM loop."""
     total = 0.0
@@ -108,7 +137,7 @@ def oracle_ranges(dataset, exclude=()):
     for j, attr in enumerate(dataset.schema):
         if attr.kind != NUMERIC or j in exclude:
             continue
-        values = [float(v) for v in dataset.present_values(j)]
+        values = [float(v) for v in present_values(dataset, j)]
         ranges[j] = (max(values) - min(values)) if values else 0.0
     return ranges
 
@@ -130,7 +159,7 @@ def oracle_knn_value(dataset, record, attribute, k, exclude=()):
     neighbor_ids = oracle_neighbors(dataset, record, attribute, k, exclude)
     attr = dataset.schema[attribute]
     if not neighbor_ids:
-        values = dataset.present_values(attribute)
+        values = present_values(dataset, attribute)
         if not values:
             raise ValueError("no known value anywhere")
         if attr.kind == NUMERIC:

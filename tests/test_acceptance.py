@@ -31,6 +31,7 @@ from oracles import (
     brute_force_frequent,
     brute_force_rules,
     oracle_fired,
+    oracle_itemize,
     oracle_knn_value,
     oracle_neighbors,
     random_dataset,
@@ -299,7 +300,7 @@ def test_criterion_9_totality_and_branch_soundness(car_dataset):
         assert completed.missing_cells() == [], "missing cells survived imputation"
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)
-            fired = oracle_fired(rules, ds.itemize(record, bins), cell.attribute)
+            fired = oracle_fired(rules, oracle_itemize(ds, record, bins), cell.attribute)
             if cell.source == SOURCE_RULES:
                 assert fired and set(cell.rules) <= set(fired)
             else:

@@ -67,11 +67,16 @@ def test_inject_unsatisfiable_rate_errors():
         inject_missing(ds, 0.8, seed=0, exclude_class=False)
 
 
-def test_inject_requires_complete_eligible_columns():
-    schema = [AttributeSchema("a", CATEGORICAL, ("x",))]
-    ds = Dataset(schema, [Record(0, ("x",)), Record(1, (None,))])
-    with pytest.raises(DataError):
-        inject_missing(ds, 0.2, seed=0, exclude_class=False)
+def test_inject_masks_only_present_cells(credit_dataset):
+    native = set(credit_dataset.missing_cells())
+    assert native  # the credit table carries "?" cells
+    class_index = credit_dataset.class_index
+    present = sum(cell is not None and j != class_index
+                  for record in credit_dataset.records for j, cell in enumerate(record.cells))
+    masked, truth = inject_missing(credit_dataset, 0.20, seed=4)
+    assert len(truth) == round(0.20 * present)
+    assert native.isdisjoint(truth)
+    assert set(masked.missing_cells()) == native | set(truth)
 
 
 def test_inject_class_flag(car_dataset):

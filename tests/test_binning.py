@@ -1,6 +1,7 @@
 import math
 from statistics import median
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,3 +118,20 @@ def test_edges_cover_training_range(values, n_bins, strategy):
     assert bins.edges[-1] == max(float(v) for v in values)
     for v in values:
         assert 0 <= bin_of(v, bins) < bins.n_bins
+
+
+@given(
+    values=st.lists(finite_floats, min_size=1, max_size=60),
+    n_bins=st.integers(min_value=1, max_value=8),
+    strategy=st.sampled_from([EQUAL_WIDTH, EQUAL_FREQUENCY]),
+    probes=st.lists(finite_floats, max_size=20),
+)
+@settings(max_examples=200)
+def test_array_bin_of_matches_scalar(values, n_bins, strategy, probes):
+    bins = fit_bins(values, n_bins, strategy)
+    probes = [*probes, *values, *bins.edges, *bins.representatives]
+    indices = [bin_of(p, bins) for p in probes]
+    assert bin_of(np.array(probes), bins).tolist() == indices
+    for p, i in zip(probes, indices):
+        assert i == 0 or bins.edges[i] <= p
+        assert i == bins.n_bins - 1 or p < bins.edges[i + 1]

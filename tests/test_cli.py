@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,10 +63,11 @@ def test_mine_support_out_of_range_is_usage_error(car_csv):
     assert excinfo.value.code == 2
 
 
-def test_mine_empty_dataset_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["mine", "impute", "bench"])
+def test_mine_empty_dataset_exits_one(tmp_path, capsys, command):
     empty = tmp_path / "empty.csv"
     empty.write_text("a,b\n")
-    code, _, stderr = run_cli(["mine", "--data", str(empty)], capsys)
+    code, _, stderr = run_cli([command, "--data", str(empty)], capsys)
     assert code == 1
     assert "empty dataset" in stderr
 
@@ -217,6 +219,17 @@ def test_bench_sweep_reports(tmp_path, car_csv, capsys):
     assert "config:" in stdout
 
 
+def test_bench_scores_a_table_with_native_missing_cells(tmp_path, credit_csv, capsys):
+    out_dir = tmp_path / "bench"
+    code, _, stderr = run_cli(
+        ["bench", "--data", str(credit_csv), "--support-count", "40", "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert code == 0, stderr
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    assert all(0.0 < row["numeric_nrmse"] < math.inf for row in rows)
+
+
 def test_bench_range_values_and_fixed_mask_coverage(tmp_path, car_csv, capsys):
     out_dir = tmp_path / "bench"
     code, stdout, _ = run_cli(
@@ -317,4 +330,4 @@ def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(tour, str(readme), "exec"), {})
     coverage, accuracy = map(float, capsys.readouterr().out.split())
-    assert 0.0 <= coverage <= 1.0 and 0.0 < accuracy <= 1.0
+    assert 0.0 < coverage <= 1.0 and 0.0 < accuracy <= 1.0

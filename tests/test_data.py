@@ -1,3 +1,7 @@
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from rulefill import (
     write_csv,
 )
 from rulefill.binning import Bins
+from oracles import oracle_itemize
 
 
 def make_csv(tmp_path, text, name="data.csv"):
@@ -120,17 +125,16 @@ def test_itemize_skips_missing_cells():
         AttributeSchema("size", CATEGORICAL, ("s", "m")),
     ]
     ds = Dataset(schema, [Record(0, ("red", None)), Record(1, (None, None))])
-    assert ds.itemize(ds.records[0]) == frozenset({(0, 0)})
-    assert ds.itemize(ds.records[1]) == frozenset()
+    assert ds.itemize_all() == [frozenset({(0, 0)}), frozenset()]
 
 
 def test_itemize_numeric_uses_bins():
     schema = [AttributeSchema("x", NUMERIC)]
     ds = Dataset(schema, [Record(0, ("2.0",))])
     bins = {0: Bins((0.0, 5.0, 10.0), (2.5, 7.5))}
-    assert ds.itemize(ds.records[0], bins) == frozenset({(0, 0)})
+    assert ds.itemize_all(bins) == [frozenset({(0, 0)})]
     with pytest.raises(DataError):
-        ds.itemize(ds.records[0])  # bins required for numeric attributes
+        ds.itemize_all()  # bins required for numeric attributes
 
 
 def test_itemize_exclude():
@@ -139,7 +143,63 @@ def test_itemize_exclude():
         AttributeSchema("b", CATEGORICAL, ("y",)),
     ]
     ds = Dataset(schema, [Record(0, ("x", "y"))])
-    assert ds.itemize(ds.records[0], exclude={1}) == frozenset({(0, 0)})
+    assert ds.itemize_all(exclude={1}) == [frozenset({(0, 0)})]
+
+
+def random_mixed_dataset(rng):
+    """Shuffled ids, missing cells, and numeric columns that are constant,
+    empty or drawn from a coarse grid, so that values sit on bin edges."""
+    schema = []
+    for j in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            schema.append(AttributeSchema(f"n{j}", NUMERIC))
+        else:
+            schema.append(AttributeSchema(f"c{j}", CATEGORICAL,
+                                          tuple(f"v{i}" for i in range(rng.randint(1, 4)))))
+    draws = {j: rng.choice(["grid", "uniform", "constant", "empty"])
+             for j, attr in enumerate(schema) if attr.kind == NUMERIC}
+
+    def cell(j, attr):
+        if rng.random() < 0.2 or draws.get(j) == "empty":
+            return None
+        if attr.kind == CATEGORICAL:
+            return rng.choice(attr.levels)
+        if draws[j] == "constant":
+            return "2.5"
+        if draws[j] == "grid":
+            return str(rng.randrange(9) / 2)
+        return repr(rng.uniform(-5.0, 5.0))
+
+    ids = rng.sample(range(1000), rng.randint(0, 40))
+    return Dataset(schema, [Record(i, tuple(cell(j, a) for j, a in enumerate(schema)))
+                            for i in ids])
+
+
+def test_itemize_all_matches_the_scalar_oracle():
+    rng = random.Random(2718)
+    for trial in range(60):
+        ds = random_mixed_dataset(rng)
+        strategy = ("width", "frequency")[trial % 2]
+        n_bins = rng.randint(1, 5)
+        bins = fit_all_bins(ds, n_bins, strategy)
+        if trial % 4 >= 2:  # bins from part of the table: other values clamp
+            part = Dataset(ds.schema, ds.records[: len(ds.records) // 3])
+            bins.update(fit_all_bins(part, n_bins, strategy))
+        exclude = set(rng.sample(range(ds.n_attributes), rng.randint(0, ds.n_attributes)))
+        expected = [oracle_itemize(ds, record, bins, exclude) for record in ds.records]
+        assert ds.itemize_all(bins, exclude) == expected
+
+
+def test_columns_encode_each_kind_and_reject_foreign_cells():
+    schema = [AttributeSchema("x", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b"))]
+    codes, values = Dataset(schema, [Record(3, ("1.5", None)), Record(1, (None, "b"))]).columns
+    assert codes.tolist() == [[-1, -1], [-1, 1]]
+    assert values[0, 0] == 1.5 and math.isnan(values[0, 1]) and np.isnan(values[1]).all()
+    for bad in ("abc", "inf"):
+        with pytest.raises(DataError, match=f"{bad!r} in numeric attribute 'x'"):
+            Dataset(schema, [Record(0, ("1", "a")), Record(1, (bad, "a"))]).columns
+    with pytest.raises(DataError, match="unknown level 'z' for attribute 'c'"):
+        Dataset(schema, [Record(0, ("1", "z"))]).columns
 
 
 def test_replace_cells_keys_by_record_id():
@@ -214,8 +274,8 @@ def test_itemize_size_counts_present_cells(tmp_path_factory, table):
         encoding="utf-8",
     )
     ds = load_csv(path, "?", schema_hints={h: CATEGORICAL for h in header})
-    for record in ds.records:
-        assert len(ds.itemize(record)) == record.present_count()
+    for record, items in zip(ds.records, ds.itemize_all(), strict=True):
+        assert len(items) == record.present_count()
 
 
 def test_equal_cells_give_equal_itemsets():
@@ -224,4 +284,5 @@ def test_equal_cells_give_equal_itemsets():
         AttributeSchema("b", CATEGORICAL, ("u", "v")),
     ]
     ds = Dataset(schema, [Record(0, ("x", "v")), Record(1, ("x", "v"))])
-    assert ds.itemize(ds.records[0]) == ds.itemize(ds.records[1])
+    first, second = ds.itemize_all()
+    assert first == second

@@ -21,7 +21,7 @@ from rulefill import (
 )
 from rulefill.binning import Bins
 from rulefill.imputer import _firing_key, impute_from_rules
-from oracles import oracle_fired, oracle_knn_value, random_dataset
+from oracles import oracle_fired, oracle_itemize, oracle_knn_value, random_dataset
 
 
 def rule(antecedent, consequent, support=0.5, confidence=0.8):
@@ -41,7 +41,7 @@ def fired_on_y(known, rules):
         cells[attribute] = LEVELS[level]
     schema = [AttributeSchema(f"a{j}", CATEGORICAL, LEVELS) for j in range(Y + 1)]
     ds = Dataset(schema, [Record(0, tuple(cells)), Record(1, ("l0",) * (Y + 1))])
-    assert ds.itemize(ds.record_by_id(0)) == known
+    assert oracle_itemize(ds, ds.record_by_id(0)) == known
     _, report = impute_dataset(ds, rules)
     (cell,) = [c for c in report.cells if (c.record_id, c.attribute) == (0, Y)]
     assert cell.rules == oracle_fired(rules, known, Y)
@@ -222,7 +222,7 @@ def test_impute_dataset_totality_and_branch_soundness():
         assert not done.missing_cells()
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)
-            known = ds.itemize(record, bins)
+            known = oracle_itemize(ds, record, bins)
             fired = oracle_fired(rules, known, cell.attribute)
             if cell.source == SOURCE_RULES:
                 assert fired
@@ -241,7 +241,7 @@ def test_batched_firing_order_matches_fire_rules():
     ds = tiny_dataset()
     done, report = impute_dataset(ds, rules)
     cell = next(c for c in report.cells if (c.record_id, c.attribute) == (4, 2))
-    known = ds.itemize(ds.record_by_id(4))
+    known = oracle_itemize(ds, ds.record_by_id(4))
     assert cell.rules == oracle_fired(rules, known, 2)
     assert list(cell.rules) == sorted(cell.rules, key=_firing_key)
 

@@ -266,7 +266,7 @@ def test_vectorized_distances_match_scalar_bit_for_bit():
         knn = KnnImputer(ds)
         ranges = oracle_ranges(ds)
         record = rng.choice(ds.records)
-        row = knn._distances([record])[0]  # id order
+        row = distance_rows(knn, [record])[0]  # id order
         for squared, other in zip(row, sorted(ds.records, key=lambda r: r.id), strict=True):
             scalar = oracle_heom(record, other, ds.schema, ranges)
             assert math.sqrt(squared) == scalar
@@ -301,10 +301,15 @@ def batch_dataset(rng, n_records):
     return Dataset(BATCH_SCHEMA, records)
 
 
+def distance_rows(knn, records):
+    """Squared HEOM rows of ``records``, each in ascending id of the other record."""
+    return knn._distances([knn._position[r.id] for r in records])
+
+
 def assert_block_is_scalar_heom(knn, queries):
     ds = knn.dataset
     by_id = sorted(ds.records, key=lambda r: r.id)
-    for row, record in zip(knn._distances(queries), queries, strict=True):
+    for row, record in zip(distance_rows(knn, queries), queries, strict=True):
         for squared, other in zip(row, by_id, strict=True):
             scalar = oracle_heom(record, other, ds.schema, knn.ranges, knn.exclude)
             assert math.sqrt(squared) == scalar
@@ -320,7 +325,7 @@ def expected_retries(knn, ds, cells, size):
     retries = 0
     for record, attribute in cells:
         row = [math.inf if other.id == record.id else squared
-               for squared, other in zip(knn._distances([record])[0], by_id)]
+               for squared, other in zip(distance_rows(knn, [record])[0], by_id)]
         kth = sorted(row)[size - 1]
         holders = [squared for squared, other in zip(row, by_id)
                    if other.id != record.id and other.cells[attribute] is not None]
@@ -481,16 +486,14 @@ def test_numeric_first_schema_has_no_leading_run():
     assert_block_is_scalar_heom(knn, ds.records)
 
 
-def test_query_record_outside_the_dataset_with_missing_cells():
-    rng = random.Random(6)
-    ds = edge_dataset(rng, EDGE_SCHEMA, 40)
+def test_foreign_record_is_a_data_error():
+    ds = edge_dataset(random.Random(6), EDGE_SCHEMA, 40)
     knn = KnnImputer(ds, KnnParams(k=5))
-    stranger = Record(10**6, (None, "v", None, None, "m"))  # own position -1
-    assert_block_is_scalar_heom(knn, [stranger])
-    for j in range(ds.n_attributes):
-        [(value, ids)] = knn.impute_cells([(stranger, j)])
-        assert list(ids) == oracle_neighbors(ds, stranger, j, 5)
-        assert value == oracle_knn_value(ds, stranger, j, 5)
+    own = ds.records[3]
+    for stranger in (Record(10**6, (None, "v", None, None, "m")),  # unknown id
+                     Record(own.id, (None, *own.cells[1:]))):  # known id, other cells
+        with pytest.raises(DataError, match=f"record {stranger.id} "):
+            list(knn.impute_cells([(own, 0), (stranger, 1)]))
 
 
 def test_unique_valued_leading_column_keeps_memory_small():
@@ -533,13 +536,16 @@ def test_match_counts_do_not_overflow_on_long_categorical_runs():
     knn = KnnImputer(ds)
     assert knn._lead == 300
     assert_block_is_scalar_heom(knn, ds.records)
-    assert knn._distances([records[0]])[0][1] == 0.25
+    assert distance_rows(knn, [records[0]])[0][1] == 0.25
 
 
 def test_empty_dataset_has_no_neighbors():
-    ds = Dataset(MIXED_SCHEMA, [])
-    knn = KnnImputer(ds, KnnParams(k=3))
     query = Record(5, (None, "red"))
-    assert knn._distances([query])[0].size == 0
-    with pytest.raises(DataError):
-        [(_, _)] = knn.impute_cells([(query, 0)])
+    knn = KnnImputer(Dataset(MIXED_SCHEMA, []), KnnParams(k=3))
+    with pytest.raises(DataError, match="record 5 "):
+        list(knn.impute_cells([(query, 1)]))  # every record is foreign to an empty table
+    knn = KnnImputer(Dataset(MIXED_SCHEMA, [query]), KnnParams(k=3))
+    assert knn._distances([0]).shape == (1, 1)
+    assert list(knn.impute_cells([(query, 1)])) == [("red", ())]  # no other record
+    with pytest.raises(DataError, match="no known value"):
+        list(knn.impute_cells([(query, 0)]))
