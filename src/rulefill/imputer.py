@@ -8,7 +8,7 @@ record order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .binning import Bins
 from .data import CATEGORICAL, NUMERIC, DataError, Dataset
@@ -158,6 +158,15 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     sorted antecedent, consequent level, and ``impute_from_rules`` turns
     them into the value.  The table is itemized only when a rule targets a
     missing cell, so rule-less (kNN-only) imputation needs no bins.
+
+    Each distinct (record cells, attribute) key is imputed once, from the
+    first record that has it, and every cell under the key takes that
+    result: the same value and the same ``rules`` or ``neighbor_ids``
+    tuple.  This is exact.  Records with identical cells have the same
+    items, and neither holds the attribute, so neither is a kNN candidate
+    for the other and both are at the same distance from every candidate.
+    The report still has one ``CellImputation`` per missing cell, in record
+    order.
     """
     rules = list(rules)
     _check_rules_fit_schema(rules, dataset, bins)
@@ -168,10 +177,11 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     for rule in rules:
         rule_index.setdefault(rule.consequent[0], []).append(rule)
 
-    # Phase 1 fires rules for every missing cell; the cells no rule covers
-    # keep a slot, and phase 2 fills them all in one batched kNN call.
-    imputations: list[CellImputation | None] = []
-    pending = []  # (record, attribute) of each cell no rule covers
+    # Phase 1 fires rules once per key; phase 2 fills the keys no rule covers
+    # in one batched kNN call.  A record's keys are all new or all seen, so a
+    # representative's pending cells stay adjacent and share one distance row.
+    found = {}  # key -> its first cell's CellImputation; None until kNN fills it
+    pending = []  # (record, attribute) representing each key no rule covers
     itemized = None  # every record's items, built when a rule first targets a missing cell
     for position, record in enumerate(dataset.records):
         missing = [j for j, cell in enumerate(record.cells) if cell is None]
@@ -179,27 +189,33 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
             itemized = dataset.itemize_all(bins, exclude)
         known = frozenset() if itemized is None else itemized[position]
         for j in missing:
+            key = (record.cells, j)
+            if key in found:
+                continue
             fired = tuple(sorted((r for r in rule_index.get(j, ()) if r.antecedent <= known),
                                  key=_firing_key))
             if fired:
                 value = impute_from_rules(fired, dataset.schema[j], (bins or {}).get(j))
-                imputations.append(
-                    CellImputation(record.id, j, value, SOURCE_RULES, rules=fired)
-                )
+                found[key] = CellImputation(record.id, j, value, SOURCE_RULES, rules=fired)
             else:
+                found[key] = None
                 pending.append((record, j))
-                imputations.append(None)
     del itemized  # not held through the kNN pass
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
-        filled = zip(pending, knn.impute_cells(pending))
-        for slot, cell in enumerate(imputations):
-            if cell is None:
-                (record, j), (value, neighbor_ids) = next(filled)
-                imputations[slot] = CellImputation(
-                    record.id, j, value, SOURCE_KNN, neighbor_ids=neighbor_ids
-                )
+        for (record, j), (value, neighbor_ids) in zip(pending, knn.impute_cells(pending)):
+            found[(record.cells, j)] = CellImputation(
+                record.id, j, value, SOURCE_KNN, neighbor_ids=neighbor_ids
+            )
 
+    imputations = []
+    for record in dataset.records:
+        for j, cell in enumerate(record.cells):
+            if cell is None:
+                first = found[(record.cells, j)]
+                if first.record_id != record.id:
+                    first = replace(first, record_id=record.id)
+                imputations.append(first)
     completed = dataset.replace_cells(
         {(c.record_id, c.attribute): c.value for c in imputations}
     )

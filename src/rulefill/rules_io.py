@@ -26,23 +26,30 @@ def rule_to_dict(rule: AssociationRule) -> dict:
     }
 
 
-def rule_from_dict(payload: dict) -> AssociationRule:
+def rule_from_dict(payload: dict, items: dict) -> AssociationRule:
+    """The rule a decoded rule-file record holds.
+
+    ``items`` maps each checked (attribute, level) tuple to itself; one dict
+    for a whole file, as ``read_rules`` passes, gives every rule naming an
+    item the same tuple for it.
+    """
     return AssociationRule(
-        antecedent=frozenset(_item(raw) for raw in payload["antecedent"]),
-        consequent=_item(payload["consequent"]),
+        antecedent=frozenset([_item(raw, items) for raw in payload["antecedent"]]),
+        consequent=_item(payload["consequent"], items),
         support=float(payload["support"]),
         confidence=float(payload["confidence"]),
     )
 
 
-def _item(raw) -> tuple[int, int]:
+def _item(raw, items: dict) -> tuple[int, int]:
     try:
         attribute, level = raw
     except (TypeError, ValueError):
         attribute = level = None
     if type(attribute) is not int or type(level) is not int:
         raise ValueError(f"item {raw!r} is not an [attribute, level] pair")
-    return attribute, level
+    item = attribute, level
+    return items.setdefault(item, item)
 
 
 @dataclass
@@ -92,11 +99,12 @@ def read_rules(path) -> RuleFile:
             raise DataError(f"{path}: rule-file header lacks {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad rule-file header: {exc}") from None
+        items = {}  # each distinct item once, shared by every rule that names it
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                rule_file.rules.append(rule_from_dict(json.loads(line)))
+                rule_file.rules.append(rule_from_dict(json.loads(line), items))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {lineno}: bad rule record: {exc}") from None
     return rule_file

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -331,3 +332,15 @@ def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
     exec(compile(tour, str(readme), "exec"), {})
     coverage, accuracy = map(float, capsys.readouterr().out.split())
     assert 0.0 < coverage <= 1.0 and 0.0 < accuracy <= 1.0
+
+
+def test_readme_mine_line_mines_rules(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (line,) = [l for l in readme.read_text(encoding="utf-8").splitlines()
+               if l.startswith("rulefill mine ")]
+    write_car_csv(tmp_path / "car.csv")
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run_cli(shlex.split(line)[1:], capsys)
+    assert code == 0
+    (count,) = [int(l.split()[1]) for l in stdout.splitlines() if l.startswith("mined ")]
+    assert count > 0

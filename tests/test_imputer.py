@@ -21,7 +21,14 @@ from rulefill import (
 )
 from rulefill.binning import Bins
 from rulefill.imputer import _firing_key, impute_from_rules
-from oracles import oracle_fired, oracle_itemize, oracle_knn_value, random_dataset
+from rulefill.knn import KnnImputer
+from oracles import (
+    oracle_fired,
+    oracle_itemize,
+    oracle_knn_value,
+    oracle_neighbors,
+    random_dataset,
+)
 
 
 def rule(antecedent, consequent, support=0.5, confidence=0.8):
@@ -346,3 +353,96 @@ def test_report_serialization_shape():
     assert entry["source"] == SOURCE_RULES
     assert entry["provenance"][0]["consequent"] == [2, 0]
     assert payload["parameters"]["note"] == "unit"
+
+
+def repeated_patterns(rng):
+    """A random mixed table whose records repeat a few cell patterns under
+    shuffled ids, with every attribute known somewhere; plus its bins, a
+    random exclusion set, rules mined from it and a k, sometimes above the
+    number of candidates."""
+    while True:
+        base = random_dataset(rng, max_records=8, missing_rate=0.3)
+        cells = [rng.choice(base.records).cells for _ in range(rng.randint(4, 30))]
+        if all(any(row[j] is not None for row in cells) for j in range(base.n_attributes)):
+            break
+    ids = rng.sample(range(10 * len(cells)), len(cells))
+    ds = Dataset(base.schema, [Record(i, row) for i, row in zip(ids, cells)])
+    exclude = frozenset(j for j in range(ds.n_attributes) if rng.random() < 0.25)
+    bins = fit_all_bins(ds, 3, exclude=exclude)
+    rules = mine_rules(ds, MiningParams(0.2, 0.5), bins, exclude)
+    k = rng.choice([1, 3, 4 * len(cells)])
+    return ds, rules, bins, exclude, k
+
+
+def missing_cells(ds):
+    return [(r, j) for r in ds.records for j, cell in enumerate(r.cells) if cell is None]
+
+
+def test_each_cell_of_a_repeated_table_matches_the_oracles():
+    rng = random.Random(2024)
+    shared = 0  # cells that took another record's result
+    for _ in range(40):
+        ds, rules, bins, exclude, k = repeated_patterns(rng)
+        _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
+        assert [(c.record_id, c.attribute) for c in report.cells] == [
+            (r.id, j) for r, j in missing_cells(ds)
+        ]
+        first = {}  # (record cells, attribute) -> the key's first cell
+        for (record, j), cell in zip(missing_cells(ds), report.cells):
+            fired = oracle_fired(rules, oracle_itemize(ds, record, bins, exclude), j)
+            if cell.source == SOURCE_RULES:
+                assert cell.rules == fired
+                assert cell.value == impute_from_rules(fired, ds.schema[j], bins.get(j))
+            else:
+                assert fired == () and cell.rules == ()
+                assert list(cell.neighbor_ids) == oracle_neighbors(ds, record, j, k, exclude)
+                assert cell.value == oracle_knn_value(ds, record, j, k, exclude)
+            head = first.setdefault((record.cells, j), cell)
+            if head is not cell:
+                shared += 1
+                assert cell.rules is head.rules and cell.neighbor_ids is head.neighbor_ids
+    assert shared > 100  # the tables do repeat patterns
+
+
+def test_knn_runs_once_per_distinct_uncovered_key(monkeypatch):
+    received = []
+    impute_cells = KnnImputer.impute_cells
+
+    def spy(self, cells):
+        cells = list(cells)
+        received.extend(cells)
+        return impute_cells(self, cells)
+
+    monkeypatch.setattr(KnnImputer, "impute_cells", spy)
+    rng = random.Random(7)
+    for _ in range(20):
+        ds, rules, bins, exclude, k = repeated_patterns(rng)
+        received.clear()
+        _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
+        representative = {}
+        for record in ds.records:
+            representative.setdefault(record.cells, record)
+        uncovered = dict.fromkeys(
+            (record.cells, j)
+            for (record, j), cell in zip(missing_cells(ds), report.cells)
+            if cell.source == SOURCE_KNN
+        )
+        assert [(record.cells, j) for record, j in received] == list(uncovered)
+        assert all(record is representative[record.cells] for record, _ in received)
+
+
+def test_shuffled_records_keep_each_cell_value_source_and_provenance():
+    rng = random.Random(31)
+    for _ in range(20):
+        ds, rules, bins, exclude, k = repeated_patterns(rng)
+        shuffled_records = list(ds.records)
+        rng.shuffle(shuffled_records)
+        shuffled = Dataset(ds.schema, shuffled_records)
+        outcomes = []
+        for table in (ds, shuffled):
+            _, report = impute_dataset(table, rules, KnnParams(k), bins, exclude)
+            outcomes.append({
+                (c.record_id, c.attribute): (c.value, c.source, c.rules, c.neighbor_ids)
+                for c in report.cells
+            })
+        assert outcomes[0] == outcomes[1]
