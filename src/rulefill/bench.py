@@ -115,10 +115,13 @@ def evaluate(imputed: Dataset, truth: dict, schema=None) -> EvalMetrics:
         for j, pairs in numeric_errors.items():
             truths = [t for t, _ in pairs]
             spread = max(truths) - min(truths)
-            mse = sum(
-                (t - (g if g is not None else math.inf)) ** 2 for t, g in pairs
-            ) / len(pairs)
-            rmse = math.sqrt(mse)
+            try:
+                squares = sum((t - (math.inf if g is None else g)) ** 2 for t, g in pairs)
+            except OverflowError:
+                raise DataError(
+                    f"numeric attribute {schema[j].name!r}: squared error overflows a float"
+                ) from None
+            rmse = math.sqrt(squares / len(pairs))
             if spread > 0:
                 per_attribute.append(rmse / spread)
             else:

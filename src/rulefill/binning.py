@@ -67,10 +67,10 @@ def fit_bins(values, n_bins: int, strategy: str = EQUAL_FREQUENCY) -> Bins:
     vmin, vmax = min(vals), max(vals)
     if vmin == vmax:
         return Bins((vmin, vmax), (vmin,))
+    if math.isinf(vmax - vmin):
+        raise ValueError(f"span from {vmin} to {vmax} overflows a float")
 
     if strategy == EQUAL_WIDTH:
-        if math.isinf(vmax - vmin):
-            raise ValueError(f"equal-width span from {vmin} to {vmax} overflows a float")
         edges = _dedupe(np.linspace(vmin, vmax, n_bins + 1).tolist())
         reps = [lo + (hi - lo) / 2.0 for lo, hi in zip(edges, edges[1:])]
     else:

@@ -99,10 +99,6 @@ class ImputationReport:
         }
 
 
-def _firing_key(rule: AssociationRule):
-    return (-rule.confidence, -rule.support, tuple(sorted(rule.antecedent)), rule.consequent[1])
-
-
 def impute_from_rules(fired, attribute_schema, bins: Bins | None = None):
     """Value for a cell from its fired rules.
 
@@ -154,10 +150,11 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     A rule fires on a missing cell when its consequent targets the cell's
     attribute and its antecedent is contained in the record's items
     (``Dataset.itemize_all``); an empty antecedent fires on anything.
-    Fired rules are ordered confidence descending, support descending,
-    sorted antecedent, consequent level, and ``impute_from_rules`` turns
-    them into the value.  The table is itemized only when a rule targets a
-    missing cell, so rule-less (kNN-only) imputation needs no bins.
+    Fired rules keep the ``AssociationRule.sort_key`` order (confidence
+    descending, support descending, sorted antecedent, consequent level),
+    and ``impute_from_rules`` turns them into the value.  The table is
+    itemized only when a rule targets a missing cell, so rule-less
+    (kNN-only) imputation needs no bins.
 
     Each distinct (record cells, attribute) key is imputed once, from the
     first record that has it, and every cell under the key takes that
@@ -168,11 +165,11 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     The report still has one ``CellImputation`` per missing cell, in record
     order.
     """
-    rules = list(rules)
+    rules = sorted(rules, key=AssociationRule.sort_key)
     _check_rules_fit_schema(rules, dataset, bins)
     knn_params = knn_params or KnnParams()
 
-    # Each consequent attribute's rules; only the ones that fire get sorted.
+    # Each consequent attribute's rules, already in firing order.
     rule_index: dict[int, list[AssociationRule]] = {}
     for rule in rules:
         rule_index.setdefault(rule.consequent[0], []).append(rule)
@@ -192,8 +189,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
             key = (record.cells, j)
             if key in found:
                 continue
-            fired = tuple(sorted((r for r in rule_index.get(j, ()) if r.antecedent <= known),
-                                 key=_firing_key))
+            fired = tuple(r for r in rule_index.get(j, ()) if r.antecedent <= known)
             if fired:
                 value = impute_from_rules(fired, dataset.schema[j], (bins or {}).get(j))
                 found[key] = CellImputation(record.id, j, value, SOURCE_RULES, rules=fired)

@@ -9,6 +9,7 @@ counts as maximally dissimilar.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,11 @@ class KnnImputer:
     It copies the dataset's columns (``Dataset.columns``) into ascending
     record id, so that position order is id order.  Queries run in blocks:
     one squared-HEOM array per block of records, one partition per record
-    for its nearest records, then per cell a pick of the k nearest holders
-    of the target attribute among them and, per target attribute, a single
-    vote.  Evidence is always the dataset as given (never previously
-    imputed values).
+    for its nearest records, then per cell one stable sort of the target
+    attribute's holders among them, kept to the first k (``_select``), and,
+    per target attribute, a single vote.  Evidence is always the dataset as
+    given (never previously imputed values); a numeric attribute whose range
+    overflows a float raises ``DataError``.
     """
 
     def __init__(self, dataset: Dataset, params: KnnParams | None = None, exclude=()):
@@ -71,7 +73,10 @@ class KnnImputer:
         for j, attr in enumerate(dataset.schema):
             if attr.kind == NUMERIC and j not in self.exclude:
                 known = self._values[j][self._present[j]]
-                self.ranges[j] = float(known.max() - known.min()) if known.size else 0.0
+                low, high = (float(known.min()), float(known.max())) if known.size else (0.0, 0.0)
+                if math.isinf(high - low):
+                    raise DataError(f"numeric attribute {attr.name!r}: range overflows a float")
+                self.ranges[j] = high - low
         self._known = self._present.sum(axis=1).tolist()  # present values per attribute
         # Participating attributes in schema order, so the block accumulation
         # matches the scalar per-term HEOM sum (oracle_heom in tests/oracles.py)
@@ -169,19 +174,15 @@ class KnnImputer:
         block[np.arange(len(positions)), positions] = np.inf  # never one's own neighbor
         # Each row's nearest records: its positions at or below the row's K-th
         # smallest value, ties included, in position order.
-        n = block.shape[1]
-        size = min(n, 2 * self.params.k + _NEAREST_SLACK)
+        size = min(block.shape[1], 2 * self.params.k + _NEAREST_SLACK)
         kth = np.partition(block, size - 1, axis=1)[:, size - 1]
-        flat = np.flatnonzero(block <= kth[:, None])
-        ends = np.searchsorted(flat, np.arange(1, len(positions) + 1) * n).tolist()
-        nearest = [flat[start:end] - row * n
-                   for row, (start, end) in enumerate(zip([0, *ends], ends))]
+        nearest = [np.flatnonzero(distances <= t) for distances, t in zip(block, kth)]
 
         groups: dict[tuple[int, int], tuple[list, list]] = {}
         for index, (row, attribute) in enumerate(block_cells):
             present = self._present[attribute]
             k = min(self.params.k, self._known[attribute] - present[positions[row]])
-            chosen = _select(block[row], nearest[row], kth[row], present, k)
+            chosen = _select(block[row], nearest[row], present, k)
             indices, neighbors = groups.setdefault((attribute, k), ([], []))
             indices.append(index)
             neighbors.append(chosen)
@@ -204,28 +205,22 @@ class KnnImputer:
         return attr.levels[_mode(codes[None, :], len(attr.levels))[0]]
 
 
-def _select(row: np.ndarray, nearest: np.ndarray, kth: float, present: np.ndarray,
-            k: int) -> np.ndarray:
+def _select(row: np.ndarray, nearest: np.ndarray, present: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k nearest holders (``present``) in ``row``, in (value, position) order.
 
-    ``nearest`` is every position of ``row`` at or below ``kth``, in position
-    order.  Its holders below ``kth`` come first, sorted by value (stably, so
-    ties keep position order), then its holders in the tie band at ``kth``,
-    in position order and never sorted.  When they are short of k, the pick
-    runs once more with the cell's own threshold, the k-th smallest holder
-    value, which then always yields k.  Needs at least k finite holder
+    ``nearest`` is every position of ``row`` at or below some threshold, in
+    position order; its holders are the candidates.  Short of k, the
+    candidates become every holder at or below the cell's own threshold,
+    the k-th smallest holder value.  Either way every other holder is
+    farther than every candidate, and a stable sort of the candidates by
+    value keeps position order among ties.  Needs at least k finite holder
     values.
     """
     candidates = nearest[present[nearest]]
     if candidates.size < k:
         kth = np.partition(row[present], k - 1)[k - 1]
-        return _select(row, np.flatnonzero(row <= kth), kth, present, k)
-    values = row[candidates]
-    below = values < kth
-    chosen = candidates[below][np.argsort(values[below], kind="stable")]
-    if chosen.size < k:
-        chosen = np.concatenate((chosen, candidates[~below][: k - chosen.size]))
-    return chosen[:k]
+        candidates = np.flatnonzero(present & (row <= kth))
+    return candidates[np.argsort(row[candidates], kind="stable")[:k]]
 
 
 def _mode(codes: np.ndarray, n_levels: int) -> np.ndarray:

@@ -63,6 +63,7 @@ class AssociationRule:
         return (
             self.consequent[0],
             -self.confidence,
+            -self.support,
             tuple(sorted(self.antecedent)),
             self.consequent[1],
         )
@@ -136,9 +137,11 @@ def generate_rules(frequents, params: MiningParams) -> list[AssociationRule]:
 
     For every frequent itemset S with two or more items and every item b in
     S, the rule (S minus b) -> b is emitted when count(S) / count(S minus b)
-    clears the confidence threshold.  Output is ordered by consequent
-    attribute, then confidence descending, then antecedent, then consequent
-    level.
+    clears the confidence threshold.  Output is in ``AssociationRule.sort_key``
+    order, the firing order: consequent attribute, confidence descending,
+    support descending, antecedent, consequent level.  Rules tied on
+    confidence used to be in antecedent order, so rule files list them in a
+    new line order.
     """
     counts = {f.itemset: f.support_count for f in frequents}
     rules = []

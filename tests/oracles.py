@@ -54,7 +54,7 @@ def brute_force_rules(db, params):
 
     Returns [(antecedent, consequent, support, confidence)] in the same
     order contract as the library: consequent attribute, confidence
-    descending, antecedent, consequent level.
+    descending, support descending, antecedent, consequent level.
     """
     frequents = brute_force_frequent(db, params)
     counts = {itemset: count for itemset, count, _ in frequents}
@@ -67,7 +67,7 @@ def brute_force_rules(db, params):
             confidence = count / counts[antecedent]
             if confidence >= params.min_confidence:
                 rules.append((antecedent, consequent, support, confidence))
-    rules.sort(key=lambda r: (r[1][0], -r[3], tuple(sorted(r[0])), r[1][1]))
+    rules.sort(key=lambda r: (r[1][0], -r[3], -r[2], tuple(sorted(r[0])), r[1][1]))
     return rules
 
 

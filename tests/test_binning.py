@@ -51,6 +51,12 @@ def test_fit_bins_errors():
         fit_bins([1.0, 2.0], 2, "entropy")
 
 
+def test_span_that_overflows_a_float_raises_for_both_strategies():
+    for strategy in (EQUAL_WIDTH, EQUAL_FREQUENCY):
+        with pytest.raises(ValueError, match="overflows a float"):
+            fit_bins([-1e308, 0.0, 1e308], 3, strategy)
+
+
 def test_bin_of_boundaries():
     bins = Bins((0.0, 5.0, 10.0), (2.5, 7.5))
     assert bin_of(5.0, bins) == 1  # boundary belongs to the upper bin

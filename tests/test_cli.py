@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -201,6 +204,68 @@ def test_bench_out_of_range_values_exit_one(tmp_path, car_csv, capsys, sweep, va
     assert code == 1
     assert stderr.startswith("error:")
     assert not (tmp_path / "bench").exists()
+
+
+def test_bench_squared_error_overflow_names_the_column(tmp_path, capsys):
+    data = tmp_path / "over.csv"
+    data.write_text("h0,h1\n2.5,1e308\n-1e308,1\n1,2\n")
+    code, _, stderr = run_cli(
+        ["bench", "--data", str(data), "--support-count", "1", "--k", "2",
+         "--missing-rate", "30", "--out-dir", str(tmp_path / "bench")],
+        capsys,
+    )
+    assert code == 1
+    assert stderr.startswith("error:") and "'h0'" in stderr and "overflows" in stderr
+
+
+NUMBERS = st.one_of(
+    st.integers(-5, 5).map(str), st.floats(-10, 10, allow_nan=False).map(repr),
+    st.sampled_from(["1e308", "-1e308"]),
+)
+CELLS = st.one_of(NUMBERS, st.sampled_from(
+    ["?", "", "a", "b", "c", "nan", "inf", "-inf", '"a,b"', '"x ""y"""', '" 1"', '"?"']
+))
+
+
+@st.composite
+def small_csvs(draw):
+    """1-4 columns, 0-8 rows; a column draws either any cell or numbers and ``?`` only."""
+    width = draw(st.integers(1, 4))
+    numeric = st.one_of(st.just("?"), NUMBERS)
+    columns = [draw(st.sampled_from([numeric, CELLS])) for _ in range(width)]
+    rows = [[draw(column) for column in columns] for _ in range(draw(st.integers(0, 8)))]
+    header = ",".join(f"h{j}" for j in range(width))
+    return "".join(line + "\n" for line in [header, *map(",".join, rows)])
+
+
+def exit_code(argv) -> int:
+    """The CLI's exit status, its output discarded; any other exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(text=small_csvs())
+@settings(max_examples=60, deadline=None)
+def test_every_command_exits_cleanly_on_small_csvs(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, rules = tmp / "data.csv", tmp / "rules.jsonl"
+        data.write_text(text)
+        common = ["--data", str(data), "--support-count", "1"]
+        commands = [
+            ["mine", *common, "--out", str(rules)],
+            ["impute", *common, "--out", str(tmp / "inline.csv"),
+             "--report", str(tmp / "inline.json")],
+            ["impute", *common, "--rules", str(rules), "--out", str(tmp / "file.csv"),
+             "--report", str(tmp / "file.json")],
+            ["bench", *common, "--k", "2", "--missing-rate", "30",
+             "--out-dir", str(tmp / "bench")],
+        ]
+        for argv in commands:
+            assert exit_code(argv) in (0, 1, 2), argv
 
 
 def test_bench_sweep_reports(tmp_path, car_csv, capsys):

@@ -20,7 +20,7 @@ from rulefill import (
     mine_rules,
 )
 from rulefill.binning import Bins
-from rulefill.imputer import _firing_key, impute_from_rules
+from rulefill.imputer import impute_from_rules
 from rulefill.knn import KnnImputer
 from oracles import (
     oracle_fired,
@@ -250,7 +250,7 @@ def test_batched_firing_order_matches_fire_rules():
     cell = next(c for c in report.cells if (c.record_id, c.attribute) == (4, 2))
     known = oracle_itemize(ds, ds.record_by_id(4))
     assert cell.rules == oracle_fired(rules, known, 2)
-    assert list(cell.rules) == sorted(cell.rules, key=_firing_key)
+    assert list(cell.rules) == sorted(cell.rules, key=AssociationRule.sort_key)
 
 
 def test_record_order_permutation_invariance():

@@ -335,9 +335,8 @@ def expected_retries(knn, ds, cells, size):
 
 
 def check_knn_against_oracles(monkeypatch, ds, k, cells):
-    """impute_cells and impute_dataset agree with the oracles, and the
-    per-cell threshold retry runs exactly where the nearest records fall short
-    (each cell calls _select once, and once more for a retry)."""
+    """impute_cells and impute_dataset agree with the oracles, and each cell
+    calls _select exactly once."""
     knn = KnnImputer(ds, KnnParams(k=k))
     select, calls = knn_module._select, [0]
 
@@ -348,8 +347,7 @@ def check_knn_against_oracles(monkeypatch, ds, k, cells):
     monkeypatch.setattr(knn_module, "_select", counting_select)
     results = list(knn.impute_cells(cells))
     monkeypatch.setattr(knn_module, "_select", select)
-    size = min(ds.n_records, 2 * k + knn_module._NEAREST_SLACK)
-    assert calls[0] - len(cells) == expected_retries(knn, ds, cells, size)
+    assert calls[0] == len(cells)
 
     for (record, j), (value, ids) in zip(cells, results, strict=True):
         expected = oracle_neighbors(ds, record, j, k)
@@ -430,6 +428,8 @@ def test_few_near_holders_take_tie_band_then_retry(slack, monkeypatch):
         cells = [(r, 3) for r in ds.records] + [
             (r, j) for r in rng.sample(ds.records, 25) for j in range(3)
         ]
+        size = min(ds.n_records, 2 * k + slack)
+        assert expected_retries(KnnImputer(ds, KnnParams(k=k)), ds, cells, size) > 0
         check_knn_against_oracles(monkeypatch, ds, k, cells)
 
 
@@ -549,3 +549,9 @@ def test_empty_dataset_has_no_neighbors():
     assert list(knn.impute_cells([(query, 1)])) == [("red", ())]  # no other record
     with pytest.raises(DataError, match="no known value"):
         list(knn.impute_cells([(query, 0)]))
+
+
+def test_numeric_range_that_overflows_a_float_names_the_attribute():
+    ds = mixed_dataset([("-1e308", "red"), ("1e308", None), ("0", "blue")])
+    with pytest.raises(DataError, match="'x': range overflows a float"):
+        KnnImputer(ds)
