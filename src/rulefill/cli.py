@@ -232,7 +232,7 @@ def cmd_impute(args) -> int:
     report_path = args.report or (Path(args.data).stem + ".impute_report.json")
     write_csv(completed, out, args.marker)
     Path(report_path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(report.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
     )
     print(
         f"imputed {report.n_imputed} cells "

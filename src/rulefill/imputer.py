@@ -8,6 +8,7 @@ record order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .binning import Bins
@@ -71,9 +72,22 @@ class ImputationReport:
         return stats
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data, schema ``rulefill-report-v2``.
+
+        Top-level keys: ``schema``, ``parameters``, ``totals``,
+        ``per_attribute``, ``rules`` and ``cells``.  ``rules`` lists each
+        distinct fired rule once (``rule_to_dict``), in
+        ``AssociationRule.sort_key`` order, so it does not depend on record
+        order.  Each cell gives ``row``, ``column``, ``value``, ``source``
+        and ``provenance``: a rule cell's fired rules as positions in
+        ``rules``, in firing order; a kNN cell's neighbor record ids.
+        """
         from .rules_io import rule_to_dict
 
+        fired = sorted({r for c in self.cells for r in c.rules}, key=AssociationRule.sort_key)
+        rule_ids = {r: i for i, r in enumerate(fired)}
         return {
+            "schema": "rulefill-report-v2",
             "parameters": self.parameters,
             "totals": {
                 "imputed": self.n_imputed,
@@ -82,6 +96,7 @@ class ImputationReport:
                 "rule_coverage": self.rule_coverage(),
             },
             "per_attribute": self.per_attribute(),
+            "rules": [rule_to_dict(r) for r in fired],
             "cells": [
                 {
                     "row": c.record_id,
@@ -89,7 +104,7 @@ class ImputationReport:
                     "value": c.value,
                     "source": c.source,
                     "provenance": (
-                        [rule_to_dict(r) for r in c.rules]
+                        [rule_ids[r] for r in c.rules]
                         if c.source == SOURCE_RULES
                         else list(c.neighbor_ids)
                     ),
@@ -116,7 +131,10 @@ def impute_from_rules(fired, attribute_schema, bins: Bins | None = None):
         m = len(reps)
         if m % 2:
             return reps[m // 2]
-        return (reps[m // 2 - 1] + reps[m // 2]) / 2.0
+        low, high = reps[m // 2 - 1], reps[m // 2]
+        median = (low + high) / 2.0
+        # halve first only when the sum overflows, so finite results keep their bits
+        return median if math.isfinite(median) else low / 2.0 + high / 2.0
 
     stats: dict[int, tuple[int, tuple[float, float]]] = {}
     for r in fired:

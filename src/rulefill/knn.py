@@ -129,8 +129,7 @@ class KnnImputer:
                 values = [self._global_fallback(attribute)] * len(members)
             elif attr.kind == NUMERIC:
                 # Python's sum over the values in neighbor order, as the scalar mean does
-                values = [sum(row) / len(row)
-                          for row in self._values[attribute][neighbors].tolist()]
+                values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
             else:
                 winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
                 values = [attr.levels[w] for w in winners.tolist()]
@@ -199,8 +198,7 @@ class KnnImputer:
             )
         if attr.kind == NUMERIC:
             values = self.dataset.columns[1][attribute]  # record order, as oracle_knn_value sums
-            numbers = values[~np.isnan(values)].tolist()
-            return sum(numbers) / len(numbers)
+            return _mean(values[~np.isnan(values)].tolist())
         codes = self._codes[attribute][self._present[attribute]]
         return attr.levels[_mode(codes[None, :], len(attr.levels))[0]]
 
@@ -221,6 +219,18 @@ def _select(row: np.ndarray, nearest: np.ndarray, present: np.ndarray, k: int) -
         kth = np.partition(row[present], k - 1)[k - 1]
         candidates = np.flatnonzero(present & (row <= kth))
     return candidates[np.argsort(row[candidates], kind="stable")[:k]]
+
+
+def _mean(numbers: list) -> float:
+    """``sum(numbers) / len(numbers)``; when that overflows, the sum of the pre-divided terms.
+
+    Finite results keep the plain sum's bits.
+    """
+    mean = sum(numbers) / len(numbers)
+    if math.isfinite(mean):
+        return mean
+    n = len(numbers)
+    return sum(x / n for x in numbers)
 
 
 def _mode(codes: np.ndarray, n_levels: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import rulefill
 from rulefill import (
+    NUMERIC,
     KnnParams,
     MiningParams,
     fit_all_bins,
@@ -25,6 +27,7 @@ from rulefill import (
     write_csv,
 )
 from rulefill.cli import _values_list, main
+from rulefill.rules_io import read_rules
 from rulefill.sample_data import write_car_csv
 
 
@@ -159,6 +162,70 @@ def test_impute_class_flags_match_library(tmp_path, credit_csv, capsys, no_class
     completed, _ = impute_dataset(dataset, rules, KnnParams(k=10), bins, exclude)
     write_csv(completed, tmp_path / "library.csv", "?")
     assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+@pytest.mark.parametrize("table, from_file", [("masked_car_csv", False), ("credit_csv", True)])
+def test_impute_report_is_one_json_line_equal_to_the_library_report(tmp_path, table, from_file,
+                                                                   request, capsys):
+    data = str(request.getfixturevalue(table))
+    thresholds = ["--support-count", "40", "--confidence", "60"]
+    rules_path = tmp_path / "rules.jsonl"
+    extra = thresholds
+    if from_file:
+        assert run_cli(["mine", "--data", data, *thresholds, "--out", str(rules_path)],
+                       capsys)[0] == 0
+        extra = ["--rules", str(rules_path)]
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["impute", "--data", data, *extra, "--out", str(tmp_path / "done.csv"),
+         "--report", str(report_path)],
+        capsys,
+    )
+    assert code == 0
+
+    dataset = load_csv(data, "?")
+    if from_file:
+        rule_file = read_rules(rules_path)
+        rules, bins, params = rule_file.rules, rule_file.bins, rule_file.params
+    else:
+        params = MiningParams(min_confidence=0.6, min_support_count=40)
+        bins = fit_all_bins(dataset, 5, "frequency")
+        rules = mine_rules(dataset, params, bins)
+    _, report = impute_dataset(dataset, rules, KnnParams(k=10), bins, parameters={
+        "mining": asdict(params),
+        "bins": {
+            dataset.schema[j].name: {"edges": list(b.edges),
+                                     "representatives": list(b.representatives)}
+            for j, b in sorted(bins.items())
+        },
+        "exclude_class": False,
+    })
+    text = report_path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    assert payload == report.to_dict()
+    assert payload["totals"]["rules"] > 0 and payload["rules"]
+
+
+def test_impute_neighbour_mean_past_the_largest_float_stays_finite(tmp_path, capsys):
+    data = tmp_path / "mean.csv"
+    data.write_text("x,c\n1e308,a\n1e308,a\n0,b\n?,a\n", encoding="utf-8")
+    out, report = tmp_path / "done.csv", tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["impute", "--data", str(data), "--support-count", "100", "--k", "2",
+         "--out", str(out), "--report", str(report)],
+        capsys,
+    )
+    assert code == 0
+    completed = load_csv(out, "?")
+    assert completed.schema[0].kind == NUMERIC
+    assert float(completed.record_by_id(3).cells[0]) == 1e308
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(report.read_text(encoding="utf-8"), parse_constant=reject)
+    assert [cell["value"] for cell in payload["cells"]] == [1e308]
 
 
 def test_impute_without_missing_cells_notes_zero(tmp_path, car_csv, capsys):

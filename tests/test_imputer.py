@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from rulefill import (
 from rulefill.binning import Bins
 from rulefill.imputer import impute_from_rules
 from rulefill.knn import KnnImputer
+from rulefill.rules_io import rule_from_dict
 from oracles import (
     oracle_fired,
     oracle_itemize,
@@ -114,6 +116,13 @@ def test_impute_from_rules_numeric_median_odd():
         rule({(2, 0)}, (0, 2)),
     )
     assert impute_from_rules(fired, NUM, bins) == 12.5
+
+
+def test_impute_from_rules_numeric_median_halves_first_when_the_sum_overflows():
+    big = 2.0 ** 1023  # the two middle representatives sum past the largest float
+    bins = Bins((0.0, 1.0, big, 1.75 * big), (0.5, big, 1.5 * big))
+    fired = (rule(set(), (0, 1)), rule({(1, 0)}, (0, 2)))
+    assert impute_from_rules(fired, NUM, bins) == 1.25 * big
 
 
 def test_impute_from_rules_tie_broken_by_confidence_all_permutations():
@@ -351,7 +360,8 @@ def test_report_serialization_shape():
     (entry,) = payload["cells"]
     assert entry["row"] == 4 and entry["column"] == "y"
     assert entry["source"] == SOURCE_RULES
-    assert entry["provenance"][0]["consequent"] == [2, 0]
+    assert payload["schema"] == "rulefill-report-v2"
+    assert payload["rules"][entry["provenance"][0]]["consequent"] == [2, 0]
     assert payload["parameters"]["note"] == "unit"
 
 
@@ -446,3 +456,71 @@ def test_shuffled_records_keep_each_cell_value_source_and_provenance():
                 for c in report.cells
             })
         assert outcomes[0] == outcomes[1]
+
+
+def overflowing_mean_dataset():
+    """x averages two neighbours at 1e308 for record 3; their plain sum is inf."""
+    schema = [AttributeSchema("x", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b"))]
+    rows = [("1e308", "a"), ("1e308", "a"), ("0", "b"), (None, "a")]
+    return Dataset(schema, [Record(i, row) for i, row in enumerate(rows)])
+
+
+def test_knn_mean_of_neighbours_past_the_largest_float_stays_finite():
+    _, report = impute_dataset(overflowing_mean_dataset(), [], KnnParams(2))
+    (cell,) = report.cells
+    assert (cell.record_id, cell.source, cell.neighbor_ids) == (3, SOURCE_KNN, (0, 1))
+    assert cell.value == 1e308
+
+
+def test_knn_global_fallback_mean_past_the_largest_float_stays_finite():
+    # Through impute_cells the fallback only averages the query's own value;
+    # the column-wide mean it computes is checked directly.
+    knn = KnnImputer(overflowing_mean_dataset(), KnnParams(2))
+    assert knn._global_fallback(0) == pytest.approx(1e308 / 3 * 2)
+
+
+def report_tables(rng, tables=20):
+    """(dataset, payload of its report, report) for random repeated-pattern
+    tables, round-tripped through JSON as the CLI writes it."""
+    for _ in range(tables):
+        ds, rules, bins, exclude, k = repeated_patterns(rng)
+        _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
+        yield ds, json.loads(json.dumps(report.to_dict(), sort_keys=True)), report
+
+
+def test_report_provenance_ids_resolve_to_each_cells_fired_rules():
+    rule_cells = 0
+    for _, payload, report in report_tables(random.Random(57)):
+        assert payload["schema"] == "rulefill-report-v2"
+        for cell, entry in zip(report.cells, payload["cells"], strict=True):
+            if cell.source == SOURCE_RULES:
+                rule_cells += 1
+                resolved = [rule_from_dict(payload["rules"][i], {}) for i in entry["provenance"]]
+                assert tuple(resolved) == cell.rules
+            else:
+                assert entry["provenance"] == list(cell.neighbor_ids)
+    assert rule_cells > 0
+
+
+def test_report_rule_table_lists_each_fired_rule_once_in_sort_key_order():
+    for _, payload, report in report_tables(random.Random(58)):
+        listed = [rule_from_dict(d, {}) for d in payload["rules"]]
+        assert set(listed) == {r for c in report.cells for r in c.rules}
+        assert len(set(listed)) == len(listed)
+        assert listed == sorted(listed, key=AssociationRule.sort_key)
+
+
+def test_report_rule_table_does_not_depend_on_record_order():
+    rng = random.Random(59)
+    listed = 0
+    for _ in range(20):
+        ds, rules, bins, exclude, k = repeated_patterns(rng)
+        shuffled_records = list(ds.records)
+        rng.shuffle(shuffled_records)
+        tables = []
+        for table in (ds, Dataset(ds.schema, shuffled_records)):
+            _, report = impute_dataset(table, rules, KnnParams(k), bins, exclude)
+            tables.append(json.dumps(report.to_dict()["rules"], sort_keys=True))
+        assert tables[0] == tables[1]
+        listed += tables[0] != "[]"
+    assert listed > 0
