@@ -9,10 +9,10 @@ record order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .binning import Bins
-from .data import CATEGORICAL, NUMERIC, DataError, Dataset
+from .data import CATEGORICAL, NUMERIC, DataError, Dataset, Record
 from .knn import KnnImputer, KnnParams
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
 
@@ -40,35 +40,50 @@ class CellImputation:
 
 @dataclass
 class ImputationReport:
-    """Per-cell imputation log plus aggregate counts and a parameter echo."""
+    """Imputation results stored once per key, plus a parameter echo.
 
-    cells: list[CellImputation]
+    ``keys`` holds one ``(value, source, rules, neighbor_ids)`` entry per
+    distinct (record cells, attribute) key.  The imputed cells, in record
+    order, are the parallel lists ``record_ids``, ``attributes`` and
+    ``key_index`` (the cell's entry in ``keys``); ``cells`` views them.
+    """
+
+    keys: list[tuple]
+    record_ids: list[int]
+    attributes: list[int]
+    key_index: list[int]
     attribute_names: tuple[str, ...]
     parameters: dict = field(default_factory=dict)
 
     @property
+    def cells(self) -> list[CellImputation]:
+        """A new list of one view per imputed cell; a key's cells share its tuples."""
+        return [CellImputation(record_id, j, *self.keys[i])
+                for record_id, j, i in zip(self.record_ids, self.attributes, self.key_index)]
+
+    @property
     def n_imputed(self) -> int:
-        return len(self.cells)
+        return len(self.key_index)
 
     @property
     def n_from_rules(self) -> int:
-        return sum(1 for c in self.cells if c.source == SOURCE_RULES)
+        return sum(self.keys[i][1] == SOURCE_RULES for i in self.key_index)
 
     @property
     def n_from_knn(self) -> int:
-        return sum(1 for c in self.cells if c.source == SOURCE_KNN)
+        return self.n_imputed - self.n_from_rules
 
     def rule_coverage(self) -> float:
         """Fraction of imputed cells that came from fired rules."""
-        return self.n_from_rules / self.n_imputed if self.cells else 0.0
+        return self.n_from_rules / self.n_imputed if self.key_index else 0.0
 
     def per_attribute(self) -> dict[str, dict[str, int]]:
         stats: dict[str, dict[str, int]] = {}
-        for cell in self.cells:
-            name = self.attribute_names[cell.attribute]
+        for attribute, i in zip(self.attributes, self.key_index):
+            name = self.attribute_names[attribute]
             entry = stats.setdefault(name, {"imputed": 0, "rules": 0, "knn": 0})
             entry["imputed"] += 1
-            entry[cell.source] += 1
+            entry[self.keys[i][1]] += 1
         return stats
 
     def to_dict(self) -> dict:
@@ -80,12 +95,19 @@ class ImputationReport:
         ``AssociationRule.sort_key`` order, so it does not depend on record
         order.  Each cell gives ``row``, ``column``, ``value``, ``source``
         and ``provenance``: a rule cell's fired rules as positions in
-        ``rules``, in firing order; a kNN cell's neighbor record ids.
+        ``rules``, in firing order; a kNN cell's neighbor record ids.  Each
+        key's provenance is resolved once and shared by its cells.
         """
         from .rules_io import rule_to_dict
 
-        fired = sorted({r for c in self.cells for r in c.rules}, key=AssociationRule.sort_key)
+        fired = sorted({r for key in self.keys for r in key[2]}, key=AssociationRule.sort_key)
         rule_ids = {r: i for i, r in enumerate(fired)}
+        key_fields = [  # each key's part of its cells' entries
+            {"value": value, "source": source, "provenance": (
+                [rule_ids[r] for r in rules] if source == SOURCE_RULES else list(neighbor_ids)
+            )}
+            for value, source, rules, neighbor_ids in self.keys
+        ]
         return {
             "schema": "rulefill-report-v2",
             "parameters": self.parameters,
@@ -98,18 +120,8 @@ class ImputationReport:
             "per_attribute": self.per_attribute(),
             "rules": [rule_to_dict(r) for r in fired],
             "cells": [
-                {
-                    "row": c.record_id,
-                    "column": self.attribute_names[c.attribute],
-                    "value": c.value,
-                    "source": c.source,
-                    "provenance": (
-                        [rule_ids[r] for r in c.rules]
-                        if c.source == SOURCE_RULES
-                        else list(c.neighbor_ids)
-                    ),
-                }
-                for c in self.cells
+                {"row": record_id, "column": self.attribute_names[j], **key_fields[i]}
+                for record_id, j, i in zip(self.record_ids, self.attributes, self.key_index)
             ],
         }
 
@@ -174,14 +186,13 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     itemized only when a rule targets a missing cell, so rule-less
     (kNN-only) imputation needs no bins.
 
-    Each distinct (record cells, attribute) key is imputed once, from the
-    first record that has it, and every cell under the key takes that
-    result: the same value and the same ``rules`` or ``neighbor_ids``
-    tuple.  This is exact.  Records with identical cells have the same
-    items, and neither holds the attribute, so neither is a kNN candidate
-    for the other and both are at the same distance from every candidate.
-    The report still has one ``CellImputation`` per missing cell, in record
-    order.
+    Work is per key, not per cell.  Each distinct (record cells, attribute)
+    key is imputed once, from the first record that has it, and stored once
+    in the report, whose cells are views of the keys; records with the same
+    cells share one completed cells tuple.  This is exact.  Records with
+    identical cells have the same items, and neither holds the attribute, so
+    neither is a kNN candidate for the other and both are at the same
+    distance from every candidate.
     """
     rules = sorted(rules, key=AssociationRule.sort_key)
     _check_rules_fit_schema(rules, dataset, bins)
@@ -192,49 +203,50 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     for rule in rules:
         rule_index.setdefault(rule.consequent[0], []).append(rule)
 
-    # Phase 1 fires rules once per key; phase 2 fills the keys no rule covers
-    # in one batched kNN call.  A record's keys are all new or all seen, so a
-    # representative's pending cells stay adjacent and share one distance row.
-    found = {}  # key -> its first cell's CellImputation; None until kNN fills it
-    pending = []  # (record, attribute) representing each key no rule covers
+    # Each distinct record cells with a missing cell: (its first key's index,
+    # its missing attributes), its keys being consecutive in ``keys``.
+    distinct = {}
+    keys = []  # (value, source, rules, neighbor_ids) per key; None until kNN fills it
+    # (record, attribute) for each key no rule covers, and the key's index; a
+    # record's pending cells are adjacent, so they share one kNN distance row.
+    pending, pending_keys = [], []
     itemized = None  # every record's items, built when a rule first targets a missing cell
     for position, record in enumerate(dataset.records):
+        if record.cells in distinct or None not in record.cells:
+            continue
         missing = [j for j, cell in enumerate(record.cells) if cell is None]
+        distinct[record.cells] = len(keys), missing
         if itemized is None and any(j in rule_index for j in missing):
             itemized = dataset.itemize_all(bins, exclude)
         known = frozenset() if itemized is None else itemized[position]
         for j in missing:
-            key = (record.cells, j)
-            if key in found:
-                continue
             fired = tuple(r for r in rule_index.get(j, ()) if r.antecedent <= known)
             if fired:
                 value = impute_from_rules(fired, dataset.schema[j], (bins or {}).get(j))
-                found[key] = CellImputation(record.id, j, value, SOURCE_RULES, rules=fired)
+                keys.append((value, SOURCE_RULES, fired, ()))
             else:
-                found[key] = None
                 pending.append((record, j))
+                pending_keys.append(len(keys))
+                keys.append(None)
     del itemized  # not held through the kNN pass
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
-        for (record, j), (value, neighbor_ids) in zip(pending, knn.impute_cells(pending)):
-            found[(record.cells, j)] = CellImputation(
-                record.id, j, value, SOURCE_KNN, neighbor_ids=neighbor_ids
-            )
+        for i, (value, neighbor_ids) in zip(pending_keys, knn.impute_cells(pending)):
+            keys[i] = (value, SOURCE_KNN, (), neighbor_ids)
 
-    imputations = []
+    for cells, (first, missing) in distinct.items():  # one completed tuple per distinct cells
+        values = (key[0] for key in keys[first:first + len(missing)])
+        distinct[cells] = first, missing, tuple(next(values) if c is None else c for c in cells)
+    records, record_ids, attributes, key_index = [], [], [], []
     for record in dataset.records:
-        for j, cell in enumerate(record.cells):
-            if cell is None:
-                first = found[(record.cells, j)]
-                if first.record_id != record.id:
-                    first = replace(first, record_id=record.id)
-                imputations.append(first)
-    completed = dataset.replace_cells(
-        {(c.record_id, c.attribute): c.value for c in imputations}
-    )
+        first, missing, filled = distinct.get(record.cells, (0, (), None))
+        records.append(record if filled is None else Record(record.id, filled))
+        record_ids.extend([record.id] * len(missing))
+        attributes.extend(missing)
+        key_index.extend(range(first, first + len(missing)))
+    completed = Dataset(dataset.schema, records, dataset.class_column)
     report = ImputationReport(
-        cells=imputations,
+        keys, record_ids, attributes, key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
         parameters=dict(parameters or {}),
     )

@@ -48,10 +48,11 @@ class KnnImputer:
     record id, so that position order is id order.  Queries run in blocks:
     one squared-HEOM array per block of records, one partition per record
     for its nearest records, then per cell one stable sort of the target
-    attribute's holders among them, kept to the first k (``_select``), and,
-    per target attribute, a single vote.  Evidence is always the dataset as
-    given (never previously imputed values); a numeric attribute whose range
-    overflows a float raises ``DataError``.
+    attribute's holders among them, kept to the first k (``_select``).  Once
+    every block is scanned, each (attribute, k) group of cells votes once.
+    Evidence is always the dataset as given (never previously imputed
+    values); a numeric attribute whose range overflows a float raises
+    ``DataError``.
     """
 
     def __init__(self, dataset: Dataset, params: KnnParams | None = None, exclude=()):
@@ -91,8 +92,8 @@ class KnnImputer:
         self._lead = len(list(itertools.takewhile(lambda term: term[1] is None, self._terms)))
         self._match_dtype = np.min_scalar_type(self._lead)
 
-    def impute_cells(self, cells):
-        """(imputed value, neighbor ids) for each (record, attribute) pair, yielded in order.
+    def impute_cells(self, cells) -> list:
+        """(imputed value, neighbor ids) for each (record, attribute) pair, in order.
 
         Each record must be one of the dataset's own; any other raises
         ``DataError``.  The neighbors are the k nearest other records
@@ -100,41 +101,47 @@ class KnnImputer:
         ascending record id; fewer than k candidates means all of them.
         They vote (a count tie goes to the smallest level index) or, for a
         numeric attribute, average.  Empty ids mean no other record holds a
-        value and the global fallback ran.
+        value, and the record's own value is returned.
 
-        Pairs are computed a block of records at a time; adjacent pairs of
-        one record share a distance row.
+        Pairs pick their neighbours a block of records at a time; adjacent
+        pairs of one record share a distance row.  The vote runs once per
+        (attribute, k) group after the last block, so no result comes back
+        before every block has been scanned.
         """
         rows = max(1, _BLOCK_BYTES // (8 * max(self._ids.size, 1)))
-        last, positions, block_cells = None, [], []  # block_cells: (block row, attribute)
-        for record, attribute in cells:
+        groups = {}  # (attribute, k) -> (cell indices, each cell's chosen neighbours)
+        last, positions, block_cells = None, [], []  # block_cells: (index, block row, attribute)
+        for index, (record, attribute) in enumerate(cells):
             if record is not last:
                 if len(positions) == rows:
-                    yield from self._impute_block(positions, block_cells)
+                    self._pick_block(positions, block_cells, groups)
                     positions, block_cells = [], []
                 p = self._position.get(record.id)
                 if p is None or self.dataset.record_by_id(record.id) != record:
                     raise DataError(f"record {record.id} is not in the dataset")
                 positions.append(p)
                 last = record
-            block_cells.append((len(positions) - 1, attribute))
+            block_cells.append((index, len(positions) - 1, attribute))
         if block_cells:
-            yield from self._impute_block(positions, block_cells)
+            self._pick_block(positions, block_cells, groups)
 
-    def _impute_block(self, positions, block_cells) -> list:
-        results = [None] * len(block_cells)
-        for attribute, members, neighbors in self._block_nearest(positions, block_cells):
+        results = [None] * sum(len(indices) for indices, _ in groups.values())
+        for (attribute, k), (indices, chosen) in groups.items():
             attr = self.dataset.schema[attribute]
-            if neighbors.shape[1] == 0:
-                values = [self._global_fallback(attribute)] * len(members)
-            elif attr.kind == NUMERIC:
-                # Python's sum over the values in neighbor order, as the scalar mean does
-                values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
+            if k == 0:
+                values = [self._global_fallback(attribute, p) for p in chosen]
+                ids = [()] * len(indices)
             else:
-                winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
-                values = [attr.levels[w] for w in winners.tolist()]
-            for i, value, ids in zip(members, values, self._ids[neighbors].tolist()):
-                results[i] = (value, tuple(ids))
+                neighbors = np.array(chosen, dtype=np.intp)
+                if attr.kind == NUMERIC:
+                    # Python's sum over the values in neighbor order, as the scalar mean does
+                    values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
+                else:
+                    winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
+                    values = [attr.levels[w] for w in winners.tolist()]
+                ids = map(tuple, self._ids[neighbors].tolist())
+            for i, value, neighbor_ids in zip(indices, values, ids):
+                results[i] = (value, neighbor_ids)
         return results
 
     def _distances(self, positions) -> np.ndarray:
@@ -161,13 +168,11 @@ class KnnImputer:
                 total += self._values[j] != values[j]  # NaN is unequal to everything
         return total
 
-    def _block_nearest(self, positions, block_cells):
-        """Neighbor positions for (block row, attribute) cells of one block.
+    def _pick_block(self, positions, block_cells, groups) -> None:
+        """File one block's (cell index, block row, attribute) cells under their (attribute, k).
 
-        Yields (attribute, cell indices, neighbor positions) groups: row i of
-        the positions array holds cell indices[i]'s neighbors in (distance,
-        id) order, and a group whose cells have no candidate has zero
-        columns.
+        A cell's entry is its neighbor positions in (distance, id) order, or,
+        when k is 0, its own record's position.
         """
         block = self._distances(positions)
         block[np.arange(len(positions)), positions] = np.inf  # never one's own neighbor
@@ -177,30 +182,25 @@ class KnnImputer:
         kth = np.partition(block, size - 1, axis=1)[:, size - 1]
         nearest = [np.flatnonzero(distances <= t) for distances, t in zip(block, kth)]
 
-        groups: dict[tuple[int, int], tuple[list, list]] = {}
-        for index, (row, attribute) in enumerate(block_cells):
+        for index, row, attribute in block_cells:
             present = self._present[attribute]
             k = min(self.params.k, self._known[attribute] - present[positions[row]])
             chosen = _select(block[row], nearest[row], present, k)
-            indices, neighbors = groups.setdefault((attribute, k), ([], []))
+            indices, entries = groups.setdefault((attribute, k), ([], []))
             indices.append(index)
-            neighbors.append(chosen)
-        for (attribute, _), (indices, neighbors) in groups.items():
-            yield attribute, indices, np.array(neighbors, dtype=np.intp)
+            entries.append(chosen if k else positions[row])
 
-    def _global_fallback(self, attribute: int):
-        # No candidate holds the target value: fall back to the dataset-wide
-        # mode (categorical) or mean (numeric) over the known values.
+    def _global_fallback(self, attribute: int, position: int):
+        # k is 0: no other record holds the attribute, so only the query
+        # record's own value, if it has one, can answer.
         attr = self.dataset.schema[attribute]
-        if not self._known[attribute]:
+        if not self._present[attribute][position]:
             raise DataError(
                 f"attribute {attr.name!r} has no known value anywhere; cannot impute"
             )
         if attr.kind == NUMERIC:
-            values = self.dataset.columns[1][attribute]  # record order, as oracle_knn_value sums
-            return _mean(values[~np.isnan(values)].tolist())
-        codes = self._codes[attribute][self._present[attribute]]
-        return attr.levels[_mode(codes[None, :], len(attr.levels))[0]]
+            return float(self._values[attribute][position])
+        return attr.levels[self._codes[attribute][position]]
 
 
 def _select(row: np.ndarray, nearest: np.ndarray, present: np.ndarray, k: int) -> np.ndarray:

@@ -7,6 +7,7 @@ dataset and can turn bin consequents back into numbers.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import asdict, dataclass
 
@@ -100,13 +101,19 @@ def read_rules(path) -> RuleFile:
         except (AttributeError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad rule-file header: {exc}") from None
         items = {}  # each distinct item once, shared by every rule that names it
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rule_file.rules.append(rule_from_dict(json.loads(line), items))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: line {lineno}: bad rule record: {exc}") from None
+        collecting = gc.isenabled()
+        gc.disable()  # the rules hold no cycles, yet building them would set off collections
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    rule_file.rules.append(rule_from_dict(json.loads(line), items))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{path}: line {lineno}: bad rule record: {exc}") from None
+        finally:
+            if collecting:
+                gc.enable()
     return rule_file
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -296,27 +297,51 @@ CELLS = st.one_of(NUMBERS, st.sampled_from(
 
 @st.composite
 def small_csvs(draw):
-    """1-4 columns, 0-8 rows; a column draws either any cell or numbers and ``?`` only."""
+    """1-4 columns, 0-8 rows; a column draws either any cell or numbers and ``?`` only.
+
+    About one row in six is ragged: cut short, down to no fields, or given
+    one or two extra cells.
+    """
     width = draw(st.integers(1, 4))
     numeric = st.one_of(st.just("?"), NUMBERS)
     columns = [draw(st.sampled_from([numeric, CELLS])) for _ in range(width)]
-    rows = [[draw(column) for column in columns] for _ in range(draw(st.integers(0, 8)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(column) for column in columns]
+        if draw(st.integers(0, 5)) == 0:
+            fields = draw(st.integers(0, width + 2).filter(lambda n: n != width))
+            row = (row + [draw(CELLS), draw(CELLS)])[:fields]
+        rows.append(row)
     header = ",".join(f"h{j}" for j in range(width))
     return "".join(line + "\n" for line in [header, *map(",".join, rows)])
 
 
-def exit_code(argv) -> int:
-    """The CLI's exit status, its output discarded; any other exception propagates."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def first_ragged_row(text):
+    """(line number, header width) of the first row whose field count is not
+    the header's, or None."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return next(
+        ((lineno, len(header)) for lineno, row in enumerate(rows, start=2)
+         if len(row) != len(header)),
+        None,
+    )
+
+
+def exit_code(argv) -> tuple[int, str]:
+    """The CLI's exit status and stderr, its stdout discarded; any other exception propagates."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, stderr.getvalue()
 
 
 @given(text=small_csvs())
 @settings(max_examples=60, deadline=None)
 def test_every_command_exits_cleanly_on_small_csvs(text):
+    ragged = first_ragged_row(text)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data, rules = tmp / "data.csv", tmp / "rules.jsonl"
@@ -332,7 +357,13 @@ def test_every_command_exits_cleanly_on_small_csvs(text):
              "--out-dir", str(tmp / "bench")],
         ]
         for argv in commands:
-            assert exit_code(argv) in (0, 1, 2), argv
+            code, stderr = exit_code(argv)
+            if ragged is None:
+                assert code in (0, 1, 2), argv
+            else:
+                lineno, width = ragged
+                assert code == 1, argv
+                assert f"line {lineno}: expected {width} fields" in stderr, argv
 
 
 def test_bench_sweep_reports(tmp_path, car_csv, capsys):

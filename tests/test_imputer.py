@@ -472,13 +472,6 @@ def test_knn_mean_of_neighbours_past_the_largest_float_stays_finite():
     assert cell.value == 1e308
 
 
-def test_knn_global_fallback_mean_past_the_largest_float_stays_finite():
-    # Through impute_cells the fallback only averages the query's own value;
-    # the column-wide mean it computes is checked directly.
-    knn = KnnImputer(overflowing_mean_dataset(), KnnParams(2))
-    assert knn._global_fallback(0) == pytest.approx(1e308 / 3 * 2)
-
-
 def report_tables(rng, tables=20):
     """(dataset, payload of its report, report) for random repeated-pattern
     tables, round-tripped through JSON as the CLI writes it."""

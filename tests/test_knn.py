@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,15 @@ def test_numeric_global_fallback_for_the_only_holder():
     assert value == oracle_knn_value(ds, record, 0, 2) == 2.5
 
 
+def test_categorical_global_fallback_for_the_only_holder():
+    # the query is the only record holding color, so no other record can vote
+    ds = mixed_dataset([("1", None), ("2", "blue"), ("3", None)])
+    record = ds.record_by_id(1)
+    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(record, 1)])
+    assert ids == ()
+    assert value == oracle_knn_value(ds, record, 1, 2) == "blue"
+
+
 def test_metric_properties_random():
     rng = random.Random(11)
     for _ in range(40):
@@ -374,6 +384,34 @@ def test_batched_path_matches_oracle(block_rows, monkeypatch):
         # every cell, present ones too, so candidate counts differ within a block
         cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
         check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+def test_votes_once_per_categorical_attribute_and_k(monkeypatch):
+    rng = random.Random(4343)
+    monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 1)  # one record per block
+    mode, calls = knn_module._mode, []
+
+    def counting_mode(codes, n_levels):
+        calls.append(codes.shape)
+        return mode(codes, n_levels)
+
+    monkeypatch.setattr(knn_module, "_mode", counting_mode)
+    for _ in range(12):
+        ds = batch_dataset(rng, rng.randint(3, 30))
+        k = rng.randint(1, ds.n_records + 3)
+        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        expected = [oracle_neighbors(ds, record, j, k) for record, j in cells]
+        calls.clear()
+        results = KnnImputer(ds, KnnParams(k=k)).impute_cells(cells)
+        # one call per categorical (attribute, k) group, with all of its cells as rows
+        groups = Counter(
+            (j, len(ids)) for (_, j), ids in zip(cells, expected)
+            if ds.schema[j].kind == CATEGORICAL and ids
+        )
+        assert sorted(calls) == sorted((size, width) for (_, width), size in groups.items())
+        for (record, j), (value, ids), neighbors in zip(cells, results, expected, strict=True):
+            assert list(ids) == neighbors
+            assert value == oracle_knn_value(ds, record, j, k)
 
 
 FAR_SCHEMA = [

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from rulefill import (
     read_rules,
     write_rules,
 )
+from rulefill import rules_io
 from rulefill.rules_io import check_compatible
 
 
@@ -106,3 +108,33 @@ def test_bad_files_rejected(tmp_path):
         bad.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
         with pytest.raises(DataError, match="bad_rule.jsonl: line 3"):
             read_rules(bad)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_rules_pauses_the_collector_and_leaves_it_as_found(tmp_path, car_dataset,
+                                                                 monkeypatch, enabled):
+    rules = mine_rules(car_dataset, MiningParams(min_support_count=100))
+    good = tmp_path / "car.rules.jsonl"
+    write_rules(good, rules, car_dataset)
+    bad = tmp_path / "bad.rules.jsonl"
+    bad.write_text(good.read_text() + "not json\n")
+
+    seen = []
+    rule_from_dict = rules_io.rule_from_dict
+
+    def spy(payload, items):
+        seen.append(gc.isenabled())
+        return rule_from_dict(payload, items)
+
+    monkeypatch.setattr(rules_io, "rule_from_dict", spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(read_rules(good).rules) == len(rules) > 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(DataError, match=f"line {len(rules) + 2}: bad rule record"):
+            read_rules(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
