@@ -192,11 +192,9 @@ class BenchRow:
     rule_coverage: float
     categorical_accuracy: float | None
     numeric_nrmse: float | None
+    # wall seconds, rounded to the microsecond
     time_mine_s: float | None
     time_impute_s: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -209,7 +207,7 @@ class BenchReport:
     def to_dict(self, timings: bool = True) -> dict:
         rows = []
         for row in self.rows:
-            payload = row.to_dict()
+            payload = asdict(row)
             if not timings:
                 for name in self.TIMING_FIELDS:
                     payload[name] = None
@@ -305,8 +303,8 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
                     rule_coverage=report.rule_coverage(),
                     categorical_accuracy=metrics.categorical_accuracy,
                     numeric_nrmse=metrics.numeric_nrmse,
-                    time_mine_s=time_mine if method == METHOD_HYBRID else None,
-                    time_impute_s=time_impute,
+                    time_mine_s=round(time_mine, 6) if method == METHOD_HYBRID else None,
+                    time_impute_s=round(time_impute, 6),
                 )
             )
     return BenchReport(spec, rows)
@@ -330,12 +328,11 @@ def write_report_files(report: BenchReport, out_dir) -> list[Path]:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in report.rows:
-            payload = row.to_dict()
+            payload = asdict(row)
             # timing both ways: imputation alone, and with mining folded in
-            if row.time_mine_s is None:
-                payload["time_impute_plus_mine_s"] = row.time_impute_s
-            else:
-                payload["time_impute_plus_mine_s"] = row.time_impute_s + row.time_mine_s
+            payload["time_impute_plus_mine_s"] = round(
+                row.time_impute_s + (row.time_mine_s or 0.0), 6
+            )
             writer.writerow(payload)
     written.append(csv_path)
 

@@ -117,11 +117,11 @@ def _mining_params(args) -> MiningParams:
 
 
 def _class_column(args, dataset_header_names) -> str | None:
-    if getattr(args, "no_class", False):
+    if args.no_class:
         return None
     if args.class_column is not None:
         return args.class_column
-    if getattr(args, "default_class_last", False):
+    if args.default_class_last:
         return dataset_header_names[-1]
     return None
 
@@ -217,13 +217,7 @@ def cmd_impute(args) -> int:
         dataset, rules, knn_params, bins, exclude,
         parameters={
             "mining": asdict(mined_params) if mined_params else None,
-            "bins": {
-                dataset.schema[j].name: {
-                    "edges": list(b.edges),
-                    "representatives": list(b.representatives),
-                }
-                for j, b in sorted(bins.items())
-            },
+            "bins": {dataset.schema[j].name: asdict(b) for j, b in sorted(bins.items())},
             "exclude_class": args.exclude_class,
         },
     )

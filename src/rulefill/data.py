@@ -2,8 +2,9 @@
 
 Cells hold the raw text read from disk, with ``None`` marking a missing
 value, so an untouched dataset writes back byte for byte.  Numeric cells are
-parsed once, when ``Dataset.columns`` first encodes the table; once imputed
-they may hold a float instead of text.
+parsed when ``load_csv`` infers the column's kind and again when
+``Dataset.columns`` first encodes the table; once imputed they may hold a
+float instead of text.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from .binning import bin_of, fit_bins
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
-
-# An item is an (attribute index, level-or-bin index) assignment; an itemset
-# is a frozenset of items carrying at most one item per attribute.
-Item = tuple[int, int]
 
 
 class DataError(ValueError):
@@ -83,8 +80,8 @@ class Dataset:
             raise DataError("attribute names must be unique")
         if class_column is not None and class_column not in names:
             raise DataError(f"class column {class_column!r} not in schema")
-        ids = {r.id for r in self.records}
-        if len(ids) != len(self.records):
+        self._position_of = {r.id: i for i, r in enumerate(self.records)}
+        if len(self._position_of) != len(self.records):
             raise DataError("record ids must be unique")
         for r in self.records:
             if len(r.cells) != len(self.schema):
@@ -94,7 +91,6 @@ class Dataset:
                 )
 
         self._index_of = {name: j for j, name in enumerate(names)}
-        self._position_of = {r.id: i for i, r in enumerate(self.records)}
 
     # -- shape -----------------------------------------------------------
 
@@ -267,22 +263,17 @@ def load_csv(path, missing_marker: str = "?", schema_hints=None,
     for j, name in enumerate(header):
         observed = [row[j] for row in rows if row[j] is not None]
         kind = hints.get(name)
+        # the first observed cell that is not a finite number, each cell parsed once
+        bad = None if kind == CATEGORICAL else next(
+            (c for c in observed if parse_number(c) is None), None)
         if kind is None:
-            numeric = bool(observed) and all(parse_number(c) is not None for c in observed)
-            kind = NUMERIC if numeric else CATEGORICAL
+            kind = NUMERIC if observed and bad is None else CATEGORICAL
         if kind == NUMERIC:
-            bad = next((c for c in observed if parse_number(c) is None), None)
             if bad is not None:
                 raise DataError(f"column {name!r} hinted numeric but holds {bad!r}")
             schema.append(AttributeSchema(name, NUMERIC))
         elif kind == CATEGORICAL:
-            levels = []
-            seen = set()
-            for cell in observed:
-                if cell not in seen:
-                    seen.add(cell)
-                    levels.append(cell)
-            schema.append(AttributeSchema(name, CATEGORICAL, tuple(levels)))
+            schema.append(AttributeSchema(name, CATEGORICAL, tuple(dict.fromkeys(observed))))
         else:
             raise DataError(f"unknown kind {kind!r} in schema hint for {name!r}")
 

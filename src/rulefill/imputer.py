@@ -31,12 +31,6 @@ class CellImputation:
     rules: tuple = ()
     neighbor_ids: tuple = ()
 
-    def __post_init__(self):
-        if self.source not in (SOURCE_RULES, SOURCE_KNN):
-            raise ValueError(f"unknown imputation source: {self.source!r}")
-        if self.source == SOURCE_RULES and not self.rules:
-            raise ValueError("rule-sourced imputation needs at least one fired rule")
-
 
 @dataclass
 class ImputationReport:
@@ -248,11 +242,9 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     report = ImputationReport(
         keys, record_ids, attributes, key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
-        parameters=dict(parameters or {}),
+        parameters={"k": knn_params.k, "distance": knn_params.distance,
+                    "rule_count": len(rules), **(parameters or {})},
     )
-    report.parameters.setdefault("k", knn_params.k)
-    report.parameters.setdefault("distance", knn_params.distance)
-    report.parameters.setdefault("rule_count", len(rules))
     return completed, report
 
 

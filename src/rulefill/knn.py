@@ -101,7 +101,8 @@ class KnnImputer:
         ascending record id; fewer than k candidates means all of them.
         They vote (a count tie goes to the smallest level index) or, for a
         numeric attribute, average.  Empty ids mean no other record holds a
-        value, and the record's own value is returned.
+        value: the record's own value votes alone, and a record lacking it
+        too raises ``DataError``.
 
         Pairs pick their neighbours a block of records at a time; adjacent
         pairs of one record share a distance row.  The vote runs once per
@@ -128,18 +129,14 @@ class KnnImputer:
         results = [None] * sum(len(indices) for indices, _ in groups.values())
         for (attribute, k), (indices, chosen) in groups.items():
             attr = self.dataset.schema[attribute]
-            if k == 0:
-                values = [self._global_fallback(attribute, p) for p in chosen]
-                ids = [()] * len(indices)
+            neighbors = np.array(chosen, dtype=np.intp)
+            if attr.kind == NUMERIC:
+                # Python's sum over the values in neighbor order, as the scalar mean does
+                values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
             else:
-                neighbors = np.array(chosen, dtype=np.intp)
-                if attr.kind == NUMERIC:
-                    # Python's sum over the values in neighbor order, as the scalar mean does
-                    values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
-                else:
-                    winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
-                    values = [attr.levels[w] for w in winners.tolist()]
-                ids = map(tuple, self._ids[neighbors].tolist())
+                winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
+                values = [attr.levels[w] for w in winners.tolist()]
+            ids = map(tuple, self._ids[neighbors].tolist()) if k else [()] * len(indices)
             for i, value, neighbor_ids in zip(indices, values, ids):
                 results[i] = (value, neighbor_ids)
         return results
@@ -171,8 +168,10 @@ class KnnImputer:
     def _pick_block(self, positions, block_cells, groups) -> None:
         """File one block's (cell index, block row, attribute) cells under their (attribute, k).
 
-        A cell's entry is its neighbor positions in (distance, id) order, or,
-        when k is 0, its own record's position.
+        A cell's entry is its neighbor positions in (distance, id) order.
+        When k is 0, no other record holds the attribute: the entry is the
+        cell's own record's position, which votes alone, or, when that
+        record lacks the attribute too, ``DataError`` is raised.
         """
         block = self._distances(positions)
         block[np.arange(len(positions)), positions] = np.inf  # never one's own neighbor
@@ -183,24 +182,18 @@ class KnnImputer:
         nearest = [np.flatnonzero(distances <= t) for distances, t in zip(block, kth)]
 
         for index, row, attribute in block_cells:
-            present = self._present[attribute]
-            k = min(self.params.k, self._known[attribute] - present[positions[row]])
-            chosen = _select(block[row], nearest[row], present, k)
+            present, own = self._present[attribute], positions[row]
+            k = min(self.params.k, self._known[attribute] - present[own])
+            if k:
+                chosen = _select(block[row], nearest[row], present, k)
+            elif present[own]:
+                chosen = [own]
+            else:
+                name = self.dataset.schema[attribute].name
+                raise DataError(f"attribute {name!r} has no known value anywhere; cannot impute")
             indices, entries = groups.setdefault((attribute, k), ([], []))
             indices.append(index)
-            entries.append(chosen if k else positions[row])
-
-    def _global_fallback(self, attribute: int, position: int):
-        # k is 0: no other record holds the attribute, so only the query
-        # record's own value, if it has one, can answer.
-        attr = self.dataset.schema[attribute]
-        if not self._present[attribute][position]:
-            raise DataError(
-                f"attribute {attr.name!r} has no known value anywhere; cannot impute"
-            )
-        if attr.kind == NUMERIC:
-            return float(self._values[attribute][position])
-        return attr.levels[self._codes[attribute][position]]
+            entries.append(chosen)
 
 
 def _select(row: np.ndarray, nearest: np.ndarray, present: np.ndarray, k: int) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# An item is an (attribute index, level-or-bin index) assignment; an itemset
+# is a frozenset of items carrying at most one item per attribute.
 Item = tuple[int, int]
 
 
@@ -139,9 +141,7 @@ def generate_rules(frequents, params: MiningParams) -> list[AssociationRule]:
     S, the rule (S minus b) -> b is emitted when count(S) / count(S minus b)
     clears the confidence threshold.  Output is in ``AssociationRule.sort_key``
     order, the firing order: consequent attribute, confidence descending,
-    support descending, antecedent, consequent level.  Rules tied on
-    confidence used to be in antecedent order, so rule files list them in a
-    new line order.
+    support descending, antecedent, consequent level.
     """
     counts = {f.itemset: f.support_count for f in frequents}
     rules = []

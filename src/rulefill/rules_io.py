@@ -71,10 +71,7 @@ def write_rules(path, rules, dataset: Dataset, bins=None,
             for a in dataset.schema
         ],
         "class_column": dataset.class_column,
-        "bins": {
-            str(j): {"edges": list(b.edges), "representatives": list(b.representatives)}
-            for j, b in sorted((bins or {}).items())
-        },
+        "bins": {str(j): asdict(b) for j, b in sorted((bins or {}).items())},
         "params": asdict(params) if params is not None else None,
     }
     with open(path, "w", encoding="utf-8") as fh:

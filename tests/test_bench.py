@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -249,6 +250,28 @@ def test_report_files_written(tmp_path, car_csv):
     assert csv_text[0].startswith("position,sweep_axis,sweep_value,method")
     dat = (tmp_path / "out" / "categorical_accuracy__hmit.dat").read_text().splitlines()
     assert len(dat) == 2 and all(len(line.split()) == 2 for line in dat)
+
+
+def test_report_files_write_timings_to_the_microsecond(tmp_path, car_csv):
+    spec = spec_for(car_csv, sweep_axis="missing_rate", sweep_values=(0.05, 0.10))
+    out = tmp_path / "out"
+    write_report_files(run_sweep(spec), out)
+
+    def microseconds(text):  # at most 6 decimals
+        return float(text) == round(float(text), 6)
+
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert all(microseconds(row["time_impute_s"]) for row in rows)
+    assert all(microseconds(row["time_mine_s"]) for row in rows if row["method"] == "hmit")
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            mine, impute = row["time_mine_s"] or "0", row["time_impute_s"]
+            assert microseconds(mine) and microseconds(impute)
+            assert float(row["time_impute_plus_mine_s"]) == round(float(impute) + float(mine), 6)
+    dat_files = list(out.glob("time_impute_s__*.dat"))
+    assert len(dat_files) == 2
+    for path in dat_files:
+        assert all(microseconds(line.split()[1]) for line in path.read_text().splitlines())
 
 
 def test_report_determinism_modulo_timing(car_csv):

@@ -17,6 +17,7 @@ from rulefill import (
     load_csv,
     write_csv,
 )
+from rulefill import data as data_module
 from rulefill.binning import Bins
 from oracles import oracle_itemize
 
@@ -69,6 +70,24 @@ def test_numeric_inference_and_hints(tmp_path):
         load_csv(path, "?", schema_hints={"z": NUMERIC})
     with pytest.raises(DataError):
         load_csv(path, "?", schema_hints={"missing_column": NUMERIC})
+
+
+def test_load_csv_parses_each_observed_cell_at_most_once(tmp_path, monkeypatch):
+    # x inferred numeric, c inferred categorical, h hinted categorical, n hinted numeric
+    path = make_csv(tmp_path, "x,c,h,n\n1.5,red,10,100\n2.5,?,20,200\n?,blue,30,300\n")
+    parse, calls = data_module.parse_number, []
+
+    def counting_parse(value):
+        calls.append(value)
+        return parse(value)
+
+    monkeypatch.setattr(data_module, "parse_number", counting_parse)
+    ds = load_csv(path, "?", schema_hints={"h": CATEGORICAL, "n": NUMERIC})
+    assert [a.kind for a in ds.schema] == [NUMERIC, CATEGORICAL, CATEGORICAL, NUMERIC]
+    observed = [cell for r in ds.records for cell in r.cells if cell is not None]
+    assert len(set(observed)) == len(observed) == 10  # each text is one cell
+    assert set(calls) <= set(observed)
+    assert all(calls.count(cell) <= 1 for cell in observed)
 
 
 def test_ragged_row_reports_line_number(tmp_path):

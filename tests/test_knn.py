@@ -346,7 +346,7 @@ def expected_retries(knn, ds, cells, size):
 
 def check_knn_against_oracles(monkeypatch, ds, k, cells):
     """impute_cells and impute_dataset agree with the oracles, and each cell
-    calls _select exactly once."""
+    with neighbors calls _select exactly once."""
     knn = KnnImputer(ds, KnnParams(k=k))
     select, calls = knn_module._select, [0]
 
@@ -357,7 +357,7 @@ def check_knn_against_oracles(monkeypatch, ds, k, cells):
     monkeypatch.setattr(knn_module, "_select", counting_select)
     results = list(knn.impute_cells(cells))
     monkeypatch.setattr(knn_module, "_select", select)
-    assert calls[0] == len(cells)
+    assert calls[0] == sum(1 for _, ids in results if ids)
 
     for (record, j), (value, ids) in zip(cells, results, strict=True):
         expected = oracle_neighbors(ds, record, j, k)
@@ -403,12 +403,13 @@ def test_votes_once_per_categorical_attribute_and_k(monkeypatch):
         expected = [oracle_neighbors(ds, record, j, k) for record, j in cells]
         calls.clear()
         results = KnnImputer(ds, KnnParams(k=k)).impute_cells(cells)
-        # one call per categorical (attribute, k) group, with all of its cells as rows
+        # one call per categorical (attribute, k) group, with all of its cells
+        # as rows; a k = 0 group votes with its own value, one column wide
         groups = Counter(
             (j, len(ids)) for (_, j), ids in zip(cells, expected)
-            if ds.schema[j].kind == CATEGORICAL and ids
+            if ds.schema[j].kind == CATEGORICAL
         )
-        assert sorted(calls) == sorted((size, width) for (_, width), size in groups.items())
+        assert sorted(calls) == sorted((size, width or 1) for (_, width), size in groups.items())
         for (record, j), (value, ids), neighbors in zip(cells, results, expected, strict=True):
             assert list(ids) == neighbors
             assert value == oracle_knn_value(ds, record, j, k)
