@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +32,28 @@ class KnnParams:
 
 # Distance rows computed at once: a block of query records is at most this
 # many bytes of float64 distances, which bounds the kNN fallback's working
-# memory (the block's match counts, masks and nearest-record positions are
-# each at most this size again).
+# memory (the block's partition copy, numeric terms, match counts, masks and
+# nearest-record positions are each at most this size again).  impute_cells
+# allocates the distance, partition, term, count and mask buffers once per
+# call, every block reuses them, and they are freed when it returns.
 _BLOCK_BYTES = 1 << 18
 
 # A query record's cells pick their neighbours from its 2k + _NEAREST_SLACK
 # nearest records (k from KnnParams, at most every record) and their ties:
 # room for k holders of the target value even when half of the nearest lack it.
 _NEAREST_SLACK = 8
+
+
+class _Workspace(NamedTuple):
+    """The block buffers of one ``impute_cells`` call: a row per query record
+    of a block, a column per record.  A shorter block uses the first rows.
+    """
+
+    distances: np.ndarray  # float64 squared HEOM
+    partition: np.ndarray  # float64 copy of distances, partitioned in place
+    matches: np.ndarray  # the leading categorical run's match counts
+    flags: np.ndarray  # bool
+    terms: np.ndarray | None  # float64 numeric terms; None when no numeric range is non-zero
 
 
 class KnnImputer:
@@ -105,17 +120,20 @@ class KnnImputer:
         too raises ``DataError``.
 
         Pairs pick their neighbours a block of records at a time; adjacent
-        pairs of one record share a distance row.  The vote runs once per
-        (attribute, k) group after the last block, so no result comes back
-        before every block has been scanned.
+        pairs of one record share a distance row.  The block buffers are
+        allocated once per call, reused by every block and freed on return,
+        so the memory bound of ``_BLOCK_BYTES`` is unchanged.  The vote runs
+        once per (attribute, k) group after the last block, so no result
+        comes back before every block has been scanned.
         """
         rows = max(1, _BLOCK_BYTES // (8 * max(self._ids.size, 1)))
+        work = self._workspace(rows)
         groups = {}  # (attribute, k) -> (cell indices, each cell's chosen neighbours)
         last, positions, block_cells = None, [], []  # block_cells: (index, block row, attribute)
         for index, (record, attribute) in enumerate(cells):
             if record is not last:
                 if len(positions) == rows:
-                    self._pick_block(positions, block_cells, groups)
+                    self._pick_block(positions, block_cells, groups, work)
                     positions, block_cells = [], []
                 p = self._position.get(record.id)
                 if p is None or self.dataset.record_by_id(record.id) != record:
@@ -124,7 +142,7 @@ class KnnImputer:
                 last = record
             block_cells.append((index, len(positions) - 1, attribute))
         if block_cells:
-            self._pick_block(positions, block_cells, groups)
+            self._pick_block(positions, block_cells, groups, work)
 
         results = [None] * sum(len(indices) for indices, _ in groups.values())
         for (attribute, k), (indices, chosen) in groups.items():
@@ -141,31 +159,45 @@ class KnnImputer:
                 results[i] = (value, neighbor_ids)
         return results
 
-    def _distances(self, positions) -> np.ndarray:
-        """Squared HEOM from the records at ``positions`` to every record: one block."""
+    def _workspace(self, rows: int) -> _Workspace:
+        """Buffers for blocks of up to ``rows`` query records."""
+        shape = (rows, self._ids.size)
+        terms = np.empty(shape) if any(scale for _, scale in self._terms) else None
+        return _Workspace(np.empty(shape), np.empty(shape), np.empty(shape, self._match_dtype),
+                          np.empty(shape, bool), terms)
+
+    def _distances(self, positions, work: _Workspace) -> np.ndarray:
+        """Squared HEOM from the records at ``positions`` to every record: one block.
+
+        Written into the first rows of ``work.distances``, which come back.
+        """
+        n = len(positions)
+        total, matches, flags = work.distances[:n], work.matches[:n], work.flags[:n]
         # The block's own cells as columns; a missing one is -2 (or NaN), so
         # it matches no cell, and a missing cell (-1) matches no query cell.
         codes = np.take(self._codes, positions, axis=1)[:, :, None]
         codes[codes == -1] = -2
         values = np.take(self._values, positions, axis=1)[:, :, None]
-        matches = np.zeros((len(positions), self._ids.size), dtype=self._match_dtype)
+        matches.fill(0)
         for j, _ in self._terms[: self._lead]:
-            matches += self._codes[j] == codes[j]
-        total = (self._lead - matches).astype(np.float64)
+            matches += np.equal(self._codes[j], codes[j], out=flags)
+        np.subtract(self._lead, matches, out=total)
         for j, scale in self._terms[self._lead:]:
             if scale is None:
-                total += self._codes[j] != codes[j]
+                total += np.not_equal(self._codes[j], codes[j], out=flags)
             elif scale > 0.0:
-                term = np.abs(self._values[j] - values[j])
+                term = work.terms[:n]
+                np.subtract(self._values[j], values[j], out=term)
+                np.abs(term, out=term)
                 term /= scale
                 term *= term
-                term[np.isnan(term)] = 1.0  # missing on either side
+                np.copyto(term, 1.0, where=np.isnan(term, out=flags))  # missing on either side
                 total += term
-            else:
-                total += self._values[j] != values[j]  # NaN is unequal to everything
+            else:  # zero range: NaN is unequal to everything
+                total += np.not_equal(self._values[j], values[j], out=flags)
         return total
 
-    def _pick_block(self, positions, block_cells, groups) -> None:
+    def _pick_block(self, positions, block_cells, groups, work: _Workspace) -> None:
         """File one block's (cell index, block row, attribute) cells under their (attribute, k).
 
         A cell's entry is its neighbor positions in (distance, id) order.
@@ -173,13 +205,17 @@ class KnnImputer:
         cell's own record's position, which votes alone, or, when that
         record lacks the attribute too, ``DataError`` is raised.
         """
-        block = self._distances(positions)
-        block[np.arange(len(positions)), positions] = np.inf  # never one's own neighbor
+        n = len(positions)
+        block = self._distances(positions, work)
+        block[np.arange(n), positions] = np.inf  # never one's own neighbor
         # Each row's nearest records: its positions at or below the row's K-th
         # smallest value, ties included, in position order.
         size = min(block.shape[1], 2 * self.params.k + _NEAREST_SLACK)
-        kth = np.partition(block, size - 1, axis=1)[:, size - 1]
-        nearest = [np.flatnonzero(distances <= t) for distances, t in zip(block, kth)]
+        part, flags = work.partition[:n], work.flags[:n]
+        np.copyto(part, block)
+        part.partition(size - 1, axis=1)
+        np.less_equal(block, part[:, size - 1 : size], out=flags)
+        nearest = [np.flatnonzero(below) for below in flags]
 
         for index, row, attribute in block_cells:
             present, own = self._present[attribute], positions[row]

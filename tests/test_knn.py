@@ -313,7 +313,7 @@ def batch_dataset(rng, n_records):
 
 def distance_rows(knn, records):
     """Squared HEOM rows of ``records``, each in ascending id of the other record."""
-    return knn._distances([knn._position[r.id] for r in records])
+    return knn._distances([knn._position[r.id] for r in records], knn._workspace(len(records)))
 
 
 def assert_block_is_scalar_heom(knn, queries):
@@ -384,6 +384,45 @@ def test_batched_path_matches_oracle(block_rows, monkeypatch):
         # every cell, present ones too, so candidate counts differ within a block
         cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
         check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+def test_reused_block_buffers_carry_nothing_over(monkeypatch):
+    # 20 records in blocks of 3 rows, the last one shorter; BATCH_SCHEMA has a
+    # leading categorical run, numeric cells with NaN, a zero-range numeric
+    # column and a categorical tail term
+    rng = random.Random(4545)
+    ds = batch_dataset(rng, 20)
+    monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * 3)
+    by_id = sorted(ds.records, key=lambda r: r.id)
+    distances, blocks = KnnImputer._distances, []
+
+    def recording_distances(knn, positions, work):
+        block = distances(knn, positions, work)
+        blocks.append((list(positions), block.copy()))
+        return block
+
+    monkeypatch.setattr(KnnImputer, "_distances", recording_distances)
+    cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+    for k in (1, 3, ds.n_records + 3):
+        blocks.clear()
+        knn = KnnImputer(ds, KnnParams(k=k))
+        results = knn.impute_cells(cells)
+        assert [len(positions) for positions, _ in blocks] == [3] * 6 + [2]
+        for positions, block in blocks:
+            for p, row in zip(positions, block, strict=True):
+                record = by_id[p]
+                for squared, other in zip(row, by_id, strict=True):
+                    assert math.sqrt(squared) == oracle_heom(record, other, ds.schema, knn.ranges)
+        for (record, j), (value, ids) in zip(cells, results, strict=True):
+            assert list(ids) == oracle_neighbors(ds, record, j, k)
+            assert value == oracle_knn_value(ds, record, j, k)
+
+        # one imputer, two calls of different lengths: each as from a fresh imputer
+        state = dict(vars(knn))
+        short = cells[7:30]
+        assert knn.impute_cells(short) == KnnImputer(ds, KnnParams(k=k)).impute_cells(short)
+        assert knn.impute_cells(cells) == KnnImputer(ds, KnnParams(k=k)).impute_cells(cells)
+        assert vars(knn).keys() == state.keys()  # no buffer stays on the instance
 
 
 def test_votes_once_per_categorical_attribute_and_k(monkeypatch):
@@ -584,7 +623,7 @@ def test_empty_dataset_has_no_neighbors():
     with pytest.raises(DataError, match="record 5 "):
         list(knn.impute_cells([(query, 1)]))  # every record is foreign to an empty table
     knn = KnnImputer(Dataset(MIXED_SCHEMA, [query]), KnnParams(k=3))
-    assert knn._distances([0]).shape == (1, 1)
+    assert knn._distances([0], knn._workspace(1)).shape == (1, 1)
     assert list(knn.impute_cells([(query, 1)])) == [("red", ())]  # no other record
     with pytest.raises(DataError, match="no known value"):
         list(knn.impute_cells([(query, 0)]))
