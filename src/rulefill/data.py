@@ -126,10 +126,13 @@ class Dataset:
 
         ``codes`` holds each categorical cell's level index and ``values``
         each numeric cell's number; a missing cell, and every cell of the
-        other kind, is -1 in ``codes`` and NaN in ``values``.
+        other kind, is -1 in ``codes`` and NaN in ``values``.  ``codes`` is
+        the narrowest signed integer type that holds every level index and
+        -2, the kNN fallback's missing query cell: int8 up to 128 levels.
         """
         shape = (self.n_attributes, self.n_records)
-        codes = np.full(shape, -1, dtype=np.int32)
+        most = max((len(attr.levels) for attr in self.schema), default=0)
+        codes = np.full(shape, -1, dtype=np.min_scalar_type(-max(most, 2)))
         values = np.full(shape, math.nan)
         by_column = zip(*(r.cells for r in self.records))
         for j, (attr, column) in enumerate(zip(self.schema, by_column)):

@@ -213,12 +213,34 @@ def test_columns_encode_each_kind_and_reject_foreign_cells():
     schema = [AttributeSchema("x", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b"))]
     codes, values = Dataset(schema, [Record(3, ("1.5", None)), Record(1, (None, "b"))]).columns
     assert codes.tolist() == [[-1, -1], [-1, 1]]
+    assert codes.dtype == np.int8 and values.dtype == np.float64
     assert values[0, 0] == 1.5 and math.isnan(values[0, 1]) and np.isnan(values[1]).all()
     for bad in ("abc", "inf"):
         with pytest.raises(DataError, match=f"{bad!r} in numeric attribute 'x'"):
             Dataset(schema, [Record(0, ("1", "a")), Record(1, (bad, "a"))]).columns
     with pytest.raises(DataError, match="unknown level 'z' for attribute 'c'"):
         Dataset(schema, [Record(0, ("1", "z"))]).columns
+
+
+@pytest.mark.parametrize("n_levels, dtype", [(1, np.int8), (127, np.int8), (128, np.int8),
+                                             (129, np.int16), (200, np.int16),
+                                             (3000, np.int16)])
+def test_columns_take_the_narrowest_signed_code_type(n_levels, dtype):
+    # every level index and -2, the kNN fallback's missing query cell, must fit
+    levels = tuple(f"l{i}" for i in range(n_levels))
+    schema = [AttributeSchema("c", CATEGORICAL, levels),
+              AttributeSchema("small", CATEGORICAL, ("a", "b")), AttributeSchema("x", NUMERIC)]
+    records = [Record(0, (levels[-1], "b", "1")), Record(1, (None, "a", None)),
+               Record(2, (levels[0], None, "2"))]
+    codes, _ = Dataset(schema, records).columns
+    assert codes.dtype == dtype
+    assert codes.tolist() == [[n_levels - 1, -1, 0], [1, 0, -1], [-1, -1, -1]]
+
+
+def test_columns_of_a_table_without_levels_are_int8():
+    codes, _ = Dataset([AttributeSchema("x", NUMERIC)], [Record(0, ("1",))]).columns
+    assert codes.dtype == np.int8 and codes.tolist() == [[-1]]
+    assert Dataset([], []).columns[0].dtype == np.int8
 
 
 def test_replace_cells_keys_by_record_id():

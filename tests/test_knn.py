@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from rulefill import (
     impute_dataset,
 )
 from rulefill import knn as knn_module
+from rulefill import sample_data
 from oracles import (
     oracle_heom,
     oracle_knn_value,
@@ -394,14 +396,7 @@ def test_reused_block_buffers_carry_nothing_over(monkeypatch):
     ds = batch_dataset(rng, 20)
     monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * 3)
     by_id = sorted(ds.records, key=lambda r: r.id)
-    distances, blocks = KnnImputer._distances, []
-
-    def recording_distances(knn, positions, work):
-        block = distances(knn, positions, work)
-        blocks.append((list(positions), block.copy()))
-        return block
-
-    monkeypatch.setattr(KnnImputer, "_distances", recording_distances)
+    blocks = record_blocks(monkeypatch)
     cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
     for k in (1, 3, ds.n_records + 3):
         blocks.clear()
@@ -564,6 +559,125 @@ def test_numeric_first_schema_has_no_leading_run():
     assert_block_is_scalar_heom(knn, ds.records)
 
 
+CATEGORICAL_SCHEMA = [a for a in EDGE_SCHEMA if a.kind == CATEGORICAL]
+
+
+def categorical_dataset(rng, n_records):
+    """edge_dataset over CATEGORICAL_SCHEMA, plus one complete record: every column is held."""
+    first = tuple(rng.choice(a.levels) for a in CATEGORICAL_SCHEMA)
+    rest = edge_dataset(rng, CATEGORICAL_SCHEMA, n_records - 1).records
+    return Dataset(CATEGORICAL_SCHEMA, [Record(10 * n_records, first), *rest])
+
+
+def record_blocks(monkeypatch):
+    """Patch KnnImputer._distances to keep (positions, copy of block) per block."""
+    distances, blocks = KnnImputer._distances, []
+
+    def recording_distances(knn, positions, work):
+        block = distances(knn, positions, work)
+        blocks.append((list(positions), block.copy()))
+        return block
+
+    monkeypatch.setattr(KnnImputer, "_distances", recording_distances)
+    return blocks
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+def test_all_categorical_int32_blocks_match_oracle(block_rows, monkeypatch):
+    # the int32 item size: BATCH_SCHEMA's 8 * n * rows patches run the float64 path
+    rng = random.Random(5151 + block_rows)
+    blocks = record_blocks(monkeypatch)
+    for _ in range(8):
+        ds = categorical_dataset(rng, rng.randint(4, 30))
+        n = ds.n_records
+        monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 4 * n * block_rows)
+        k = rng.randint(1, n + 3)
+        knn = KnnImputer(ds, KnnParams(k=k))
+        assert_block_is_scalar_heom(knn, ds.records[:5])
+        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        blocks.clear()
+        knn.impute_cells(cells)
+        assert [len(positions) for positions, _ in blocks] == (
+            [block_rows] * (n // block_rows) + [n % block_rows] * (n % block_rows > 0))
+        assert all(block.dtype == np.int32 for _, block in blocks)
+        check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_tiny_tables_partition_up_to_the_own_record_sentinel(k, monkeypatch):
+    # n <= 2k + 8: the K-th smallest value of every row is the row's own
+    # position, which holds the int32 sentinel
+    rng = random.Random(k)
+    for n in range(2, 2 * k + knn_module._NEAREST_SLACK + 1):
+        ds = categorical_dataset(rng, n)
+        knn = KnnImputer(ds, KnnParams(k=k))
+        assert knn._far == np.iinfo(np.int32).max
+        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+@pytest.mark.parametrize("case, dtype", [
+    ("categorical", np.int32),
+    ("zero-range numeric", np.int32),
+    ("excluded numeric", np.int32),
+    ("numeric", np.float64),
+])
+def test_distance_dtype_is_int32_without_a_non_zero_numeric_range(case, dtype):
+    rng = random.Random(case)
+    schema, exclude = EDGE_SCHEMA, ()
+    if case == "categorical":
+        schema = CATEGORICAL_SCHEMA
+    elif case == "excluded numeric":
+        exclude = (3,)
+    ds = edge_dataset(rng, schema, 30)
+    if case == "zero-range numeric":  # one value wherever x is present
+        ds = Dataset(schema, [Record(r.id, (*r.cells[:3], r.cells[3] and "2.5", r.cells[4]))
+                              for r in ds.records])
+        assert oracle_ranges(ds)[3] == 0.0
+    knn = KnnImputer(ds, KnnParams(k=4), exclude)
+    work = knn._workspace(2)
+    assert work.distances.dtype == work.partition.dtype == knn._far.dtype == dtype
+    assert (work.terms is None) == (dtype == np.int32)
+    assert_block_is_scalar_heom(knn, ds.records)
+    for record in ds.records[:10]:
+        for j in range(ds.n_attributes):
+            [(value, ids)] = knn.impute_cells([(record, j)])
+            assert list(ids) == oracle_neighbors(ds, record, j, 4, exclude)
+            assert value == oracle_knn_value(ds, record, j, 4, exclude)
+
+
+@pytest.mark.parametrize("numeric", [False, True])
+@pytest.mark.parametrize("block_bytes", [None, 1])  # None: the default; 1: one row per block
+def test_workspace_buffers_stay_within_the_block_bound(numeric, block_bytes, monkeypatch):
+    # car at 4x rows: 9 int32 rows or 4 float64 rows of 6,912 distances per block
+    rows = sample_data.car_rows(n=6912)
+    schema = [AttributeSchema(name, CATEGORICAL, tuple(sorted({r[j] for r in rows})))
+              for j, name in enumerate(sample_data.CAR_COLUMNS)]
+    if numeric:
+        schema.append(AttributeSchema("x", NUMERIC))
+        rows = [(*row, str(i % 7)) for i, row in enumerate(rows)]
+    ds = Dataset(schema, [Record(i, row) for i, row in enumerate(rows)])
+    if block_bytes is not None:
+        monkeypatch.setattr(knn_module, "_BLOCK_BYTES", block_bytes)
+    workspace, built = KnnImputer._workspace, []
+
+    def recording_workspace(knn, rows):
+        built.append(workspace(knn, rows))
+        return built[-1]
+
+    monkeypatch.setattr(KnnImputer, "_workspace", recording_workspace)
+    knn = KnnImputer(ds, KnnParams(k=10))
+    [(value, ids)] = knn.impute_cells([(ds.records[0], 0)])
+    assert len(ids) == 10 and value in schema[0].levels
+    [work] = built
+    assert work.distances.shape == (1 if block_bytes else 4 if numeric else 9, 6912)
+    assert work.distances.itemsize == (8 if numeric else 4)
+    assert (work.terms is not None) == numeric
+    for buffer in filter(lambda b: b is not None, work):
+        assert buffer.shape == work.distances.shape
+        assert buffer.nbytes <= max(knn_module._BLOCK_BYTES, buffer[0].nbytes)
+
+
 def test_foreign_record_is_a_data_error():
     ds = edge_dataset(random.Random(6), EDGE_SCHEMA, 40)
     knn = KnnImputer(ds, KnnParams(k=5))
@@ -615,6 +729,41 @@ def test_match_counts_do_not_overflow_on_long_categorical_runs():
     assert knn._lead == 300
     assert_block_is_scalar_heom(knn, ds.records)
     assert distance_rows(knn, [records[0]])[0][1] == 0.25
+
+
+def test_int16_codes_of_a_200_level_attribute_match_oracle(monkeypatch):
+    levels = tuple(f"l{i}" for i in range(200))
+    schema = [AttributeSchema("wide", CATEGORICAL, levels), *CATEGORICAL_SCHEMA]
+    rng = random.Random(200)
+    ds = Dataset(schema, [
+        Record(i, (None if rng.random() < 0.2 else rng.choice(levels[:3] + levels[-3:]),
+                   *edge_dataset(rng, CATEGORICAL_SCHEMA, 1).records[0].cells))
+        for i in rng.sample(range(400), 40)
+    ])
+    knn = KnnImputer(ds, KnnParams(k=4))
+    assert ds.columns[0].dtype == knn._codes.dtype == np.int16  # encoded once, not cast again
+    assert distance_rows(knn, ds.records[:1]).dtype == np.int32
+    assert_block_is_scalar_heom(knn, ds.records)
+    check_knn_against_oracles(monkeypatch, ds, 4, [(r, j) for r in ds.records for j in range(5)])
+
+
+def test_300_categorical_terms_use_int32_distances_and_uint16_matches(monkeypatch):
+    # all-categorical, so no numeric term follows the 300-term leading run
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
+    rng = random.Random(300)
+    base = [rng.choice("ab") for _ in range(300)]
+    records = [
+        Record(i, tuple(None if rng.random() < 0.03 else
+                        (rng.choice("ab") if rng.random() < 0.1 else cell) for cell in base))
+        for i in range(12)
+    ]
+    ds = Dataset(schema, records)
+    knn = KnnImputer(ds, KnnParams(k=3))
+    assert knn._lead == 300 and knn._match_dtype == np.uint16
+    assert distance_rows(knn, records[:1]).dtype == np.int32
+    assert_block_is_scalar_heom(knn, records)
+    attributes = rng.sample(range(300), 6)
+    check_knn_against_oracles(monkeypatch, ds, 3, [(r, j) for r in records for j in attributes])
 
 
 def test_empty_dataset_has_no_neighbors():
