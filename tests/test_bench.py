@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -17,9 +18,11 @@ from rulefill import (
     Record,
     evaluate,
     inject_missing,
+    load_csv,
     run_sweep,
     write_report_files,
 )
+from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
 from oracles import random_dataset
 
 
@@ -78,6 +81,41 @@ def test_inject_masks_only_present_cells(credit_dataset):
     assert len(truth) == round(0.20 * present)
     assert native.isdisjoint(truth)
     assert set(masked.missing_cells()) == native | set(truth)
+
+
+# SHA-256 of the masked cells and the ordered truth items, per (table, rate,
+# seed, exclude_class); the tables come from sample_data, never a data file
+PINNED_MASKS = {
+    ("car", 0.05, 0, False): "64846d91c6cad306655c89493b82ed5142c958c6ffa19df856a5196bf77a0dd0",
+    ("car", 0.05, 0, True): "58b5ebe8a9a7719210a361661b7bf041934df69f837f3fe7ed011969aad8c4ff",
+    ("car", 0.05, 7, False): "a5161e1360b8af2e4828be86b80eac1dc86b87b80aa8051a23ab2fdaa09f15b3",
+    ("car", 0.05, 7, True): "b6ef32a1231665e1354bf1757ecc137bf852dce3b950cdaeeb88f87a1514c0dc",
+    ("car", 0.3, 0, False): "e57f1ff026f54989069d8513c07323c3a9eb9b147628abae38b58889fcd61125",
+    ("car", 0.3, 0, True): "0edede0682917ab2f4d8dd3ec4e11188726b3064e776af49d0a22d387d391460",
+    ("car", 0.3, 7, False): "fc1acd442220899632d1e2c77904828417dea3a1f64237fce82324b23982d1cd",
+    ("car", 0.3, 7, True): "9da814c5b1b0e897ac963604d4cecd05162935e5bac21ad584a37a21d9907983",
+    ("credit", 0.05, 0, False): "afe94f8f1d86ec262db4b8c10f877543a4dbaf917b034c71db371ed7bbfad3d4",
+    ("credit", 0.05, 0, True): "1aad4c57c838822676029d05c2fcf1c38815380a642a6a7e97012824bf9fba2a",
+    ("credit", 0.05, 7, False): "330c0c36db4b3d45b54b8c80a60187f2522139bc10c5ccab918959d221363068",
+    ("credit", 0.05, 7, True): "4b541dae6da8eeb664c2aa2c7d1134088ee97efd57782ce47e12bd972e03a611",
+    ("credit", 0.3, 0, False): "cf95a6320ed6b52788a0da60fdee4105319500259143fa26247f8435d795b3c3",
+    ("credit", 0.3, 0, True): "7b99f423a51ee8e92725863ed9c76edbbddf178caa84f5b76ab3e4acbb35460c",
+    ("credit", 0.3, 7, False): "09ea4972a4acf3cf77a4945149b835aae53c6421455212d729829e6ca04dc9a9",
+    ("credit", 0.3, 7, True): "bd62950d6f0aa56e91e835674e14e71599ca2919a7c82a5b6b8e2d1a3636de7b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MASKS), ids=lambda key: "-".join(map(str, key)))
+def test_inject_draws_are_pinned(tmp_path, key):
+    table, rate, seed, exclude_class = key
+    header, rows = (CAR_COLUMNS, car_rows()) if table == "car" else (CREDIT_COLUMNS, credit_rows())
+    path = tmp_path / f"{table}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    dataset = load_csv(path, "?", class_column="class")
+    masked, truth = inject_missing(dataset, rate, seed, exclude_class=exclude_class)
+    payload = repr(([r.cells for r in masked.records], list(truth.items())))
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_MASKS[key]
 
 
 def test_inject_class_flag(car_dataset):
