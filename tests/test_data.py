@@ -138,6 +138,18 @@ def test_round_trip_mixed_formats(tmp_path):
     assert out.read_text(encoding="utf-8") == text
 
 
+def test_write_csv_writes_float_reprs_text_and_the_marker(tmp_path):
+    schema = [AttributeSchema("x", NUMERIC), AttributeSchema("t", CATEGORICAL, ("u", "v,w"))]
+    cells = [(0.1 + 0.2, "u"), (-0.0, "v,w"), (3.0, None), (1e16, "u"),
+             (1e308, None), (5e-324, "v,w"), (None, "u")]
+    out = tmp_path / "out.csv"
+    write_csv(Dataset(schema, [Record(i, row) for i, row in enumerate(cells)]), out, "NA")
+    assert out.read_text(encoding="utf-8") == (
+        'x,t\n0.30000000000000004,u\n-0.0,"v,w"\n3.0,NA\n1e+16,u\n'
+        '1e+308,NA\n5e-324,"v,w"\nNA,u\n'
+    )
+
+
 def test_itemize_skips_missing_cells():
     schema = [
         AttributeSchema("color", CATEGORICAL, ("red", "blue")),
