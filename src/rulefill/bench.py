@@ -13,7 +13,9 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import CATEGORICAL, NUMERIC, DataError, Dataset, load_csv, parse_number, fit_all_bins
+from .data import (
+    CATEGORICAL, NUMERIC, DataError, Dataset, Record, load_csv, parse_number, fit_all_bins,
+)
 from .imputer import impute_dataset, mine_rules
 from .knn import KnnParams
 from .mining import MiningParams
@@ -36,9 +38,10 @@ def inject_missing(dataset: Dataset, rate: float, seed: int,
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"missing rate must be in [0, 1), got {rate}")
     class_index = dataset.class_index if exclude_class else None
+    records = list(dataset.records)
     cells = [
-        (record.id, j)
-        for record in dataset.records
+        (position, j)
+        for position, record in enumerate(records)
         for j, cell in enumerate(record.cells)
         if j != class_index and cell is not None
     ]
@@ -46,29 +49,24 @@ def inject_missing(dataset: Dataset, rate: float, seed: int,
     if target == 0:
         return dataset, {}
 
-    rng = random.Random(seed)
-    rng.shuffle(cells)
-    remaining = {record.id: record.present_count() for record in dataset.records}
-    chosen = []
-    for record_id, j in cells:
-        if len(chosen) == target:
+    random.Random(seed).shuffle(cells)
+    remaining = [len(record.cells) - record.cells.count(None) for record in records]
+    truth = {}
+    for position, j in cells:
+        if len(truth) == target:
             break
-        if remaining[record_id] <= 1:
+        if remaining[position] <= 1:
             continue  # redraw: never empty a record
-        remaining[record_id] -= 1
-        chosen.append((record_id, j))
-    if len(chosen) < target:
+        remaining[position] -= 1
+        record = records[position]
+        truth[record.id, j] = record.cells[j]
+        records[position] = Record(record.id, record.cells[:j] + (None,) + record.cells[j + 1:])
+    if len(truth) < target:
         raise DataError(
             f"cannot mask {target} cells without emptying a record "
-            f"(only {len(chosen)} maskable)"
+            f"(only {len(truth)} maskable)"
         )
-
-    truth = {
-        (record_id, j): dataset.record_by_id(record_id).cells[j]
-        for record_id, j in chosen
-    }
-    masked = dataset.replace_cells({cell: None for cell in truth})
-    return masked, truth
+    return Dataset(dataset.schema, records, dataset.class_column), truth
 
 
 @dataclass(frozen=True)
@@ -168,12 +166,6 @@ class ExperimentSpec:
                 bounds = "[0, 1)" if rate_axis else "(0, 1]"
                 raise ValueError(f"{self.sweep_axis} must be in {bounds}, got {value}")
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["sweep_values"] = list(self.sweep_values)
-        out["methods"] = list(self.methods)
-        return out
-
 
 @dataclass
 class BenchRow:
@@ -212,7 +204,7 @@ class BenchReport:
                 for name in self.TIMING_FIELDS:
                     payload[name] = None
             rows.append(payload)
-        return {"spec": self.spec.to_dict(), "rows": rows}
+        return {"spec": asdict(self.spec), "rows": rows}
 
     def to_json(self, timings: bool = True) -> str:
         return json.dumps(self.to_dict(timings), indent=2, sort_keys=True)

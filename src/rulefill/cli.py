@@ -225,13 +225,11 @@ def cmd_impute(args) -> int:
     out = args.out or (Path(args.data).stem + ".imputed.csv")
     report_path = args.report or (Path(args.data).stem + ".impute_report.json")
     write_csv(completed, out, args.marker)
-    Path(report_path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(
-        f"imputed {report.n_imputed} cells "
-        f"({report.n_from_rules} from rules, {report.n_from_knn} from knn)"
-    )
+    payload = report.to_dict()
+    Path(report_path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    totals = payload["totals"]
+    print(f"imputed {totals['imputed']} cells "
+          f"({totals['rules']} from rules, {totals['knn']} from knn)")
     print(f"completed dataset written to {out}")
     print(f"report written to {report_path}")
     return 0
@@ -263,7 +261,7 @@ def cmd_bench(args) -> int:
         exclude_class=args.exclude_class,
         inject_class=args.inject_class,
     )
-    _echo_config("bench", spec.to_dict())
+    _echo_config("bench", asdict(spec))
 
     report = run_sweep(spec, dataset)
     written = write_report_files(report, args.out_dir)

@@ -63,9 +63,6 @@ class Record:
     id: int
     cells: tuple
 
-    def present_count(self) -> int:
-        return sum(1 for c in self.cells if c is not None)
-
 
 class Dataset:
     """A fixed schema plus records; treated as immutable once built."""
@@ -75,10 +72,10 @@ class Dataset:
         self.records = tuple(records)
         self.class_column = class_column
 
-        names = [a.name for a in self.schema]
-        if len(set(names)) != len(names):
+        self._index_of = {a.name: j for j, a in enumerate(self.schema)}
+        if len(self._index_of) != len(self.schema):
             raise DataError("attribute names must be unique")
-        if class_column is not None and class_column not in names:
+        if class_column is not None and class_column not in self._index_of:
             raise DataError(f"class column {class_column!r} not in schema")
         self._position_of = {r.id: i for i, r in enumerate(self.records)}
         if len(self._position_of) != len(self.records):
@@ -89,8 +86,6 @@ class Dataset:
                     f"record {r.id} has {len(r.cells)} cells for "
                     f"{len(self.schema)} attributes"
                 )
-
-        self._index_of = {name: j for j, name in enumerate(names)}
 
     # -- shape -----------------------------------------------------------
 
@@ -187,28 +182,6 @@ class Dataset:
             if cell is None
         ]
 
-    def replace_cells(self, assignments: dict) -> "Dataset":
-        """New dataset with ``assignments[(record_id, attribute)] = value`` applied."""
-        by_position = {}
-        for (record_id, attribute), value in assignments.items():
-            pos = self._position_of.get(record_id)
-            if pos is None:
-                raise DataError(f"no record with id {record_id}")
-            if not 0 <= attribute < len(self.schema):
-                raise DataError(f"attribute index {attribute} out of range")
-            by_position.setdefault(pos, {})[attribute] = value
-        new_records = []
-        for pos, record in enumerate(self.records):
-            changes = by_position.get(pos)
-            if not changes:
-                new_records.append(record)
-                continue
-            cells = list(record.cells)
-            for attribute, value in changes.items():
-                cells[attribute] = value
-            new_records.append(Record(record.id, tuple(cells)))
-        return Dataset(self.schema, new_records, self.class_column)
-
 
 def fit_all_bins(dataset: Dataset, n_bins: int = 5, strategy: str = "frequency",
                  exclude=()) -> dict:
@@ -284,18 +257,10 @@ def load_csv(path, missing_marker: str = "?", schema_hints=None,
     return Dataset(schema, records, class_column)
 
 
-def format_cell(value, missing_marker: str) -> str:
-    if value is None:
-        return missing_marker
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(dataset: Dataset, path, missing_marker: str = "?") -> None:
     """Write the dataset back out; missing cells become the marker string."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([a.name for a in dataset.schema])
         for record in dataset.records:
-            writer.writerow([format_cell(c, missing_marker) for c in record.cells])
+            writer.writerow([missing_marker if c is None else c for c in record.cells])

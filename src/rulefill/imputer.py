@@ -102,16 +102,18 @@ class ImputationReport:
             )}
             for value, source, rules, neighbor_ids in self.keys
         ]
+        per_attribute = self.per_attribute()
+        n_rules = sum(entry["rules"] for entry in per_attribute.values())
         return {
             "schema": "rulefill-report-v2",
             "parameters": self.parameters,
             "totals": {
                 "imputed": self.n_imputed,
-                "rules": self.n_from_rules,
-                "knn": self.n_from_knn,
-                "rule_coverage": self.rule_coverage(),
+                "rules": n_rules,
+                "knn": self.n_imputed - n_rules,
+                "rule_coverage": n_rules / self.n_imputed if self.key_index else 0.0,
             },
-            "per_attribute": self.per_attribute(),
+            "per_attribute": per_attribute,
             "rules": [rule_to_dict(r) for r in fired],
             "cells": [
                 {"row": record_id, "column": self.attribute_names[j], **key_fields[i]}

@@ -61,7 +61,7 @@ def test_inject_never_empties_a_record():
     masked, truth = inject_missing(ds, 0.45, seed=0, exclude_class=False)
     assert len(truth) == round(0.45 * 12)
     for record in masked.records:
-        assert record.present_count() >= 1
+        assert any(cell is not None for cell in record.cells)
 
 
 def test_inject_unsatisfiable_rate_errors():

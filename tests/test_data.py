@@ -255,16 +255,6 @@ def test_columns_of_a_table_without_levels_are_int8():
     assert Dataset([], []).columns[0].dtype == np.int8
 
 
-def test_replace_cells_keys_by_record_id():
-    schema = [AttributeSchema("a", CATEGORICAL, ("x", "y"))]
-    ds = Dataset(schema, [Record(7, ("x",)), Record(3, (None,))])
-    out = ds.replace_cells({(3, 0): "y"})
-    assert out.record_by_id(3).cells == ("y",)
-    assert out.record_by_id(7).cells == ("x",)
-    with pytest.raises(DataError):
-        ds.replace_cells({(99, 0): "y"})
-
-
 def test_dataset_validates_invariants():
     schema = [AttributeSchema("a", CATEGORICAL, ("x",))]
     with pytest.raises(DataError):
@@ -328,7 +318,7 @@ def test_itemize_size_counts_present_cells(tmp_path_factory, table):
     )
     ds = load_csv(path, "?", schema_hints={h: CATEGORICAL for h in header})
     for record, items in zip(ds.records, ds.itemize_all(), strict=True):
-        assert len(items) == record.present_count()
+        assert len(items) == sum(cell is not None for cell in record.cells)
 
 
 def test_equal_cells_give_equal_itemsets():

@@ -221,7 +221,8 @@ def test_rule_less_imputation_needs_no_bins():
 
 
 def test_impute_dataset_no_missing_is_identity():
-    ds = tiny_dataset().replace_cells({(4, 2): "y1"})
+    tiny = tiny_dataset()
+    ds = Dataset(tiny.schema, [*tiny.records[:4], Record(4, ("a0", "b0", "y1"))])
     done, report = impute_dataset(ds, [])
     assert report.n_imputed == 0
     assert [r.cells for r in done.records] == [r.cells for r in ds.records]
