@@ -13,9 +13,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import (
-    CATEGORICAL, NUMERIC, DataError, Dataset, Record, load_csv, parse_number, fit_all_bins,
-)
+from .data import CATEGORICAL, DataError, Dataset, Record, load_csv, parse_number, fit_all_bins
 from .imputer import impute_dataset, mine_rules
 from .knn import KnnParams
 from .mining import MiningParams
