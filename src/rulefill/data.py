@@ -4,7 +4,8 @@ Cells hold the raw text read from disk, with ``None`` marking a missing
 value, so an untouched dataset writes back byte for byte.  Numeric cells are
 parsed when ``load_csv`` infers the column's kind and again when
 ``Dataset.columns`` first encodes the table; once imputed they may hold a
-float instead of text.
+float instead of text.  ``Dataset.tidsets``, built from ``Dataset.columns``,
+is the one item encoding, which mining and rule firing both read.
 """
 
 from __future__ import annotations
@@ -147,29 +148,28 @@ class Dataset:
                 ) from None
         return codes, values
 
-    def itemize_all(self, bins=None, exclude=()) -> list[frozenset]:
-        """Each record's items, in record order: one per present cell outside ``exclude``.
+    def tidsets(self, bins=None, exclude=()) -> dict[tuple[int, int], int]:
+        """Each item's bitset of the record positions holding it (bit p: position p).
 
-        A numeric cell maps to its bin in ``bins`` (attribute index -> Bins),
-        which a numeric attribute with a present cell must have.
+        Items are (attribute index, level or bin index) of the present cells
+        outside ``exclude``.  A numeric cell maps to its bin in ``bins``
+        (attribute index -> Bins), which a numeric attribute with a present
+        cell must have.
         """
         codes, values = self.columns
-        skip = frozenset(exclude)
-        columns = []  # per attribute, each record's item or None
+        tidsets = {}
         for j, attr in enumerate(self.schema):
-            if j in skip:
+            if j in exclude:
                 continue
             levels = codes[j]
-            if attr.kind == NUMERIC:
-                present = ~np.isnan(values[j])
-                if not present.any():
-                    continue
+            if attr.kind == NUMERIC and not np.isnan(values[j]).all():
                 if not bins or j not in bins:
                     raise DataError(f"no bins fitted for numeric attribute {attr.name!r}")
-                levels = np.where(present, bin_of(values[j], bins[j]), -1)
-            columns.append([(j, level) if level >= 0 else None for level in levels.tolist()])
-        rows = zip(*columns) if columns else [()] * self.n_records
-        return [frozenset(filter(None, row)) for row in rows]
+                levels = np.where(np.isnan(values[j]), -1, bin_of(values[j], bins[j]))
+            for level in np.unique(levels[levels >= 0]).tolist():
+                bits = np.packbits(levels == level, bitorder="little")
+                tidsets[j, level] = int.from_bytes(bits, "little")
+        return tidsets
 
     # -- cells -------------------------------------------------------------
 

@@ -158,10 +158,9 @@ def impute_from_rules(fired, attribute_schema, bins: Bins | None = None):
 
 def mine_rules(dataset: Dataset, params: MiningParams | None = None, bins=None,
                exclude=()) -> list[AssociationRule]:
-    """Itemize the known cells and mine the rule set used for imputation."""
+    """Mine the rule set used for imputation from the known cells' tidsets."""
     params = params or MiningParams()
-    itemized = dataset.itemize_all(bins, exclude)
-    frequents = mine_frequent(itemized, params)
+    frequents = mine_frequent(dataset.tidsets(bins, exclude), dataset.n_records, params)
     return generate_rules(frequents, params)
 
 
@@ -174,13 +173,13 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     otherwise the kNN fallback over the original dataset.
 
     A rule fires on a missing cell when its consequent targets the cell's
-    attribute and its antecedent is contained in the record's items
-    (``Dataset.itemize_all``); an empty antecedent fires on anything.
-    Fired rules keep the ``AssociationRule.sort_key`` order (confidence
+    attribute and the record holds each antecedent item (an AND of
+    ``Dataset.tidsets`` bitsets); an empty antecedent fires on anything.
+    Rules fire in ``AssociationRule.sort_key`` order (confidence
     descending, support descending, sorted antecedent, consequent level),
-    and ``impute_from_rules`` turns them into the value.  The table is
-    itemized only when a rule targets a missing cell, so rule-less
-    (kNN-only) imputation needs no bins.
+    and ``impute_from_rules`` turns a cell's fired rules into the value.
+    The tidsets are built only when a rule targets a missing cell, so
+    rule-less (kNN-only) imputation needs no bins.
 
     Work is per key, not per cell.  Each distinct (record cells, attribute)
     key is imputed once, from the first record that has it, and stored once
@@ -194,37 +193,44 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     _check_rules_fit_schema(rules, dataset, bins)
     knn_params = knn_params or KnnParams()
 
-    # Each consequent attribute's rules, already in firing order.
-    rule_index: dict[int, list[AssociationRule]] = {}
-    for rule in rules:
-        rule_index.setdefault(rule.consequent[0], []).append(rule)
-
-    # Each distinct record cells with a missing cell: (its first key's index,
-    # its missing attributes), its keys being consecutive in ``keys``.
-    distinct = {}
-    keys = []  # (value, source, rules, neighbor_ids) per key; None until kNN fills it
-    # (record, attribute) for each key no rule covers, and the key's index; a
-    # record's pending cells are adjacent, so they share one kNN distance row.
-    pending, pending_keys = [], []
-    itemized = None  # every record's items, built when a rule first targets a missing cell
+    # Each distinct record cells with a missing cell -> (first position, missing
+    # attributes); ``need``: per attribute, the bitset of the first positions lacking it.
+    distinct, need = {}, {}
     for position, record in enumerate(dataset.records):
         if record.cells in distinct or None not in record.cells:
             continue
         missing = [j for j, cell in enumerate(record.cells) if cell is None]
-        distinct[record.cells] = len(keys), missing
-        if itemized is None and any(j in rule_index for j in missing):
-            itemized = dataset.itemize_all(bins, exclude)
-        known = frozenset() if itemized is None else itemized[position]
+        distinct[record.cells] = position, missing
         for j in missing:
-            fired = tuple(r for r in rule_index.get(j, ()) if r.antecedent <= known)
+            need[j] = need.get(j, 0) | 1 << position
+
+    fired_at = {}  # (position, attribute) -> the rules fired there, in firing order
+    if any(rule.consequent[0] in need for rule in rules):
+        tidsets = dataset.tidsets(bins, exclude)
+        for rule in rules:
+            hits = need.get(rule.consequent[0], 0)
+            for item in rule.antecedent:
+                hits &= tidsets.get(item, 0)
+            while hits:
+                low = hits & -hits
+                fired_at.setdefault((low.bit_length() - 1, rule.consequent[0]), []).append(rule)
+                hits ^= low
+
+    keys = []  # (value, source, rules, neighbor_ids) per key; None until kNN fills it
+    # (record, attribute) for each key no rule covers, and the key's index; a
+    # record's pending cells are adjacent, so they share one kNN distance row.
+    pending, pending_keys = [], []
+    for cells, (position, missing) in distinct.items():
+        distinct[cells] = len(keys), missing  # its keys are consecutive in ``keys``
+        for j in missing:
+            fired = tuple(fired_at.get((position, j), ()))
             if fired:
                 value = impute_from_rules(fired, dataset.schema[j], (bins or {}).get(j))
                 keys.append((value, SOURCE_RULES, fired, ()))
             else:
-                pending.append((record, j))
+                pending.append((dataset.records[position], j))
                 pending_keys.append(len(keys))
                 keys.append(None)
-    del itemized  # not held through the kNN pass
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
         for i, (value, neighbor_ids) in zip(pending_keys, knn.impute_cells(pending)):

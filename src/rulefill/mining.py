@@ -1,9 +1,9 @@
 """Frequent-itemset mining and single-consequent association rules.
 
-Levelwise search over a vertical layout (Eclat's tidsets): each item carries
-a bitset of the record positions containing it, and each candidate, the
-prefix join of two frequent itemsets, is counted exactly by a bitwise AND
-plus a popcount.  The bitsets are an internal performance choice; the
+Levelwise search over a vertical layout (Eclat's tidsets): each item comes
+with a bitset of the record positions holding it, as ``Dataset.tidsets``
+builds from ``Dataset.columns``, and each candidate, the prefix join of two
+frequent itemsets, is counted exactly by a bitwise AND plus a popcount.  The
 published contract is the exact thresholded output in a deterministic order.
 """
 
@@ -79,38 +79,31 @@ def _threshold_test(params: MiningParams, n: int):
     return lambda count: count / n >= min_support
 
 
-def mine_frequent(db, params: MiningParams) -> list[FrequentItemset]:
+def mine_frequent(tidsets, n_records: int, params: MiningParams) -> list[FrequentItemset]:
     """Every itemset at or above the support threshold, canonically ordered.
 
-    Ordering is by itemset length, then lexicographically on the sorted
-    (attribute, level) pairs, so identical inputs give identical output.
-    Each level joins, in sorted order, the pairs of frequent itemsets that
-    share all but their last item, so the output comes out in that order,
-    and counts every candidate exactly.  No subset check is needed: support
-    is anti-monotone, so a candidate with an infrequent subset fails the
-    threshold itself, and the output stays downward closed (acceptance
+    ``tidsets`` maps each item to the bitset of the ``n_records`` record
+    positions holding it (``Dataset.tidsets``).  Output is ordered by
+    itemset length, then lexicographically on the sorted (attribute, level)
+    pairs, so identical inputs give identical output: each level joins, in
+    sorted order, the pairs of frequent itemsets sharing all but their last
+    item, and counts every candidate exactly.  No subset check is needed:
+    support is anti-monotone, so a candidate with an infrequent subset fails
+    the threshold itself, and the output stays downward closed (acceptance
     criterion 2 and ``test_downward_closure_on_random_dbs`` check it).
     """
-    n = len(db)
-    if n == 0:
-        raise ValueError("empty itemized database")
-    frequent_enough = _threshold_test(params, n)
+    if n_records == 0:
+        raise ValueError("no records to mine")
+    frequent_enough = _threshold_test(params, n_records)
     max_len = None if params.max_antecedent_len is None else params.max_antecedent_len + 1
-
-    # Vertical layout: per item, the bitset of record positions containing it.
-    masks: dict[Item, int] = {}
-    for pos, record_items in enumerate(db):
-        bit = 1 << pos
-        for item in record_items:
-            masks[item] = masks.get(item, 0) | bit
 
     found = []
     level: dict[tuple, int] = {}
-    for item in sorted(masks):
-        count = masks[item].bit_count()
+    for item in sorted(tidsets):
+        count = tidsets[item].bit_count()
         if frequent_enough(count):
-            level[(item,)] = masks[item]
-            found.append(FrequentItemset(frozenset((item,)), count, count / n))
+            level[(item,)] = tidsets[item]
+            found.append(FrequentItemset(frozenset((item,)), count, count / n_records))
 
     size = 2
     while level and (max_len is None or size <= max_len):
@@ -128,7 +121,7 @@ def mine_frequent(db, params: MiningParams) -> list[FrequentItemset]:
                 if frequent_enough(count):
                     candidate = a + (b[-1],)
                     next_level[candidate] = mask
-                    found.append(FrequentItemset(frozenset(candidate), count, count / n))
+                    found.append(FrequentItemset(frozenset(candidate), count, count / n_records))
         level = next_level
         size += 1
     return found

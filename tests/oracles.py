@@ -23,6 +23,16 @@ def threshold_ok(count, n, params):
     return count / n >= params.min_support
 
 
+def tidsets_of(db):
+    """An item-list database as ``mine_frequent`` takes it: (per-item bitsets
+    of the record positions holding the item, record count)."""
+    bitsets = {}
+    for position, record_items in enumerate(db):
+        for item in record_items:
+            bitsets[item] = bitsets.get(item, 0) | 1 << position
+    return bitsets, len(db)
+
+
 def brute_force_frequent(db, params):
     """Enumerate every valid itemset and count it by direct subset scan.
 

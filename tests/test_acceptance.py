@@ -37,6 +37,7 @@ from oracles import (
     random_dataset,
     random_itemized_db,
     support_count,
+    tidsets_of,
 )
 
 SUPPORT = 0.40      # benchmark defaults: 40% support, 60% confidence, k=10
@@ -45,7 +46,7 @@ K = 10
 
 
 def check_downward_closure_and_thresholds(db, params):
-    frequents = mine_frequent(db, params)
+    frequents = mine_frequent(*tidsets_of(db), params)
     reported = {f.itemset for f in frequents}
     n = len(db)
     for f in frequents:

@@ -155,17 +155,19 @@ def test_itemize_skips_missing_cells():
         AttributeSchema("color", CATEGORICAL, ("red", "blue")),
         AttributeSchema("size", CATEGORICAL, ("s", "m")),
     ]
-    ds = Dataset(schema, [Record(0, ("red", None)), Record(1, (None, None))])
-    assert ds.itemize_all() == [frozenset({(0, 0)}), frozenset()]
+    ds = Dataset(schema, [Record(0, ("red", None)), Record(1, (None, None)),
+                          Record(2, ("red", "m"))])
+    assert ds.tidsets() == {(0, 0): 0b101, (1, 1): 0b100}
 
 
 def test_itemize_numeric_uses_bins():
     schema = [AttributeSchema("x", NUMERIC)]
-    ds = Dataset(schema, [Record(0, ("2.0",))])
+    ds = Dataset(schema, [Record(0, ("2.0",)), Record(1, (None,)), Record(2, ("9",))])
     bins = {0: Bins((0.0, 5.0, 10.0), (2.5, 7.5))}
-    assert ds.itemize_all(bins) == [frozenset({(0, 0)})]
-    with pytest.raises(DataError):
-        ds.itemize_all()  # bins required for numeric attributes
+    assert ds.tidsets(bins) == {(0, 0): 0b001, (0, 1): 0b100}
+    with pytest.raises(DataError, match="no bins fitted for numeric attribute 'x'"):
+        ds.tidsets()  # bins required for numeric attributes
+    assert Dataset(schema, [Record(0, (None,))]).tidsets() == {}  # unless no cell is present
 
 
 def test_itemize_exclude():
@@ -174,10 +176,10 @@ def test_itemize_exclude():
         AttributeSchema("b", CATEGORICAL, ("y",)),
     ]
     ds = Dataset(schema, [Record(0, ("x", "y"))])
-    assert ds.itemize_all(exclude={1}) == [frozenset({(0, 0)})]
+    assert ds.tidsets(exclude={1}) == {(0, 0): 1}
 
 
-def random_mixed_dataset(rng):
+def random_mixed_dataset(rng, max_records=40):
     """Shuffled ids, missing cells, and numeric columns that are constant,
     empty or drawn from a coarse grid, so that values sit on bin edges."""
     schema = []
@@ -201,15 +203,15 @@ def random_mixed_dataset(rng):
             return str(rng.randrange(9) / 2)
         return repr(rng.uniform(-5.0, 5.0))
 
-    ids = rng.sample(range(1000), rng.randint(0, 40))
+    ids = rng.sample(range(1000), rng.randint(0, max_records))
     return Dataset(schema, [Record(i, tuple(cell(j, a) for j, a in enumerate(schema)))
                             for i in ids])
 
 
-def test_itemize_all_matches_the_scalar_oracle():
+def test_tidsets_match_the_scalar_oracle():
     rng = random.Random(2718)
     for trial in range(60):
-        ds = random_mixed_dataset(rng)
+        ds = random_mixed_dataset(rng, 40 if trial % 3 else 300)  # some span several words
         strategy = ("width", "frequency")[trial % 2]
         n_bins = rng.randint(1, 5)
         bins = fit_all_bins(ds, n_bins, strategy)
@@ -217,8 +219,11 @@ def test_itemize_all_matches_the_scalar_oracle():
             part = Dataset(ds.schema, ds.records[: len(ds.records) // 3])
             bins.update(fit_all_bins(part, n_bins, strategy))
         exclude = set(rng.sample(range(ds.n_attributes), rng.randint(0, ds.n_attributes)))
-        expected = [oracle_itemize(ds, record, bins, exclude) for record in ds.records]
-        assert ds.itemize_all(bins, exclude) == expected
+        tidsets = ds.tidsets(bins, exclude)
+        assert all(0 < bits < 1 << ds.n_records for bits in tidsets.values())
+        for p, record in enumerate(ds.records):
+            items = {item for item, bits in tidsets.items() if bits >> p & 1}
+            assert items == oracle_itemize(ds, record, bins, exclude)
 
 
 def test_columns_encode_each_kind_and_reject_foreign_cells():
@@ -317,8 +322,10 @@ def test_itemize_size_counts_present_cells(tmp_path_factory, table):
         encoding="utf-8",
     )
     ds = load_csv(path, "?", schema_hints={h: CATEGORICAL for h in header})
-    for record, items in zip(ds.records, ds.itemize_all(), strict=True):
-        assert len(items) == sum(cell is not None for cell in record.cells)
+    tidsets = ds.tidsets()
+    for p, record in enumerate(ds.records):
+        held = sum(bits >> p & 1 for bits in tidsets.values())
+        assert held == sum(cell is not None for cell in record.cells)
 
 
 def test_equal_cells_give_equal_itemsets():
@@ -327,5 +334,4 @@ def test_equal_cells_give_equal_itemsets():
         AttributeSchema("b", CATEGORICAL, ("u", "v")),
     ]
     ds = Dataset(schema, [Record(0, ("x", "v")), Record(1, ("x", "v"))])
-    first, second = ds.itemize_all()
-    assert first == second
+    assert ds.tidsets() == {(0, 0): 0b11, (1, 1): 0b11}

@@ -200,24 +200,28 @@ def test_constant_attribute_imputes_the_constant_either_way():
 
 
 def test_rule_less_imputation_needs_no_bins():
-    # kNN alone reads numbers directly; bins only matter for itemizing
+    # kNN alone reads numbers directly; bins only matter for the item bitsets,
+    # which are built only when some rule targets a missing cell
     schema = [
         AttributeSchema("x", NUMERIC),
         AttributeSchema("c", CATEGORICAL, ("p", "q")),
+        AttributeSchema("d", CATEGORICAL, ("r", "s")),
     ]
     ds = Dataset(schema, [
-        Record(0, ("1.0", "p")),
-        Record(1, ("2.0", None)),
-        Record(2, (None, "q")),
-        Record(3, ("4.0", "q")),
-        Record(4, (None, None)),
+        Record(0, ("1.0", "p", "r")),
+        Record(1, ("2.0", None, "s")),
+        Record(2, (None, "q", "r")),
+        Record(3, ("4.0", "q", "s")),
+        Record(4, (None, None, "r")),
     ])
-    done, report = impute_dataset(ds, [], KnnParams(2))
-    assert not done.missing_cells()
-    assert report.n_imputed == report.n_from_knn == 4
-    for cell in report.cells:
-        expected = oracle_knn_value(ds, ds.record_by_id(cell.record_id), cell.attribute, 2)
-        assert cell.value == expected
+    # no rule, then categorical rules that all target the complete column d
+    for rules in ([], [rule({(1, 0)}, (2, 0)), rule(set(), (2, 1))]):
+        done, report = impute_dataset(ds, rules, KnnParams(2))
+        assert not done.missing_cells()
+        assert report.n_imputed == report.n_from_knn == 4
+        for cell in report.cells:
+            expected = oracle_knn_value(ds, ds.record_by_id(cell.record_id), cell.attribute, 2)
+            assert cell.value == expected
 
 
 def test_impute_dataset_no_missing_is_identity():
@@ -394,6 +398,7 @@ def test_each_cell_of_a_repeated_table_matches_the_oracles():
     shared = 0  # cells that took another record's result
     for _ in range(40):
         ds, rules, bins, exclude, k = repeated_patterns(rng)
+        rng.shuffle(rules)  # firing order comes from the sort, not the input order
         _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
         assert [(c.record_id, c.attribute) for c in report.cells] == [
             (r.id, j) for r, j in missing_cells(ds)
@@ -478,6 +483,7 @@ def report_tables(rng, tables=20):
     tables, round-tripped through JSON as the CLI writes it."""
     for _ in range(tables):
         ds, rules, bins, exclude, k = repeated_patterns(rng)
+        rng.shuffle(rules)  # firing order comes from the sort, not the input order
         _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
         yield ds, json.loads(json.dumps(report.to_dict(), sort_keys=True)), report
 

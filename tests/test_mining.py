@@ -10,7 +10,13 @@ from rulefill import (
     generate_rules,
     mine_frequent,
 )
-from oracles import brute_force_frequent, brute_force_rules, random_itemized_db, support_count
+from oracles import (
+    brute_force_frequent,
+    brute_force_rules,
+    random_itemized_db,
+    support_count,
+    tidsets_of,
+)
 
 A, B, C = (0, 0), (1, 0), (2, 0)
 TOY_DB = [
@@ -37,7 +43,7 @@ def test_support_count_examples():
 
 
 def test_mine_frequent_toy_db():
-    frequents = mine_frequent(TOY_DB, MiningParams(0.5, 0.6))
+    frequents = mine_frequent(*tidsets_of(TOY_DB), MiningParams(0.5, 0.6))
     expected = {
         frozenset({A}): 3,
         frozenset({B}): 3,
@@ -52,11 +58,11 @@ def test_mine_frequent_toy_db():
 
 
 def test_mine_frequent_full_support_threshold():
-    assert mine_frequent(TOY_DB, MiningParams(1.0, 0.6)) == []
+    assert mine_frequent(*tidsets_of(TOY_DB), MiningParams(1.0, 0.6)) == []
 
 
 def test_min_support_floor_keeps_everything():
-    frequents = mine_frequent(TOY_DB, MiningParams(1 / len(TOY_DB), 0.6))
+    frequents = mine_frequent(*tidsets_of(TOY_DB), MiningParams(1 / len(TOY_DB), 0.6))
     assert {f.itemset for f in frequents} == {
         itemset for itemset, _, _ in brute_force_frequent(TOY_DB, MiningParams(1 / 4, 0.6))
     }
@@ -64,12 +70,12 @@ def test_min_support_floor_keeps_everything():
 
 def test_empty_db_errors():
     with pytest.raises(ValueError):
-        mine_frequent([], MiningParams(0.5, 0.5))
+        mine_frequent(*tidsets_of([]), MiningParams(0.5, 0.5))
 
 
 def test_generate_rules_toy_db():
     params = MiningParams(0.5, 0.6)
-    rules = generate_rules(mine_frequent(TOY_DB, params), params)
+    rules = generate_rules(mine_frequent(*tidsets_of(TOY_DB), params), params)
     by_pair = {(tuple(sorted(r.antecedent)), r.consequent): r.confidence for r in rules}
     # every 2-itemset has confidence 2/3 in both directions
     assert by_pair[((A,), B)] == pytest.approx(2 / 3)
@@ -80,12 +86,12 @@ def test_generate_rules_toy_db():
 
 def test_generate_rules_confidence_one_empty():
     params = MiningParams(0.5, 1.0)
-    assert generate_rules(mine_frequent(TOY_DB, params), params) == []
+    assert generate_rules(mine_frequent(*tidsets_of(TOY_DB), params), params) == []
 
 
 def test_singletons_make_no_rules():
     params = MiningParams(0.9, 0.1)
-    frequents = mine_frequent([frozenset({A}), frozenset({A})], params)
+    frequents = mine_frequent(*tidsets_of([frozenset({A}), frozenset({A})]), params)
     assert all(len(f.itemset) == 1 for f in frequents)
     assert generate_rules(frequents, params) == []
 
@@ -108,7 +114,7 @@ def test_params_validation():
 
 def test_absolute_support_count_threshold():
     params = MiningParams(0.9, 0.6, min_support_count=2)
-    frequents = mine_frequent(TOY_DB, params)
+    frequents = mine_frequent(*tidsets_of(TOY_DB), params)
     # count threshold ignores the (stricter) fractional one
     assert {f.itemset for f in frequents} >= {frozenset({A, B})}
     assert as_tuples(frequents) == [
@@ -119,7 +125,7 @@ def test_absolute_support_count_threshold():
 def test_max_antecedent_len_caps_itemsets():
     db = [frozenset({A, B, C})] * 4
     params = MiningParams(0.5, 0.6, max_antecedent_len=1)
-    frequents = mine_frequent(db, params)
+    frequents = mine_frequent(*tidsets_of(db), params)
     assert max(len(f.itemset) for f in frequents) == 2
     rules = generate_rules(frequents, params)
     assert all(len(r.antecedent) <= 1 for r in rules)
@@ -133,7 +139,7 @@ def test_oracle_equivalence_randomized():
             min_support=rng.choice([0.1, 0.2, 0.3, 0.5]),
             min_confidence=rng.choice([0.3, 0.5, 0.7, 0.9]),
         )
-        frequents = mine_frequent(db, params)
+        frequents = mine_frequent(*tidsets_of(db), params)
         assert as_tuples(frequents) == brute_force_frequent(db, params)
         rules = generate_rules(frequents, params)
         assert rule_tuples(rules) == brute_force_rules(db, params)
@@ -143,7 +149,7 @@ def test_downward_closure_on_random_dbs():
     rng = random.Random(99)
     for _ in range(20):
         db = random_itemized_db(rng)
-        frequents = mine_frequent(db, MiningParams(0.2, 0.5))
+        frequents = mine_frequent(*tidsets_of(db), MiningParams(0.2, 0.5))
         reported = {f.itemset for f in frequents}
         for f in frequents:
             for item in f.itemset:
@@ -156,7 +162,7 @@ def test_rules_recheck_against_support_count():
     for _ in range(10):
         db = random_itemized_db(rng)
         params = MiningParams(0.15, 0.5)
-        rules = generate_rules(mine_frequent(db, params), params)
+        rules = generate_rules(mine_frequent(*tidsets_of(db), params), params)
         n = len(db)
         for r in rules:
             joint = support_count(r.antecedent | {r.consequent}, db)
@@ -173,16 +179,16 @@ def test_monotonicity_in_thresholds():
         db = random_itemized_db(rng)
         loose = MiningParams(0.1, 0.3)
         strict = MiningParams(0.3, 0.6)
-        f_loose = {f.itemset for f in mine_frequent(db, loose)}
-        f_strict = {f.itemset for f in mine_frequent(db, strict)}
+        f_loose = {f.itemset for f in mine_frequent(*tidsets_of(db), loose)}
+        f_strict = {f.itemset for f in mine_frequent(*tidsets_of(db), strict)}
         assert f_strict <= f_loose
         r_loose = {
             (r.antecedent, r.consequent)
-            for r in generate_rules(mine_frequent(db, loose), loose)
+            for r in generate_rules(mine_frequent(*tidsets_of(db), loose), loose)
         }
         r_strict = {
             (r.antecedent, r.consequent)
-            for r in generate_rules(mine_frequent(db, strict), strict)
+            for r in generate_rules(mine_frequent(*tidsets_of(db), strict), strict)
         }
         assert r_strict <= r_loose
 
@@ -191,8 +197,9 @@ def test_determinism_identical_output():
     rng = random.Random(42)
     db = random_itemized_db(rng)
     params = MiningParams(0.2, 0.5)
-    first = mine_frequent(db, params)
-    second = mine_frequent(list(db), params)
+    tidsets, n_records = tidsets_of(db)
+    first = mine_frequent(tidsets, n_records, params)
+    second = mine_frequent(dict(reversed(tidsets.items())), n_records, params)  # any item order
     assert as_tuples(first) == as_tuples(second)
     assert rule_tuples(generate_rules(first, params)) == rule_tuples(
         generate_rules(second, params)
@@ -223,6 +230,6 @@ def itemized_dbs(draw):
 @settings(max_examples=80, deadline=None)
 def test_oracle_equivalence_property(db, support, confidence):
     params = MiningParams(support, confidence)
-    frequents = mine_frequent(db, params)
+    frequents = mine_frequent(*tidsets_of(db), params)
     assert as_tuples(frequents) == brute_force_frequent(db, params)
     assert rule_tuples(generate_rules(frequents, params)) == brute_force_rules(db, params)
