@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import itertools
 import json
 import random
@@ -18,12 +20,15 @@ from rulefill import (
     SOURCE_RULES,
     fit_all_bins,
     impute_dataset,
+    load_csv,
     mine_rules,
 )
+from rulefill.bench import inject_missing
 from rulefill.binning import Bins
 from rulefill.imputer import impute_from_rules
 from rulefill.knn import KnnImputer
 from rulefill.rules_io import rule_from_dict
+from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
 from oracles import (
     oracle_fired,
     oracle_itemize,
@@ -524,3 +529,49 @@ def test_report_rule_table_does_not_depend_on_record_order():
         assert tables[0] == tables[1]
         listed += tables[0] != "[]"
     assert listed > 0
+
+
+# SHA-256 of the completed records' cells and of report.to_dict(), per
+# (table, mask rate, method); the tables come from sample_data, never a data
+# file, masks use seed 0 and rules support count 40 at confidence 60%
+PINNED_IMPUTATIONS = {
+    ("car", 0.05, "hybrid"): (
+        "da54939801a9bc51e7962722d8011a5ae52f18d72587d9cce843c1573bc80998",
+        "df056548b327f656265712d5cc38a748a0633777367b974091f87dc7ce8523c5",
+    ),
+    ("car", 0.05, "knn"): (
+        "62010de849dfd6d85acf2f12a83c42366a7d436635397cb8c0d28c274fc35be8",
+        "839a0d885bf11472b642bbb46a6ceefe8cdd22f06afb115d33db020fdc7e7725",
+    ),
+    ("car", 0.3, "hybrid"): (
+        "363a6ce9d4f46c11bba145856bb2b42f3f012eafa7a3a1176a6c3898991850bd",
+        "76e01f9833c82e1e865cc386fc394e55f2c11ad737cffd6e7f3569e7d2b42e78",
+    ),
+    ("car", 0.3, "knn"): (
+        "363a6ce9d4f46c11bba145856bb2b42f3f012eafa7a3a1176a6c3898991850bd",
+        "3fb9b220b03d8dc8f7f245444ab986cce209ba3c98baa51561f4c5db56b9a091",
+    ),
+    ("credit", 0.05, "hybrid"): (
+        "af1e613624f35586c9b317de27ee25cb553a77d7ba61cd5078d59f8727b9d7e6",
+        "acfa187b61c79243dd7038d3b3338a05d6c1c6b3b651ff7dec0f06270bb5efdb",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_IMPUTATIONS), ids=lambda key: "-".join(map(str, key)))
+def test_impute_dataset_outputs_are_pinned(tmp_path, key):
+    table, rate, method = key
+    header, rows = (CAR_COLUMNS, car_rows()) if table == "car" else (CREDIT_COLUMNS, credit_rows())
+    path = tmp_path / f"{table}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    masked, _ = inject_missing(load_csv(path, "?", class_column="class"), rate, seed=0)
+    bins = fit_all_bins(masked)
+    rules = mine_rules(masked, MiningParams(min_confidence=0.6, min_support_count=40), bins)
+    completed, report = impute_dataset(masked, rules if method == "hybrid" else [],
+                                       KnnParams(10), bins)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+        repr([r.cells for r in completed.records]),
+        json.dumps(report.to_dict(), sort_keys=True),
+    ))
+    assert digests == PINNED_IMPUTATIONS[key]
