@@ -8,10 +8,12 @@ record order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .binning import Bins
+import numpy as np
+
 from .data import CATEGORICAL, NUMERIC, DataError, Dataset, Record
 from .knn import KnnImputer, KnnParams
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
@@ -122,40 +124,6 @@ class ImputationReport:
         }
 
 
-def impute_from_rules(fired, attribute_schema, bins: Bins | None = None):
-    """Value for a cell from its fired rules.
-
-    Categorical: mode of the consequent levels; a count tie goes to the
-    level whose best backing rule has the highest confidence, then support,
-    then the lowest level index.  Numeric: median of the consequent bins'
-    representative values (even count: mean of the two middle ones).
-    """
-    if not fired:
-        raise ValueError("no fired rules; the caller must fall back to knn")
-    if attribute_schema.kind == NUMERIC:
-        if bins is None:
-            raise ValueError("numeric rule imputation needs the fitted bins")
-        reps = sorted(bins.representatives[r.consequent[1]] for r in fired)
-        m = len(reps)
-        if m % 2:
-            return reps[m // 2]
-        low, high = reps[m // 2 - 1], reps[m // 2]
-        median = (low + high) / 2.0
-        # halve first only when the sum overflows, so finite results keep their bits
-        return median if math.isfinite(median) else low / 2.0 + high / 2.0
-
-    stats: dict[int, tuple[int, tuple[float, float]]] = {}
-    for r in fired:
-        level = r.consequent[1]
-        count, best = stats.get(level, (0, (-1.0, -1.0)))
-        stats[level] = (count + 1, max(best, (r.confidence, r.support)))
-    winner = min(
-        stats,
-        key=lambda lvl: (-stats[lvl][0], -stats[lvl][1][0], -stats[lvl][1][1], lvl),
-    )
-    return attribute_schema.levels[winner]
-
-
 def mine_rules(dataset: Dataset, params: MiningParams | None = None, bins=None,
                exclude=()) -> list[AssociationRule]:
     """Mine the rule set used for imputation from the known cells' tidsets."""
@@ -193,59 +161,48 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     _check_rules_fit_schema(rules, dataset, bins)
     knn_params = knn_params or KnnParams()
 
-    # Each distinct record cells with a missing cell -> (first position, missing
-    # attributes); ``need``: per attribute, the bitset of the first positions lacking it.
-    distinct, need = {}, {}
+    # One pass over the records: each record's group, numbered by first
+    # appearance of its cells, or -1 when it misses nothing; per group, its
+    # first position and missing attributes.  A group's keys are consecutive
+    # in ``keys``, from ``first_key[g]``.
+    group_of, groups, firsts, missing = {}, [], [], []
     for position, record in enumerate(dataset.records):
-        if record.cells in distinct or None not in record.cells:
+        if None not in record.cells:
+            groups.append(-1)
             continue
-        missing = [j for j, cell in enumerate(record.cells) if cell is None]
-        distinct[record.cells] = position, missing
-        for j in missing:
-            need[j] = need.get(j, 0) | 1 << position
+        g = group_of.setdefault(record.cells, len(firsts))
+        if g == len(firsts):
+            firsts.append(position)
+            missing.append([j for j, cell in enumerate(record.cells) if cell is None])
+        groups.append(g)
+    first_key = list(itertools.accumulate(map(len, missing), initial=0))
 
-    fired_at = {}  # (position, attribute) -> the rules fired there, in firing order
-    if any(rule.consequent[0] in need for rule in rules):
-        tidsets = dataset.tidsets(bins, exclude)
-        for rule in rules:
-            hits = need.get(rule.consequent[0], 0)
-            for item in rule.antecedent:
-                hits &= tidsets.get(item, 0)
-            while hits:
-                low = hits & -hits
-                fired_at.setdefault((low.bit_length() - 1, rule.consequent[0]), []).append(rule)
-                hits ^= low
-
-    keys = []  # (value, source, rules, neighbor_ids) per key; None until kNN fills it
+    keys = [None] * first_key[-1]  # (value, source, rules, neighbor_ids) per key
+    for i, value, fired in _fire_rules(dataset, rules, bins, exclude, firsts, missing):
+        keys[i] = (value, SOURCE_RULES, fired, ())
     # (record, attribute) for each key no rule covers, and the key's index; a
     # record's pending cells are adjacent, so they share one kNN distance row.
-    pending, pending_keys = [], []
-    for cells, (position, missing) in distinct.items():
-        distinct[cells] = len(keys), missing  # its keys are consecutive in ``keys``
-        for j in missing:
-            fired = tuple(fired_at.get((position, j), ()))
-            if fired:
-                value = impute_from_rules(fired, dataset.schema[j], (bins or {}).get(j))
-                keys.append((value, SOURCE_RULES, fired, ()))
-            else:
-                pending.append((dataset.records[position], j))
-                pending_keys.append(len(keys))
-                keys.append(None)
+    pending = [(dataset.records[first], j, first_key[g] + m)
+               for g, (first, lacking) in enumerate(zip(firsts, missing))
+               for m, j in enumerate(lacking) if keys[first_key[g] + m] is None]
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
-        for i, (value, neighbor_ids) in zip(pending_keys, knn.impute_cells(pending)):
+        results = knn.impute_cells([(record, j) for record, j, _ in pending])
+        for (_, _, i), (value, neighbor_ids) in zip(pending, results):
             keys[i] = (value, SOURCE_KNN, (), neighbor_ids)
 
-    for cells, (first, missing) in distinct.items():  # one completed tuple per distinct cells
-        values = (key[0] for key in keys[first:first + len(missing)])
-        distinct[cells] = first, missing, tuple(next(values) if c is None else c for c in cells)
-    records, record_ids, attributes, key_index = [], [], [], []
-    for record in dataset.records:
-        first, missing, filled = distinct.get(record.cells, (0, (), None))
-        records.append(record if filled is None else Record(record.id, filled))
-        record_ids.extend([record.id] * len(missing))
-        attributes.extend(missing)
-        key_index.extend(range(first, first + len(missing)))
+    filled = []  # one completed cells tuple per group
+    for cells, g in group_of.items():
+        cells, values = list(cells), iter(keys[first_key[g]:first_key[g + 1]])
+        for j in missing[g]:
+            cells[j] = next(values)[0]
+        filled.append(tuple(cells))
+    records = [record if g < 0 else Record(record.id, filled[g])
+               for record, g in zip(dataset.records, groups)]
+    record_ids = [record.id for record, g in zip(dataset.records, groups) if g >= 0
+                  for _ in missing[g]]
+    attributes = [j for g in groups if g >= 0 for j in missing[g]]
+    key_index = [i for g in groups if g >= 0 for i in range(first_key[g], first_key[g + 1])]
     completed = Dataset(dataset.schema, records, dataset.class_column)
     report = ImputationReport(
         keys, record_ids, attributes, key_index,
@@ -254,6 +211,102 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
                     "rule_count": len(rules), **(parameters or {})},
     )
     return completed, report
+
+
+def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
+    """(key index, value, fired rules) for each key some rule fires on.
+
+    Keys are numbered group by group, and within a group by attribute, as
+    in ``impute_dataset``.  ``rules`` are in firing order.  Each rule fires
+    once on every group at once: ``need[j]``, the bitset of the first
+    positions of the groups lacking attribute j, ANDed with the
+    antecedent items' ``Dataset.tidsets`` bitsets; the tidsets and
+    ``need`` are built only when some rule targets a missing attribute.
+    The hits of all rules become positions in one ``np.unpackbits``, and
+    each key votes once, from its fired rules' consequents:
+
+    * categorical: the level most rules name; a count tie goes to the level
+      whose best rule has the highest (confidence, support), then to the
+      lowest level index.  Rules of one target are sorted by (confidence,
+      support) descending, so a level's first rule is its best.
+    * numeric: the median of the consequent bins' representatives, the
+      mean of the two middle ones for an even count, halved first only when
+      their sum overflows.  Representatives do not decrease with the bin
+      index, so the rules' bins in ascending order give them sorted.
+    """
+    # Each key's attribute and its group's first position, in key order
+    key_attrs = np.fromiter(itertools.chain.from_iterable(missing), np.intp)
+    key_firsts = np.repeat(firsts, [len(js) for js in missing])
+    holes = set(key_attrs.tolist())
+    if not any(rule.consequent[0] in holes for rule in rules):
+        return []
+    need = {}
+    for j in holes:
+        lacking = np.zeros(dataset.n_records, bool)
+        lacking[key_firsts[key_attrs == j]] = True
+        need[j] = int.from_bytes(np.packbits(lacking, bitorder="little"), "little")
+
+    tidsets = dataset.tidsets(bins, exclude)
+    size = (dataset.n_records + 7) // 8
+    hit_rules, hit_bits, strengths = [], [], []
+    for rule in rules:
+        hits = need.get(rule.consequent[0], 0)
+        for item in rule.antecedent:
+            hits &= tidsets.get(item, 0)
+        if hits:
+            hit_rules.append(rule)
+            hit_bits.append(hits.to_bytes(size, "little"))
+            strengths.append((*rule.consequent, rule.confidence, rule.support))
+    if not hit_rules:
+        return []
+
+    # (hit rule, position) pairs in firing order, unpacking only non-zero bytes
+    packed = np.frombuffer(b"".join(hit_bits), np.uint8)
+    nonzero = np.flatnonzero(packed)
+    byte, bit = np.divmod(np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little")), 8)
+    which, positions = np.divmod(nonzero[byte] * 8 + bit, size * 8)
+    strengths = np.fromiter(itertools.chain.from_iterable(strengths), float).reshape(-1, 4)
+    attrs, levels = strengths[:, 0].astype(np.intp), strengths[:, 1].astype(np.intp)
+    # a dense rank of each hit rule's (confidence, support), ascending in firing order
+    rank = np.cumsum(np.any(np.diff(strengths[:, 2:], axis=0, prepend=np.nan) != 0, axis=1)) - 1
+    width = dataset.n_attributes  # (position, attribute) codes ascend in key order
+    pair_keys = np.searchsorted(key_firsts * width + key_attrs, positions * width + attrs[which])
+
+    order = np.argsort(pair_keys, kind="stable")  # by key, each key's rules in firing order
+    pair_keys, which = pair_keys[order], which[order]
+    new_key = np.diff(pair_keys, prepend=-1) != 0
+    starts, local = np.flatnonzero(new_key), np.cumsum(new_key) - 1  # local: covered key number
+    span = int(levels.max()) + 1
+    cells, first, counts = np.unique(local * span + levels[which], return_index=True,
+                                     return_counts=True)
+    count = np.zeros((len(starts), span), np.int64)
+    count.flat[cells] = counts
+    # categorical: the most rules, then the best first (strongest) rule, then the lowest level
+    top = int(rank[-1]) + 1
+    score = np.full(count.size, -1, np.int64)
+    score[cells] = counts * top + (top - 1 - rank[which[first]])
+    winners = score.reshape(count.shape).argmax(axis=1).tolist()
+    # numeric: the bins of the two middle consequents
+    running = count.cumsum(axis=1)
+    totals = running[:, -1]
+    lows = (running <= ((totals - 1) // 2)[:, None]).sum(axis=1).tolist()
+    highs = (running <= (totals // 2)[:, None]).sum(axis=1).tolist()
+
+    fired = [hit_rules[w] for w in which.tolist()]
+    bounds = [*starts.tolist(), len(fired)]
+    votes = []
+    for u, (i, j) in enumerate(zip(pair_keys[starts].tolist(), attrs[which[starts]].tolist())):
+        attr = dataset.schema[j]
+        if attr.kind == NUMERIC:
+            reps = bins[j].representatives
+            low, high = reps[lows[u]], reps[highs[u]]
+            value = low if totals[u] % 2 else (low + high) / 2.0
+            if not math.isfinite(value):  # halve first only when the sum overflows
+                value = low / 2.0 + high / 2.0
+        else:
+            value = attr.levels[winners[u]]
+        votes.append((i, value, tuple(fired[bounds[u]:bounds[u + 1]])))
+    return votes
 
 
 def _check_rules_fit_schema(rules, dataset: Dataset, bins) -> None:

@@ -98,6 +98,7 @@ class KnnImputer:
                 if math.isinf(high - low):
                     raise DataError(f"numeric attribute {attr.name!r}: range overflows a float")
                 self.ranges[j] = high - low
+        self._present_rows = list(self._present)
         self._known = self._present.sum(axis=1).tolist()  # present values per attribute
         # Participating attributes in schema order, so the block accumulation
         # matches the scalar per-term HEOM sum (oracle_heom in tests/oracles.py)
@@ -221,20 +222,21 @@ class KnnImputer:
         block = self._distances(positions, work)
         block[np.arange(n), positions] = self._far  # never one's own neighbor
         # Each row's nearest records: its positions at or below the row's K-th
-        # smallest value, ties included, in position order.
+        # smallest value, ties included.
         size = min(block.shape[1], 2 * self.params.k + _NEAREST_SLACK)
         part, flags = work.partition[:n], work.flags[:n]
         np.copyto(part, block)
         part.partition(size - 1, axis=1)
         np.less_equal(block, part[:, size - 1 : size], out=flags)
-        nearest = [np.flatnonzero(below) for below in flags]
+        ordered, starts = self._sorted_nearest(block, flags)
 
+        holds = self._present[:, positions].tolist()  # [attribute][block row]
         for index, row, attribute in block_cells:
-            present, own = self._present[attribute], positions[row]
-            k = min(self.params.k, self._known[attribute] - present[own])
+            own, present = positions[row], self._present_rows[attribute]
+            k = min(self.params.k, self._known[attribute] - holds[attribute][row])
             if k:
-                chosen = _select(block[row], nearest[row], present, k)
-            elif present[own]:
+                chosen = _select(block[row], ordered[starts[row]:starts[row + 1]], present, k)
+            elif holds[attribute][row]:
                 chosen = [own]
             else:
                 name = self.dataset.schema[attribute].name
@@ -243,22 +245,52 @@ class KnnImputer:
             indices.append(index)
             entries.append(chosen)
 
+    def _sorted_nearest(self, block: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, list]:
+        """Every row's flagged positions in (distance, position) order, rows one after another.
 
-def _select(row: np.ndarray, nearest: np.ndarray, present: np.ndarray, k: int) -> np.ndarray:
+        Row r's run is ``ordered[starts[r]:starts[r + 1]]``.  One
+        ``flatnonzero`` finds the flagged cells in row-major order; one sort
+        then orders each row's run.  An exact int32 distance is at most the
+        term count, or the ``_far`` sentinel (clamped to one more), so
+        (row, distance, position) packs into one int64 key, sorted in
+        place; float distances sort with ``lexsort`` over (row, distance),
+        which is stable, so ties stay in position order.
+        """
+        width = flags.shape[1]
+        flat = np.flatnonzero(flags)  # row * width + position
+        distances = block.ravel()[flat]
+        starts = np.searchsorted(flat, np.arange(flags.shape[0] + 1) * width).tolist()
+        if self._far.dtype == np.int32:
+            span = len(self._terms) + 2
+            key = flat // width
+            key *= span - 1
+            key += np.minimum(distances, span - 1, out=distances)
+            key *= width
+            flat += key  # ((row * span + distance) * width + position)
+            del key, distances
+            flat.sort()
+        else:
+            flat = flat[np.lexsort((distances, flat // width))]
+        flat %= width
+        return flat, starts
+
+
+def _select(row: np.ndarray, ordered: np.ndarray, present: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k nearest holders (``present``) in ``row``, in (value, position) order.
 
-    ``nearest`` is every position of ``row`` at or below some threshold, in
-    position order; its holders are the candidates.  Short of k, the
-    candidates become every holder at or below the cell's own threshold,
-    the k-th smallest holder value.  Either way every other holder is
-    farther than every candidate, and a stable sort of the candidates by
-    value keeps position order among ties.  Needs at least k holder values
-    below the sentinel ``KnnImputer._far``.
+    ``ordered`` is every position of ``row`` at or below some threshold, in
+    (value, position) order; its first k holders are the answer.  Short of
+    k, the candidates become every holder at or below the cell's own
+    threshold, the k-th smallest holder value, and a stable sort of them by
+    value keeps position order among ties.  Either way every other holder
+    is farther than every candidate.  Needs at least k holder values below
+    the sentinel ``KnnImputer._far``.
     """
-    candidates = nearest[present[nearest]]
-    if candidates.size < k:
-        kth = np.partition(row[present], k - 1)[k - 1]
-        candidates = np.flatnonzero(present & (row <= kth))
+    candidates = ordered[present[ordered]]
+    if candidates.size >= k:
+        return candidates[:k].copy()  # not a view: the run can be every record
+    kth = np.partition(row[present], k - 1)[k - 1]
+    candidates = np.flatnonzero(present & (row <= kth))
     return candidates[np.argsort(row[candidates], kind="stable")[:k]]
 
 

@@ -190,6 +190,40 @@ def oracle_knn_value(dataset, record, attribute, k, exclude=()):
     return attr.levels[min(votes, key=lambda i: (-votes[i], i))]
 
 
+def impute_from_rules(fired, attribute_schema, bins=None):
+    """Value for a cell from its fired rules.
+
+    Categorical: mode of the consequent levels; a count tie goes to the
+    level whose best backing rule has the highest confidence, then support,
+    then the lowest level index.  Numeric: median of the consequent bins'
+    representative values (even count: mean of the two middle ones).
+    """
+    if not fired:
+        raise ValueError("no fired rules; the caller must fall back to knn")
+    if attribute_schema.kind == NUMERIC:
+        if bins is None:
+            raise ValueError("numeric rule imputation needs the fitted bins")
+        reps = sorted(bins.representatives[r.consequent[1]] for r in fired)
+        m = len(reps)
+        if m % 2:
+            return reps[m // 2]
+        low, high = reps[m // 2 - 1], reps[m // 2]
+        median = (low + high) / 2.0
+        # halve first only when the sum overflows, so finite results keep their bits
+        return median if math.isfinite(median) else low / 2.0 + high / 2.0
+
+    stats = {}
+    for r in fired:
+        level = r.consequent[1]
+        count, best = stats.get(level, (0, (-1.0, -1.0)))
+        stats[level] = (count + 1, max(best, (r.confidence, r.support)))
+    winner = min(
+        stats,
+        key=lambda lvl: (-stats[lvl][0], -stats[lvl][1][0], -stats[lvl][1][1], lvl),
+    )
+    return attribute_schema.levels[winner]
+
+
 # -- random test-data generators -------------------------------------------
 
 

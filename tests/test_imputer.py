@@ -25,11 +25,11 @@ from rulefill import (
 )
 from rulefill.bench import inject_missing
 from rulefill.binning import Bins
-from rulefill.imputer import impute_from_rules
 from rulefill.knn import KnnImputer
 from rulefill.rules_io import rule_from_dict
 from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
 from oracles import (
+    impute_from_rules,
     oracle_fired,
     oracle_itemize,
     oracle_knn_value,
