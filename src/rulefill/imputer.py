@@ -145,9 +145,13 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     ``Dataset.tidsets`` bitsets); an empty antecedent fires on anything.
     Rules fire in ``AssociationRule.sort_key`` order (confidence
     descending, support descending, sorted antecedent, consequent level),
-    and ``impute_from_rules`` turns a cell's fired rules into the value.
-    The tidsets are built only when a rule targets a missing cell, so
-    rule-less (kNN-only) imputation needs no bins.
+    and a cell's fired rules vote its value: categorical, the level most
+    rules name, a count tie going to the level whose best rule has the
+    highest confidence, then support, then to the lowest level index;
+    numeric, the median of the consequent bins' representatives (the mean
+    of the two middle ones for an even count).  The tidsets are built only
+    when a rule targets a missing cell, so rule-less (kNN-only) imputation
+    needs no bins.
 
     Work is per key, not per cell.  Each distinct (record cells, attribute)
     key is imputed once, from the first record that has it, and stored once
@@ -216,23 +220,21 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
 def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
     """(key index, value, fired rules) for each key some rule fires on.
 
-    Keys are numbered group by group, and within a group by attribute, as
-    in ``impute_dataset``.  ``rules`` are in firing order.  Each rule fires
-    once on every group at once: ``need[j]``, the bitset of the first
-    positions of the groups lacking attribute j, ANDed with the
-    antecedent items' ``Dataset.tidsets`` bitsets; the tidsets and
-    ``need`` are built only when some rule targets a missing attribute.
-    The hits of all rules become positions in one ``np.unpackbits``, and
-    each key votes once, from its fired rules' consequents:
+    Keys are numbered group by group and, within a group, by attribute, as
+    in ``impute_dataset``; ``rules`` are in firing order.  Each rule fires
+    on every group at once: ``need[j]``, the bitset of the first positions
+    of the groups lacking attribute j, ANDed with the bitsets of the rule's
+    antecedent items (``Dataset.tidsets``).  Neither is built unless some
+    rule targets a missing attribute.  One ``np.unpackbits`` turns the hits
+    into (rule, key) pairs, and each key votes once from the counts of its
+    rules' consequent levels or bins:
 
-    * categorical: the level most rules name; a count tie goes to the level
-      whose best rule has the highest (confidence, support), then to the
-      lowest level index.  Rules of one target are sorted by (confidence,
-      support) descending, so a level's first rule is its best.
-    * numeric: the median of the consequent bins' representatives, the
-      mean of the two middle ones for an even count, halved first only when
-      their sum overflows.  Representatives do not decrease with the bin
-      index, so the rules' bins in ascending order give them sorted.
+    * categorical: the rules of one target come sorted by (confidence,
+      support) descending, so a level's first rule is its best, and a
+      dense rank of (confidence, support) breaks count ties;
+    * numeric: bin representatives do not decrease with the bin index, so
+      the counts in bin order give the sorted representatives, and with
+      them the middle one or two.
     """
     # Each key's attribute and its group's first position, in key order
     key_attrs = np.fromiter(itertools.chain.from_iterable(missing), np.intp)

@@ -32,11 +32,12 @@ class KnnParams:
 
 # Distance rows computed at once: a block of query records is at most this
 # many bytes of distances (int32 or float64, see KnnImputer), which bounds the
-# kNN fallback's working memory (the block's partition copy, numeric terms,
-# match counts, masks and nearest-record positions are each at most this size
-# again).  impute_cells allocates the distance, partition, term, count and
-# mask buffers once per call, every block reuses them, and they are freed
-# when it returns.
+# kNN fallback's working memory.  The block's partition copy, numeric terms,
+# match counts and flags are each at most this size again; impute_cells
+# allocates them once per call, every block reuses them, and they are freed
+# when it returns.  The block's nearest-record positions (int64) reach twice
+# this size when every record ties, as on a constant column, and sorting them
+# takes at most five times this size while it runs.
 _BLOCK_BYTES = 1 << 18
 
 # A query record's cells pick their neighbours from its 2k + _NEAREST_SLACK
@@ -63,9 +64,10 @@ class KnnImputer:
     It copies the dataset's columns (``Dataset.columns``) into ascending
     record id, so that position order is id order.  Queries run in blocks:
     one squared-HEOM array per block of records, one partition per record
-    for its nearest records, then per cell one stable sort of the target
-    attribute's holders among them, kept to the first k (``_select``).  Once
-    every block is scanned, each (attribute, k) group of cells votes once.
+    for its nearest records, one sort of the whole block's nearest records
+    into per-record runs in (distance, id) order, then per cell the run's
+    first k holders of the target attribute (``_select``).  Once every
+    block is scanned, each (attribute, k) group of cells votes once.
     When no participating numeric attribute has a non-zero range, every term
     is 0 or 1 and the squared distances are exact int32 integers; otherwise
     they are float64.  Either way a record's own position holds ``_far``,
@@ -135,7 +137,7 @@ class KnnImputer:
         pairs of one record share a distance row.  A block holds
         ``_BLOCK_BYTES`` of distances (int32 or float64) or one row; its
         buffers are allocated once per call, reused by every block and freed
-        on return.  The vote runs once per (attribute, k) group after the
+        on return, and its nearest records are sorted once.  The vote runs once per (attribute, k) group after the
         last block, so no result comes back before every block has been
         scanned.
         """
@@ -222,7 +224,7 @@ class KnnImputer:
         block = self._distances(positions, work)
         block[np.arange(n), positions] = self._far  # never one's own neighbor
         # Each row's nearest records: its positions at or below the row's K-th
-        # smallest value, ties included.
+        # smallest value, ties included, as one run per row in (distance, id) order.
         size = min(block.shape[1], 2 * self.params.k + _NEAREST_SLACK)
         part, flags = work.partition[:n], work.flags[:n]
         np.copyto(part, block)

@@ -152,6 +152,107 @@ def test_impute_from_rules_empty_is_an_error():
         impute_from_rules((), CAT)
 
 
+VOTE_SCHEMA = [*(AttributeSchema(f"a{j}", CATEGORICAL, ("p", "q")) for j in range(4)),
+               AttributeSchema("color", CATEGORICAL, ("red", "blue", "green")),
+               AttributeSchema("x", NUMERIC)]
+COLOR, X = 4, 5
+HELD = frozenset((j, 0) for j in range(4))  # the voting record's items
+VOTE_BINS = {X: Bins((0.0, 5.0, 10.0, 15.0), (2.5, 7.5, 12.5))}
+
+
+def voted(rules, attribute, bins=VOTE_BINS):
+    """impute_dataset's cell for ``attribute`` of a record holding HELD and
+    lacking color and x, the rules given in shuffled order; checked against
+    oracle_fired and the scalar impute_from_rules."""
+    ds = Dataset(VOTE_SCHEMA, [Record(0, ("p",) * 4 + (None, None)),
+                               Record(1, ("q",) * 4 + ("red", "1.0"))])
+    shuffled = list(rules)
+    random.Random(len(rules)).shuffle(shuffled)
+    _, report = impute_dataset(ds, shuffled, bins=bins)
+    (cell,) = [c for c in report.cells if c.attribute == attribute]
+    fired = oracle_fired(rules, HELD, attribute)
+    assert cell.source == SOURCE_RULES and cell.rules == fired
+    assert cell.value == impute_from_rules(fired, VOTE_SCHEMA[attribute], bins.get(attribute))
+    return cell
+
+
+def on(*attributes):
+    """An antecedent of the voting record's items at ``attributes``."""
+    return frozenset((j, 0) for j in attributes)
+
+
+def test_array_vote_breaks_a_strength_tie_by_level_not_by_firing_order():
+    # equal (confidence, support): blue's antecedent sorts first, so blue fires
+    # first, but the tie goes to the lowest level index, red
+    cell = voted([rule(on(0), (COLOR, 1), 0.5, 0.9), rule(on(1), (COLOR, 0), 0.5, 0.9)], COLOR)
+    assert cell.rules[0].consequent == (COLOR, 1) and cell.value == "red"
+    cell = voted([rule(on(0), (COLOR, 1), 0.5, 0.9), rule(on(1), (COLOR, 0), 0.5, 0.9),
+                  rule(on(0, 1), (COLOR, 1), 0.5, 0.6), rule(on(2), (COLOR, 0), 0.5, 0.8)], COLOR)
+    assert cell.rules[0].consequent == (COLOR, 1) and cell.value == "red"
+
+
+@pytest.mark.parametrize("strengths, expected", [
+    # (level, support, confidence) per rule, each under its own antecedent
+    ([(2, 0.3, 0.6)] * 3 + [(0, 0.5, 0.9)] * 2, "green"),  # most rules beat the strongest
+    ([(0, 0.3, 0.8), (1, 0.4, 0.8)], "blue"),  # count tie, equal confidence: support
+    ([(0, 0.5, 0.7), (0, 0.5, 0.6), (1, 0.5, 0.8), (1, 0.5, 0.5)], "blue"),  # best rule
+    ([(2, 0.5, 0.8), (1, 0.5, 0.8), (2, 0.4, 0.6), (1, 0.4, 0.6)], "blue"),  # full tie
+    ([(1, 0.5, 0.8), (0, 0.5, 0.8), (2, 0.5, 0.8)], "red"),  # three-way tie
+])
+def test_array_vote_count_ties_match_the_scalar_vote(strengths, expected):
+    antecedents = [on(*c) for n in range(5) for c in itertools.combinations(range(4), n)]
+    rules = [rule(a, (COLOR, level), support, confidence)
+             for a, (level, support, confidence) in zip(antecedents, strengths)]
+    assert voted(rules, COLOR).value == expected
+
+
+BIG = 2.0 ** 1023  # two middle representatives of the overflow bins sum past the largest float
+
+
+@pytest.mark.parametrize("bins, expected, bins_fired", [
+    (VOTE_BINS, 12.5, [0, 2, 2]),
+    (VOTE_BINS, 7.5, [2, 1, 0]),
+    (VOTE_BINS, 7.5, [0, 2]),
+    (VOTE_BINS, 7.5, [1, 1, 1, 2]),
+    (VOTE_BINS, 10.0, [2, 0, 1, 2, 1, 2]),
+    ({X: Bins((0.0, 1.0, BIG, 1.75 * BIG), (0.5, BIG, 1.5 * BIG))}, 1.25 * BIG, [2, 1]),
+    ({X: Bins((0.0, 1.0, BIG, 1.75 * BIG), (0.5, BIG, 1.5 * BIG))}, BIG, [1, 2, 0]),
+])
+def test_array_vote_numeric_medians_match_the_scalar_vote(bins, expected, bins_fired):
+    antecedents = [on(*c) for n in range(5) for c in itertools.combinations(range(4), n)]
+    rules = [rule(a, (X, b), 0.5, 0.8) for a, b in zip(antecedents, bins_fired)]
+    assert voted(rules, X, bins).value == expected
+
+
+def test_array_vote_matches_the_scalar_vote_on_random_tied_rule_sets():
+    rng = random.Random(1717)
+    items = [(j, level) for j in range(4) for level in (0, 1)]
+    covered = 0
+    for _ in range(40):
+        records = [Record(i, (*(rng.choice(("p", "q", None)) for _ in range(4)),
+                              rng.choice(("red", "blue", None, None, None)),
+                              rng.choice(("1.0", "6.0", None, None))))
+                   for i in range(rng.randint(1, 12))]
+        ds = Dataset(VOTE_SCHEMA, [*records, Record(99, ("p", "q", "p", "q", "green", "11.0"))])
+        rules = []
+        for _ in range(rng.randint(1, 40)):
+            antecedent = frozenset(rng.sample(items, rng.randint(0, 2)))
+            if len({j for j, _ in antecedent}) == len(antecedent):
+                rules.append(rule(antecedent, (rng.choice((COLOR, X)), rng.randrange(3)),
+                                  rng.choice((0.3, 0.5)), rng.choice((0.6, 0.8))))
+        rng.shuffle(rules)
+        _, report = impute_dataset(ds, rules, KnnParams(3), VOTE_BINS)
+        for cell in report.cells:
+            known = oracle_itemize(ds, ds.record_by_id(cell.record_id), VOTE_BINS)
+            fired = oracle_fired(rules, known, cell.attribute)
+            assert cell.rules == fired
+            if fired:
+                covered += 1
+                bins = VOTE_BINS.get(cell.attribute)
+                assert cell.value == impute_from_rules(fired, VOTE_SCHEMA[cell.attribute], bins)
+    assert covered > 200
+
+
 def tiny_dataset():
     schema = [
         AttributeSchema("a", CATEGORICAL, ("a0", "a1")),

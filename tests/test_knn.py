@@ -766,6 +766,109 @@ def test_300_categorical_terms_use_int32_distances_and_uint16_matches(monkeypatc
     check_knn_against_oracles(monkeypatch, ds, 3, [(r, j) for r in records for j in attributes])
 
 
+def brute_force_runs(block, flags):
+    """Each row's flagged positions in (distance, position) order."""
+    return [sorted(np.flatnonzero(below).tolist(), key=lambda p: (row[p], p))
+            for row, below in zip(block.tolist(), flags)]
+
+
+@pytest.mark.parametrize("terms, rows, numeric", [
+    (3, 6, False),
+    (300, 120, False),  # rows * (terms + 2) is past the int16 range
+    (3, 6, True),
+    (4, 40, True),
+])
+def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, numeric):
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(terms)]
+    cells = ["a"] * terms
+    if numeric:
+        schema.append(AttributeSchema("x", NUMERIC))
+    ds = Dataset(schema, [Record(i, (*cells, f"{i}.5")[:len(schema)]) for i in range(2)])
+    knn = KnnImputer(ds)
+    assert (knn._far.dtype == np.float64) == numeric
+    rng = np.random.default_rng(terms + rows)
+    width = 50
+    for _ in range(10):
+        if numeric:  # few values, so ties; inf is the own-record sentinel
+            block = rng.choice([0.0, 0.25, 1.0, 1.5, np.inf], size=(rows, width))
+        else:
+            block = rng.integers(0, terms + 1, size=(rows, width)).astype(np.int32)
+            block[rng.random((rows, width)) < 0.05] = knn._far
+        # a different threshold per row: runs of different lengths, tied at the threshold
+        flags = block <= np.sort(block, axis=1)[np.arange(rows), rng.integers(0, width, rows)][:, None]
+        ordered, starts = knn._sorted_nearest(block.copy(), flags)
+        assert starts == [0, *np.cumsum(flags.sum(axis=1)).tolist()]
+        runs = [ordered[a:b].tolist() for a, b in zip(starts, starts[1:])]
+        assert runs == brute_force_runs(block, flags)
+
+
+def test_select_retries_past_a_run_short_of_k_holders():
+    row = np.array([5, 1, 1, 3, 0, 2, 2, 9], np.int32)
+    present = np.array([True, False, True, True, False, True, True, True])
+    ordered = np.array([4, 1, 2])  # the positions at or below 1, in (value, position) order
+    assert knn_module._select(row, ordered, present, 1).tolist() == [2]
+    # one holder in the run: every holder at or below the 3rd holder value, sorted
+    assert knn_module._select(row, ordered, present, 3).tolist() == [2, 5, 6]
+    assert knn_module._select(row, ordered, present, 6).tolist() == [2, 5, 6, 3, 0, 7]
+
+
+def test_one_block_of_120_records_over_300_terms_matches_oracle(monkeypatch):
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
+    rng = random.Random(120)
+    base = [rng.choice("ab") for _ in range(300)]
+    ds = Dataset(schema, [
+        Record(i, tuple(None if rng.random() < 0.03 else
+                        (rng.choice("ab") if rng.random() < 0.02 else cell) for cell in base))
+        for i in range(120)
+    ])
+    blocks = record_blocks(monkeypatch)
+    knn = KnnImputer(ds, KnnParams(k=3))
+    cells = [(r, rng.randrange(300)) for r in ds.records]
+    results = knn.impute_cells(cells)
+    [(positions, _)] = blocks
+    assert len(positions) * (knn._lead + 2) > np.iinfo(np.int16).max
+    for (record, j), (value, ids) in rng.sample(list(zip(cells, results)), 12):
+        assert list(ids) == oracle_neighbors(ds, record, j, 3)
+        assert value == oracle_knn_value(ds, record, j, 3)
+
+
+def test_runs_of_different_lengths_in_one_block_match_oracle(monkeypatch):
+    rng = random.Random(6161)
+    ds = near_constant_dataset(rng, 120)  # one int32 block of every record
+    sorted_nearest, runs = KnnImputer._sorted_nearest, []
+
+    def recording(knn, block, flags):
+        ordered, starts = sorted_nearest(knn, block, flags)
+        runs.append(np.diff(starts))
+        return ordered, starts
+
+    monkeypatch.setattr(KnnImputer, "_sorted_nearest", recording)
+    cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+    check_knn_against_oracles(monkeypatch, ds, 3, cells)
+    lengths = runs[0]
+    assert len(lengths) == ds.n_records and len(set(lengths.tolist())) > 1
+    assert lengths.max() > 2 * 3 + knn_module._NEAREST_SLACK  # ties at the threshold
+
+
+def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
+    # every other record is at distance 1: each row's run is every record
+    n = 3000
+    schema = [AttributeSchema("a", CATEGORICAL, ("x",)), AttributeSchema("b", CATEGORICAL, ("y",))]
+    ds = Dataset(schema, [Record(i, ("x", None if i % 2 else "y")) for i in range(n)])
+    cells = [(r, 1) for r in ds.records if r.cells[1] is None]
+    knn = KnnImputer(ds, KnnParams(k=5))
+    tracemalloc.start()
+    try:
+        results = knn.impute_cells(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block's four buffers, five blocks' worth while its nearest records
+    # sort, and a fixed allowance for the results
+    assert peak < 9 * knn_module._BLOCK_BYTES + (512 << 10)
+    assert results == [("y", (0, 2, 4, 6, 8))] * len(cells)  # ties go to the lowest ids
+
+
 def test_empty_dataset_has_no_neighbors():
     query = Record(5, (None, "red"))
     knn = KnnImputer(Dataset(MIXED_SCHEMA, []), KnnParams(k=3))
