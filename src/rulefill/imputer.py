@@ -236,12 +236,12 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
       the counts in bin order give the sorted representatives, and with
       them the middle one or two.
     """
+    holes = set(itertools.chain.from_iterable(missing))
+    if not any(rule.consequent[0] in holes for rule in rules):
+        return []
     # Each key's attribute and its group's first position, in key order
     key_attrs = np.fromiter(itertools.chain.from_iterable(missing), np.intp)
     key_firsts = np.repeat(firsts, [len(js) for js in missing])
-    holes = set(key_attrs.tolist())
-    if not any(rule.consequent[0] in holes for rule in rules):
-        return []
     need = {}
     for j in holes:
         lacking = np.zeros(dataset.n_records, bool)

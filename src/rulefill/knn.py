@@ -100,7 +100,6 @@ class KnnImputer:
                 if math.isinf(high - low):
                     raise DataError(f"numeric attribute {attr.name!r}: range overflows a float")
                 self.ranges[j] = high - low
-        self._present_rows = list(self._present)
         self._known = self._present.sum(axis=1).tolist()  # present values per attribute
         # Participating attributes in schema order, so the block accumulation
         # matches the scalar per-term HEOM sum (oracle_heom in tests/oracles.py)
@@ -137,9 +136,9 @@ class KnnImputer:
         pairs of one record share a distance row.  A block holds
         ``_BLOCK_BYTES`` of distances (int32 or float64) or one row; its
         buffers are allocated once per call, reused by every block and freed
-        on return, and its nearest records are sorted once.  The vote runs once per (attribute, k) group after the
-        last block, so no result comes back before every block has been
-        scanned.
+        on return, and its nearest records are sorted once.  The vote runs
+        once per (attribute, k) group after the last block, so no result
+        comes back before every block has been scanned.
         """
         rows = max(1, _BLOCK_BYTES // (self._far.itemsize * max(self._ids.size, 1)))
         work = self._workspace(rows)
@@ -234,12 +233,12 @@ class KnnImputer:
 
         holds = self._present[:, positions].tolist()  # [attribute][block row]
         for index, row, attribute in block_cells:
-            own, present = positions[row], self._present_rows[attribute]
             k = min(self.params.k, self._known[attribute] - holds[attribute][row])
             if k:
-                chosen = _select(block[row], ordered[starts[row]:starts[row + 1]], present, k)
+                chosen = _select(block[row], ordered[starts[row]:starts[row + 1]],
+                                 self._present[attribute], k)
             elif holds[attribute][row]:
-                chosen = [own]
+                chosen = [positions[row]]
             else:
                 name = self.dataset.schema[attribute].name
                 raise DataError(f"attribute {name!r} has no known value anywhere; cannot impute")
