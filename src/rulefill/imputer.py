@@ -250,7 +250,7 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
 
     tidsets = dataset.tidsets(bins, exclude)
     size = (dataset.n_records + 7) // 8
-    hit_rules, hit_bits, strengths = [], [], []
+    hit_rules, hit_bits, fields = [], [], []  # fields: (attribute, level, confidence, support)
     for rule in rules:
         hits = need.get(rule.consequent[0], 0)
         for item in rule.antecedent:
@@ -258,7 +258,7 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
         if hits:
             hit_rules.append(rule)
             hit_bits.append(hits.to_bytes(size, "little"))
-            strengths.append((*rule.consequent, rule.confidence, rule.support))
+            fields.append((*rule.consequent, rule.confidence, rule.support))
     if not hit_rules:
         return []
 
@@ -267,10 +267,10 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
     nonzero = np.flatnonzero(packed)
     byte, bit = np.divmod(np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little")), 8)
     which, positions = np.divmod(nonzero[byte] * 8 + bit, size * 8)
-    strengths = np.fromiter(itertools.chain.from_iterable(strengths), float).reshape(-1, 4)
-    attrs, levels = strengths[:, 0].astype(np.intp), strengths[:, 1].astype(np.intp)
+    fields = np.fromiter(itertools.chain.from_iterable(fields), float).reshape(-1, 4)
+    attrs, levels = fields[:, :2].T.astype(np.intp)
     # a dense rank of each hit rule's (confidence, support), ascending in firing order
-    rank = np.cumsum(np.any(np.diff(strengths[:, 2:], axis=0, prepend=np.nan) != 0, axis=1)) - 1
+    rank = np.cumsum(np.any(np.diff(fields[:, 2:], axis=0, prepend=np.nan) != 0, axis=1)) - 1
     width = dataset.n_attributes  # (position, attribute) codes ascend in key order
     pair_keys = np.searchsorted(key_firsts * width + key_attrs, positions * width + attrs[which])
 
