@@ -250,24 +250,24 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
 
     tidsets = dataset.tidsets(bins, exclude)
     size = (dataset.n_records + 7) // 8
-    hit_rules, hit_bits, fields = [], [], []  # fields: (attribute, level, confidence, support)
+    hit_rules, hit_bits = [], bytearray()
     for rule in rules:
         hits = need.get(rule.consequent[0], 0)
         for item in rule.antecedent:
             hits &= tidsets.get(item, 0)
         if hits:
             hit_rules.append(rule)
-            hit_bits.append(hits.to_bytes(size, "little"))
-            fields.append((*rule.consequent, rule.confidence, rule.support))
+            hit_bits += hits.to_bytes(size, "little")
     if not hit_rules:
         return []
 
     # (hit rule, position) pairs in firing order, unpacking only non-zero bytes
-    packed = np.frombuffer(b"".join(hit_bits), np.uint8)
+    packed = np.frombuffer(hit_bits, np.uint8)
     nonzero = np.flatnonzero(packed)
     byte, bit = np.divmod(np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little")), 8)
     which, positions = np.divmod(nonzero[byte] * 8 + bit, size * 8)
-    fields = np.fromiter(itertools.chain.from_iterable(fields), float).reshape(-1, 4)
+    fields = np.fromiter(itertools.chain.from_iterable(  # attribute, level, confidence, support
+        (*r.consequent, r.confidence, r.support) for r in hit_rules), float).reshape(-1, 4)
     attrs, levels = fields[:, :2].T.astype(np.intp)
     # a dense rank of each hit rule's (confidence, support), ascending in firing order
     rank = np.cumsum(np.any(np.diff(fields[:, 2:], axis=0, prepend=np.nan) != 0, axis=1)) - 1
