@@ -195,11 +195,11 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
         for (_, _, i), (value, neighbor_ids) in zip(pending, results):
             keys[i] = (value, SOURCE_KNN, (), neighbor_ids)
 
-    filled = []  # one completed cells tuple per group
-    for cells, g in group_of.items():
-        cells, values = list(cells), iter(keys[first_key[g]:first_key[g + 1]])
-        for j in missing[g]:
-            cells[j] = next(values)[0]
+    filled = []  # one completed cells tuple per group, in group order
+    for cells, lacking, first in zip(group_of, missing, first_key):
+        cells = list(cells)
+        for m, j in enumerate(lacking):
+            cells[j] = keys[first + m][0]
         filled.append(tuple(cells))
     records = [record if g < 0 else Record(record.id, filled[g])
                for record, g in zip(dataset.records, groups)]
