@@ -268,7 +268,7 @@ class KnnImputer:
             key += np.minimum(distances, span - 1, out=distances)
             key *= width
             flat += key  # ((row * span + distance) * width + position)
-            del key, distances
+            del key, distances  # freed before the sort, which runs in place
             flat.sort()
         else:
             flat = flat[np.lexsort((distances, flat // width))]
