@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -29,7 +30,7 @@ from rulefill import (
 )
 from rulefill.cli import _values_list, main
 from rulefill.rules_io import read_rules
-from rulefill.sample_data import write_car_csv
+from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows, write_car_csv
 
 
 def run_cli(argv, capsys):
@@ -507,3 +508,60 @@ def test_readme_mine_line_mines_rules(tmp_path, monkeypatch, capsys):
     assert code == 0
     (count,) = [int(l.split()[1]) for l in stdout.splitlines() if l.startswith("mined ")]
     assert count > 0
+
+
+# SHA-256 of the rule file, report and completed CSV that ``mine`` then
+# ``impute --rules`` write on the masked car table and a small masked credit
+# table (numeric columns binned), keyed by (table, --exclude-class).
+PINNED_CLI_OUTPUTS = {
+    ("car", False): (
+        "e01ad7a2853454c0562a88e9daa4a0e563efad3e0eb263e8d6174f010584c759",
+        "8394ff5cfb3401d78847ff76ad9a724cc1738d81699817786252b4947cb934d5",
+        "3618d78ac92bd1001f94f17012ae6f76aca338a840759c733c7a7fe5fd8d8dbd",
+    ),
+    ("car", True): (
+        "1867297256b69827c39da92d465d42a878167f3f6b1440819c464c26266f072b",
+        "9433e6746500d87461494a91b9e59ceea2718e33aebd78525ff541ba70bca68f",
+        "34d141435eb0e7a85aee6743b51ab4b9181422657c82355914a8086355b61680",
+    ),
+    ("credit", False): (
+        "00796921367507b338a45bc7e2b63557eee06a0cf9784021034db2a8cf7cc20d",
+        "97d89eb93b04d90b0b99d0c081cd304884dcd1b5635ecaca82033f76f07e7e0e",
+        "59bfda33e852d9b8038af5d2148bb1149b021faa24392454fd603dac334de331",
+    ),
+    ("credit", True): (
+        "c1be2ed3efbd3e27410378ee5cf6726df6cfb6f59b9b8ace8bcfa6a6cdb04461",
+        "75e53ef6e742a5519b31e896352ddf188dc948df84e6ac0fbb2488f4128d007a",
+        "5b92b0384fcd3846ea4037b7775daf6df90dbacd7e31690bb1f0da3eeda3f126",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_csvs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("small")
+    paths = {}
+    for table, header, rows in [("car", CAR_COLUMNS, car_rows()),
+                                ("credit", CREDIT_COLUMNS, credit_rows(n=300))]:
+        raw = directory / f"{table}_raw.csv"
+        with open(raw, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        masked, _ = inject_missing(load_csv(raw, "?", class_column="class"), 0.1, seed=0)
+        paths[table] = directory / f"{table}.csv"
+        write_csv(masked, paths[table], "?")
+    return paths
+
+
+@pytest.mark.parametrize("table, exclude_class", [
+    ("car", False), ("car", True), ("credit", False), ("credit", True),
+])
+def test_cli_rule_file_report_and_csv_are_pinned(tmp_path, pinned_csvs, capsys, table,
+                                                 exclude_class):
+    flags = ["--data", str(pinned_csvs[table]), "--class-column", "class",
+             "--support-count", "40", "--confidence", "60"] + ["--exclude-class"] * exclude_class
+    rules, out, report = tmp_path / "rules.jsonl", tmp_path / "done.csv", tmp_path / "report.json"
+    assert run_cli(["mine", *flags, "--out", str(rules)], capsys)[0] == 0
+    assert run_cli(["impute", *flags, "--rules", str(rules), "--out", str(out),
+                    "--report", str(report)], capsys)[0] == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (rules, report, out))
+    assert digests == PINNED_CLI_OUTPUTS[(table, exclude_class)]
