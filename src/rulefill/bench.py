@@ -99,7 +99,7 @@ def evaluate(imputed: Dataset, truth: dict, schema=None) -> EvalMetrics:
                 cat_correct += 1
         else:
             truth_num = parse_number(true_value)
-            got_num = parse_number(got) if got is not None else None
+            got_num = parse_number(got)
             numeric_errors.setdefault(j, []).append((truth_num, got_num))
 
     accuracy = cat_correct / n_cat if n_cat else None

@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Schema-aware tabular data with explicit missing-value tracking.
 
 Cells hold the raw text read from disk, with ``None`` marking a missing
-value, so an untouched dataset writes back byte for byte.  Numeric cells are
+value, so an untouched dataset writes back byte for byte, less any leading
+UTF-8 byte-order mark, which ``load_csv`` ignores.  Numeric cells are
 parsed when ``load_csv`` infers the column's kind and again when
 ``Dataset.columns`` first encodes the table; once imputed they may hold a
 float instead of text.  ``Dataset.tidsets``, built from ``Dataset.columns``,
@@ -210,9 +211,10 @@ def load_csv(path, missing_marker: str = "?", schema_hints=None,
     numeric when at least one non-missing cell exists and every non-missing
     cell parses as a finite number; ``schema_hints`` maps column names to
     kinds ("categorical"/"numeric") to override the inference.  Categorical
-    levels are fitted in first-appearance order.
+    levels are fitted in first-appearance order.  A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is not part of the first name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -166,47 +166,47 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     knn_params = knn_params or KnnParams()
 
     # One pass over the records: each record's group, numbered by first
-    # appearance of its cells, or -1 when it misses nothing; per group, its
-    # first position and missing attributes.  A group's keys are consecutive
-    # in ``keys``, from ``first_key[g]``.
-    group_of, groups, firsts, missing = {}, [], [], []
+    # appearance of its cells, or -1 when it misses nothing.  It builds the
+    # key table, one entry per (group, missing attribute), group by group:
+    # the key's attribute (``key_attrs``) and its group's first position
+    # (``key_firsts``).  Group g's keys are ``starts[g]`` to ``starts[g + 1]``.
+    group_of, groups, starts, key_firsts, key_attrs = {}, [], [0], [], []
     for position, record in enumerate(dataset.records):
         if None not in record.cells:
             groups.append(-1)
             continue
-        g = group_of.setdefault(record.cells, len(firsts))
-        if g == len(firsts):
-            firsts.append(position)
-            missing.append([j for j, cell in enumerate(record.cells) if cell is None])
+        g = group_of.setdefault(record.cells, len(starts) - 1)
+        if g == len(starts) - 1:
+            lacking = [j for j, cell in enumerate(record.cells) if cell is None]
+            key_attrs += lacking
+            key_firsts += [position] * len(lacking)
+            starts.append(len(key_attrs))
         groups.append(g)
-    first_key = list(itertools.accumulate(map(len, missing), initial=0))
 
-    keys = [None] * first_key[-1]  # (value, source, rules, neighbor_ids) per key
-    for i, value, fired in _fire_rules(dataset, rules, bins, exclude, firsts, missing):
+    keys = [None] * len(key_attrs)  # (value, source, rules, neighbor_ids) per key
+    for i, value, fired in _fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs):
         keys[i] = (value, SOURCE_RULES, fired, ())
-    # (record, attribute) for each key no rule covers, and the key's index; a
-    # record's pending cells are adjacent, so they share one kNN distance row.
-    pending = [(dataset.records[first], j, first_key[g] + m)
-               for g, (first, lacking) in enumerate(zip(firsts, missing))
-               for m, j in enumerate(lacking) if keys[first_key[g] + m] is None]
+    # The keys no rule covers; a record's are adjacent and share one kNN distance row
+    pending = [i for i, key in enumerate(keys) if key is None]
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
-        results = knn.impute_cells([(record, j) for record, j, _ in pending])
-        for (_, _, i), (value, neighbor_ids) in zip(pending, results):
+        results = knn.impute_cells([(dataset.records[key_firsts[i]], key_attrs[i])
+                                    for i in pending])
+        for i, (value, neighbor_ids) in zip(pending, results):
             keys[i] = (value, SOURCE_KNN, (), neighbor_ids)
 
     filled = []  # one completed cells tuple per group, in group order
-    for cells, lacking, first in zip(group_of, missing, first_key):
+    for cells, start, stop in zip(group_of, starts, starts[1:]):
         cells = list(cells)
-        for m, j in enumerate(lacking):
-            cells[j] = keys[first + m][0]
+        for i in range(start, stop):
+            cells[key_attrs[i]] = keys[i][0]
         filled.append(tuple(cells))
     records = [record if g < 0 else Record(record.id, filled[g])
                for record, g in zip(dataset.records, groups)]
     record_ids = [record.id for record, g in zip(dataset.records, groups) if g >= 0
-                  for _ in missing[g]]
-    attributes = [j for g in groups if g >= 0 for j in missing[g]]
-    key_index = [i for g in groups if g >= 0 for i in range(first_key[g], first_key[g + 1])]
+                  for _ in range(starts[g], starts[g + 1])]
+    key_index = [i for g in groups if g >= 0 for i in range(starts[g], starts[g + 1])]
+    attributes = [key_attrs[i] for i in key_index]
     completed = Dataset(dataset.schema, records, dataset.class_column)
     report = ImputationReport(
         keys, record_ids, attributes, key_index,
@@ -217,17 +217,18 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     return completed, report
 
 
-def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
+def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
     """(key index, value, fired rules) for each key some rule fires on.
 
-    Keys are numbered group by group and, within a group, by attribute, as
-    in ``impute_dataset``; ``rules`` are in firing order.  Each rule fires
-    on every group at once: ``need[j]``, the bitset of the first positions
-    of the groups lacking attribute j, ANDed with the bitsets of the rule's
-    antecedent items (``Dataset.tidsets``).  Neither is built unless some
-    rule targets a missing attribute.  One ``np.unpackbits`` turns the hits
-    into (rule, key) pairs, and each key votes once from the counts of its
-    rules' consequent levels or bins:
+    ``key_firsts`` and ``key_attrs`` are ``impute_dataset``'s key table: per
+    key, its group's first position and its attribute.  ``rules`` are in
+    firing order.  Each rule fires on every group at once: ``need[j]``, the
+    bitset of the first positions of the groups lacking attribute j, ANDed
+    with the bitsets of the rule's antecedent items (``Dataset.tidsets``).
+    Neither is built unless some rule targets a missing attribute; then one
+    attributes × records mask, packed row by row, gives every ``need``.  One
+    ``np.unpackbits`` turns the hits into (rule, key) pairs, and each key
+    votes once from the counts of its rules' consequent levels or bins:
 
     * categorical: the rules of one target come sorted by (confidence,
       support) descending, so a level's first rule is its best, and a
@@ -236,23 +237,20 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, firsts, missing):
       the counts in bin order give the sorted representatives, and with
       them the middle one or two.
     """
-    holes = set(itertools.chain.from_iterable(missing))
+    holes = set(key_attrs)
     if not any(rule.consequent[0] in holes for rule in rules):
         return []
-    # Each key's attribute and its group's first position, in key order
-    key_attrs = np.fromiter(itertools.chain.from_iterable(missing), np.intp)
-    key_firsts = np.repeat(firsts, [len(js) for js in missing])
-    need = {}
-    for j in holes:
-        lacking = np.zeros(dataset.n_records, bool)
-        lacking[key_firsts[key_attrs == j]] = True
-        need[j] = int.from_bytes(np.packbits(lacking, bitorder="little"), "little")
+    key_firsts, key_attrs = np.array(key_firsts, np.intp), np.array(key_attrs, np.intp)
+    lacking = np.zeros((dataset.n_attributes, dataset.n_records), bool)
+    lacking[key_attrs, key_firsts] = True
+    need = [int.from_bytes(row, "little")
+            for row in np.packbits(lacking, axis=1, bitorder="little")]
 
     tidsets = dataset.tidsets(bins, exclude)
     size = (dataset.n_records + 7) // 8
     hit_rules, hit_bits = [], bytearray()
     for rule in rules:
-        hits = need.get(rule.consequent[0], 0)
+        hits = need[rule.consequent[0]]
         for item in rule.antecedent:
             hits &= tidsets.get(item, 0)
         if hits:

@@ -9,6 +9,7 @@ published contract is the exact thresholded output in a deterministic order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 # An item is an (attribute index, level-or-bin index) assignment; an itemset
@@ -71,14 +72,6 @@ class AssociationRule:
         )
 
 
-def _threshold_test(params: MiningParams, n: int):
-    if params.min_support_count is not None:
-        minimum = params.min_support_count
-        return lambda count: count >= minimum
-    min_support = params.min_support
-    return lambda count: count / n >= min_support
-
-
 def mine_frequent(tidsets, n_records: int, params: MiningParams) -> list[FrequentItemset]:
     """Every itemset at or above the support threshold, canonically ordered.
 
@@ -94,14 +87,18 @@ def mine_frequent(tidsets, n_records: int, params: MiningParams) -> list[Frequen
     """
     if n_records == 0:
         raise ValueError("no records to mine")
-    frequent_enough = _threshold_test(params, n_records)
+    # The least count that clears the threshold; exact, as c / n never falls as c grows
+    minimum = params.min_support_count
+    if minimum is None:
+        minimum = bisect_left(range(n_records + 1), params.min_support,
+                              key=lambda c: c / n_records)
     max_len = None if params.max_antecedent_len is None else params.max_antecedent_len + 1
 
     found = []
     level: dict[tuple, int] = {}
     for item in sorted(tidsets):
         count = tidsets[item].bit_count()
-        if frequent_enough(count):
+        if count >= minimum:
             level[(item,)] = tidsets[item]
             found.append(FrequentItemset(frozenset((item,)), count, count / n_records))
 
@@ -118,7 +115,7 @@ def mine_frequent(tidsets, n_records: int, params: MiningParams) -> list[Frequen
                     continue  # two levels of one attribute never co-occur
                 mask = level[a] & level[b]
                 count = mask.bit_count()
-                if frequent_enough(count):
+                if count >= minimum:
                     candidate = a + (b[-1],)
                     next_level[candidate] = mask
                     found.append(FrequentItemset(frozenset(candidate), count, count / n_records))

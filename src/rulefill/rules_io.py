@@ -130,15 +130,14 @@ def _rule_file_from_header(header: dict) -> RuleFile:
 
 def check_compatible(rule_file: RuleFile, dataset: Dataset) -> None:
     """Raise DataError unless the dataset matches the rule file's schema."""
-    ours = [(a.name, a.kind, a.levels) for a in dataset.schema]
-    theirs = [(a.name, a.kind, a.levels) for a in rule_file.schema]
+    ours, theirs = dataset.schema, rule_file.schema
     if len(ours) != len(theirs):
         raise DataError(
             f"rule file schema has {len(theirs)} attributes, dataset has {len(ours)}"
         )
     for position, (mine, other) in enumerate(zip(ours, theirs)):
-        if mine != other:
+        if mine != other:  # name, kind and levels
             raise DataError(
                 f"rule file schema does not match dataset at column {position}: "
-                f"expected {other[0]!r} ({other[1]}), found {mine[0]!r} ({mine[1]})"
+                f"expected {other.name!r} ({other.kind}), found {mine.name!r} ({mine.kind})"
             )

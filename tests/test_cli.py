@@ -253,6 +253,20 @@ def test_impute_schema_mismatch_exits_one(tmp_path, car_csv, credit_csv, capsys)
     assert "schema" in stderr
 
 
+def test_impute_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    rows = ["a,b,class"] + [f"{i % 3},{'xyz'[i % 3]},{'pq'[i % 2]}" for i in range(12)]
+    rows[5] = "1,?,q"
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows + [""]).encode("utf-8"))
+    code, _, stderr = run_cli(
+        ["impute", "--data", str(data), "--class-column", "a",
+         "--out", str(tmp_path / "done.csv"), "--report", str(tmp_path / "report.json")],
+        capsys,
+    )
+    assert code == 0, stderr
+    assert load_csv(tmp_path / "done.csv", "?").schema[0].name == "a"
+
+
 def test_impute_malformed_rule_header_exits_one(tmp_path, car_csv, capsys):
     rules = tmp_path / "bad.rules.jsonl"
     rules.write_text('{"format": "rulefill-rules-v1", "bins": {}, "params": null}\n')

@@ -96,6 +96,16 @@ def test_ragged_row_reports_line_number(tmp_path):
         load_csv(path, "?")
 
 
+def test_leading_byte_order_mark_is_not_read_into_the_first_name(tmp_path):
+    text = "a,b,class\n1,x,y\n?,z,y\n"
+    plain = load_csv(make_csv(tmp_path, text), "?")
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    marked = load_csv(tmp_path / "bom.csv", "?", class_column="a")
+    assert [a.name for a in marked.schema] == ["a", "b", "class"]
+    assert marked.schema == plain.schema
+    assert [r.cells for r in marked.records] == [r.cells for r in plain.records]
+
+
 def test_empty_file_errors(tmp_path):
     with pytest.raises(DataError, match="empty"):
         load_csv(make_csv(tmp_path, ""), "?")

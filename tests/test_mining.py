@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     brute_force_rules,
     random_itemized_db,
     support_count,
+    threshold_ok,
     tidsets_of,
 )
 
@@ -66,6 +68,45 @@ def test_min_support_floor_keeps_everything():
     assert {f.itemset for f in frequents} == {
         itemset for itemset, _, _ in brute_force_frequent(TOY_DB, MiningParams(1 / 4, 0.6))
     }
+
+
+def nested_db(n, counts):
+    """n records; item (c, 0) is held by the first c of them, for each c in counts."""
+    return [frozenset((c, 0) for c in counts if position < c) for position in range(n)]
+
+
+@pytest.mark.parametrize("n, min_support, least", [
+    (10, 0.3, 3),
+    (10, 0.7, 7),
+    (3, 1 / 3, 1),
+    (10, 1.0, 10),
+    (100, 0.07, 7),  # 0.07 * 100 is 7.000000000000001, so a ceil would drop count 7
+    (100, 0.29, 29),  # 0.29 * 100 is 28.999999999999996, so a floor would keep count 28
+])
+def test_support_boundary_where_the_product_is_inexact(n, min_support, least):
+    db = nested_db(n, {max(1, least - 1), least, min(n, least + 1), n})
+    params = MiningParams(min_support, 0.6)
+    frequents = mine_frequent(*tidsets_of(db), params)
+    assert as_tuples(frequents) == brute_force_frequent(db, params)
+    assert min(f.support_count for f in frequents) == least
+
+
+def test_support_minimum_agrees_with_the_fraction_test_for_every_count():
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        c = rng.randint(1, n)
+        min_support = rng.choice([
+            rng.uniform(1e-9, 1.0), round(rng.uniform(0.01, 1.0), 2), c / n,
+            math.nextafter(c / n, 0.0), min(1.0, math.nextafter(c / n, 2.0)),
+        ])
+        params = MiningParams(min_support, 0.6, max_antecedent_len=1)
+        # item (c, 0) is held by c of the n records, for every count c in 0..n
+        tidsets = {(count, 0): (1 << count) - 1 for count in range(n + 1)}
+        kept = sorted(f.support_count for f in mine_frequent(tidsets, n, params)
+                      if len(f.itemset) == 1)
+        assert kept == [count for count in range(n + 1) if threshold_ok(count, n, params)], (
+            n, min_support)
 
 
 def test_empty_db_errors():
