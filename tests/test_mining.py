@@ -83,7 +83,7 @@ def nested_db(n, counts):
     (100, 0.07, 7),  # 0.07 * 100 is 7.000000000000001, so a ceil would drop count 7
     (100, 0.29, 29),  # 0.29 * 100 is 28.999999999999996, so a floor would keep count 28
 ])
-def test_support_boundary_where_the_product_is_inexact(n, min_support, least):
+def test_support_boundary_matches_the_oracle(n, min_support, least):
     db = nested_db(n, {max(1, least - 1), least, min(n, least + 1), n})
     params = MiningParams(min_support, 0.6)
     frequents = mine_frequent(*tidsets_of(db), params)
@@ -101,7 +101,7 @@ def test_support_minimum_agrees_with_the_fraction_test_for_every_count():
             math.nextafter(c / n, 0.0), min(1.0, math.nextafter(c / n, 2.0)),
         ])
         params = MiningParams(min_support, 0.6, max_antecedent_len=1)
-        # item (c, 0) is held by c of the n records, for every count c in 0..n
+        # item (count, 0) is held by the first count of the n records, for every count in 0..n
         tidsets = {(count, 0): (1 << count) - 1 for count in range(n + 1)}
         kept = sorted(f.support_count for f in mine_frequent(tidsets, n, params)
                       if len(f.itemset) == 1)
