@@ -7,7 +7,7 @@ rule covers.  A benchmark harness reproduces missing-rate, support and
 confidence sweeps over seeded MCAR masks.
 """
 
-from .binning import EQUAL_FREQUENCY, EQUAL_WIDTH, Bins, fit_bins
+from .binning import fit_bins
 from .data import (
     CATEGORICAL,
     NUMERIC,
@@ -21,24 +21,8 @@ from .data import (
 )
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
 from .knn import KnnImputer, KnnParams
-from .imputer import (
-    SOURCE_KNN,
-    SOURCE_RULES,
-    CellImputation,
-    ImputationReport,
-    impute_dataset,
-    mine_rules,
-)
-from .bench import (
-    BenchReport,
-    BenchRow,
-    EvalMetrics,
-    ExperimentSpec,
-    evaluate,
-    inject_missing,
-    run_sweep,
-    write_report_files,
-)
+from .imputer import SOURCE_KNN, SOURCE_RULES, impute_dataset, mine_rules
+from .bench import ExperimentSpec, evaluate, inject_missing, run_sweep, write_report_files
 from .rules_io import read_rules, write_rules
 
 __version__ = "0.1.0"
@@ -46,18 +30,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociationRule",
     "AttributeSchema",
-    "BenchReport",
-    "BenchRow",
-    "Bins",
     "CATEGORICAL",
-    "CellImputation",
     "DataError",
     "Dataset",
-    "EQUAL_FREQUENCY",
-    "EQUAL_WIDTH",
-    "EvalMetrics",
     "ExperimentSpec",
-    "ImputationReport",
     "KnnImputer",
     "KnnParams",
     "MiningParams",

@@ -71,7 +71,7 @@ def fit_bins(values, n_bins: int, strategy: str = EQUAL_FREQUENCY) -> Bins:
         raise ValueError(f"span from {vmin} to {vmax} overflows a float")
 
     if strategy == EQUAL_WIDTH:
-        edges = _dedupe(np.linspace(vmin, vmax, n_bins + 1).tolist())
+        edges = np.unique(np.linspace(vmin, vmax, n_bins + 1)).tolist()
         reps = [lo + (hi - lo) / 2.0 for lo, hi in zip(edges, edges[1:])]
     else:
         qs = np.quantile(vals, [i / n_bins for i in range(1, n_bins)]).tolist()
@@ -88,14 +88,6 @@ def fit_bins(values, n_bins: int, strategy: str = EQUAL_FREQUENCY) -> Bins:
 
     fit_values = vals if strategy == EQUAL_FREQUENCY else None
     return Bins(tuple(edges), tuple(_repaired(edges, reps, fit_values)))
-
-
-def _dedupe(edges):
-    out = [edges[0]]
-    for e in edges[1:]:
-        if e > out[-1]:
-            out.append(e)
-    return out
 
 
 def _repaired(edges, reps, freq_vals):

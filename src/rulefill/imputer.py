@@ -17,6 +17,7 @@ import numpy as np
 from .data import CATEGORICAL, NUMERIC, DataError, Dataset, Record
 from .knn import KnnImputer, KnnParams
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
+from .rules_io import rule_to_dict
 
 SOURCE_RULES = "rules"
 SOURCE_KNN = "knn"
@@ -38,15 +39,15 @@ class CellImputation:
 class ImputationReport:
     """Imputation results stored once per key, plus a parameter echo.
 
-    ``keys`` holds one ``(value, source, rules, neighbor_ids)`` entry per
-    distinct (record cells, attribute) key.  The imputed cells, in record
-    order, are the parallel lists ``record_ids``, ``attributes`` and
-    ``key_index`` (the cell's entry in ``keys``); ``cells`` views them.
+    ``keys`` holds one ``(attribute, value, source, rules, neighbor_ids)``
+    entry per distinct (record cells, attribute) key: a ``CellImputation``
+    without its record id.  The imputed cells, in record order, are the
+    parallel lists ``record_ids`` and ``key_index`` (the cell's entry in
+    ``keys``); ``cells`` views them.
     """
 
     keys: list[tuple]
     record_ids: list[int]
-    attributes: list[int]
     key_index: list[int]
     attribute_names: tuple[str, ...]
     parameters: dict = field(default_factory=dict)
@@ -54,8 +55,8 @@ class ImputationReport:
     @property
     def cells(self) -> list[CellImputation]:
         """A new list of one view per imputed cell; a key's cells share its tuples."""
-        return [CellImputation(record_id, j, *self.keys[i])
-                for record_id, j, i in zip(self.record_ids, self.attributes, self.key_index)]
+        return [CellImputation(record_id, *self.keys[i])
+                for record_id, i in zip(self.record_ids, self.key_index)]
 
     @property
     def n_imputed(self) -> int:
@@ -63,7 +64,7 @@ class ImputationReport:
 
     @property
     def n_from_rules(self) -> int:
-        return sum(self.keys[i][1] == SOURCE_RULES for i in self.key_index)
+        return sum(self.keys[i][2] == SOURCE_RULES for i in self.key_index)
 
     @property
     def n_from_knn(self) -> int:
@@ -75,11 +76,12 @@ class ImputationReport:
 
     def per_attribute(self) -> dict[str, dict[str, int]]:
         stats: dict[str, dict[str, int]] = {}
-        for attribute, i in zip(self.attributes, self.key_index):
-            name = self.attribute_names[attribute]
-            entry = stats.setdefault(name, {"imputed": 0, "rules": 0, "knn": 0})
+        for i in self.key_index:
+            attribute, _, source, _, _ = self.keys[i]
+            entry = stats.setdefault(self.attribute_names[attribute],
+                                     {"imputed": 0, "rules": 0, "knn": 0})
             entry["imputed"] += 1
-            entry[self.keys[i][1]] += 1
+            entry[source] += 1
         return stats
 
     def to_dict(self) -> dict:
@@ -92,17 +94,16 @@ class ImputationReport:
         order.  Each cell gives ``row``, ``column``, ``value``, ``source``
         and ``provenance``: a rule cell's fired rules as positions in
         ``rules``, in firing order; a kNN cell's neighbor record ids.  Each
-        key's provenance is resolved once and shared by its cells.
+        key's column, value, source and provenance are resolved once and
+        shared by its cells.
         """
-        from .rules_io import rule_to_dict
-
-        fired = sorted({r for key in self.keys for r in key[2]}, key=AssociationRule.sort_key)
+        fired = sorted({r for key in self.keys for r in key[3]}, key=AssociationRule.sort_key)
         rule_ids = {r: i for i, r in enumerate(fired)}
         key_fields = [  # each key's part of its cells' entries
-            {"value": value, "source": source, "provenance": (
+            {"column": self.attribute_names[j], "value": value, "source": source, "provenance": (
                 [rule_ids[r] for r in rules] if source == SOURCE_RULES else list(neighbor_ids)
             )}
-            for value, source, rules, neighbor_ids in self.keys
+            for j, value, source, rules, neighbor_ids in self.keys
         ]
         per_attribute = self.per_attribute()
         n_rules = sum(entry["rules"] for entry in per_attribute.values())
@@ -117,10 +118,8 @@ class ImputationReport:
             },
             "per_attribute": per_attribute,
             "rules": [rule_to_dict(r) for r in fired],
-            "cells": [
-                {"row": record_id, "column": self.attribute_names[j], **key_fields[i]}
-                for record_id, j, i in zip(self.record_ids, self.attributes, self.key_index)
-            ],
+            "cells": [{"row": record_id, **key_fields[i]}
+                      for record_id, i in zip(self.record_ids, self.key_index)],
         }
 
 
@@ -183,9 +182,9 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
             starts.append(len(key_attrs))
         groups.append(g)
 
-    keys = [None] * len(key_attrs)  # (value, source, rules, neighbor_ids) per key
+    keys = [None] * len(key_attrs)  # (attribute, value, source, rules, neighbor_ids) per key
     for i, value, fired in _fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs):
-        keys[i] = (value, SOURCE_RULES, fired, ())
+        keys[i] = (key_attrs[i], value, SOURCE_RULES, fired, ())
     # The keys no rule covers; a record's are adjacent and share one kNN distance row
     pending = [i for i, key in enumerate(keys) if key is None]
     if pending:
@@ -193,23 +192,22 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
         results = knn.impute_cells([(dataset.records[key_firsts[i]], key_attrs[i])
                                     for i in pending])
         for i, (value, neighbor_ids) in zip(pending, results):
-            keys[i] = (value, SOURCE_KNN, (), neighbor_ids)
+            keys[i] = (key_attrs[i], value, SOURCE_KNN, (), neighbor_ids)
 
     filled = []  # one completed cells tuple per group, in group order
     for cells, start, stop in zip(group_of, starts, starts[1:]):
         cells = list(cells)
         for i in range(start, stop):
-            cells[key_attrs[i]] = keys[i][0]
+            cells[key_attrs[i]] = keys[i][1]
         filled.append(tuple(cells))
     records = [record if g < 0 else Record(record.id, filled[g])
                for record, g in zip(dataset.records, groups)]
     record_ids = [record.id for record, g in zip(dataset.records, groups) if g >= 0
                   for _ in range(starts[g], starts[g + 1])]
     key_index = [i for g in groups if g >= 0 for i in range(starts[g], starts[g + 1])]
-    attributes = [key_attrs[i] for i in key_index]
     completed = Dataset(dataset.schema, records, dataset.class_column)
     report = ImputationReport(
-        keys, record_ids, attributes, key_index,
+        keys, record_ids, key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
         parameters={"k": knn_params.k, "distance": knn_params.distance,
                     "rule_count": len(rules), **(parameters or {})},

@@ -51,7 +51,11 @@ class FrequentItemset:
 
 @dataclass(frozen=True)
 class AssociationRule:
-    """antecedent -> consequent with the joint support and the confidence."""
+    """antecedent -> consequent with the joint support and the confidence.
+
+    Both strengths are fractions in (0, 1]; anything else, NaN included,
+    raises ``ValueError``.
+    """
 
     antecedent: frozenset
     consequent: Item
@@ -61,6 +65,9 @@ class AssociationRule:
     def __post_init__(self):
         if self.consequent in self.antecedent:
             raise ValueError("consequent must be disjoint from the antecedent")
+        if not (0.0 < self.support <= 1.0 and 0.0 < self.confidence <= 1.0):
+            raise ValueError(f"support {self.support} and confidence {self.confidence} "
+                             "must be in (0, 1]")
 
     def sort_key(self):
         return (

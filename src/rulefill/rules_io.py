@@ -136,8 +136,12 @@ def check_compatible(rule_file: RuleFile, dataset: Dataset) -> None:
             f"rule file schema has {len(theirs)} attributes, dataset has {len(ours)}"
         )
     for position, (mine, other) in enumerate(zip(ours, theirs)):
-        if mine != other:  # name, kind and levels
-            raise DataError(
-                f"rule file schema does not match dataset at column {position}: "
-                f"expected {other.name!r} ({other.kind}), found {mine.name!r} ({mine.kind})"
-            )
+        if mine == other:  # name, kind and levels
+            continue
+        if (mine.name, mine.kind) == (other.name, other.kind):
+            detail = (f"levels of {mine.name!r} differ: "
+                      f"expected {other.levels}, found {mine.levels}")
+        else:
+            detail = (f"expected {other.name!r} ({other.kind}), "
+                      f"found {mine.name!r} ({mine.kind})")
+        raise DataError(f"rule file schema does not match dataset at column {position}: {detail}")

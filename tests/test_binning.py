@@ -57,6 +57,21 @@ def test_span_that_overflows_a_float_raises_for_both_strategies():
             fit_bins([-1e308, 0.0, 1e308], 3, strategy)
 
 
+# Spans a few ulps wide, where neighbouring equal-width edges round to the
+# same float and must merge into one.
+@pytest.mark.parametrize("values, n_bins, edges", [
+    ([1.0, 1.0000000000000004], 5, (1.0, 1.0000000000000002, 1.0000000000000004)),
+    ([-0.0, 1.5e-323], 4, (0.0, 5e-324, 1e-323, 1.5e-323)),
+    ([1e300, 1.0000000000000002e300], 3, (1e300, 1.0000000000000002e300)),
+    ([0.1, 0.10000000000000005], 8,
+     (0.1, 0.10000000000000002, 0.10000000000000003, 0.10000000000000005)),
+])
+def test_equal_width_edges_over_a_few_ulps_merge(values, n_bins, edges):
+    bins = fit_bins(values, n_bins, EQUAL_WIDTH)
+    assert bins.edges == edges
+    assert all(lo < hi for lo, hi in zip(bins.edges, bins.edges[1:]))
+
+
 def test_bin_of_boundaries():
     bins = Bins((0.0, 5.0, 10.0), (2.5, 7.5))
     assert bin_of(5.0, bins) == 1  # boundary belongs to the upper bin

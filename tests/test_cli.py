@@ -253,6 +253,46 @@ def test_impute_schema_mismatch_exits_one(tmp_path, car_csv, credit_csv, capsys)
     assert "schema" in stderr
 
 
+def test_impute_names_the_levels_when_only_their_order_differs(tmp_path, capsys):
+    mined, reordered = tmp_path / "car.csv", tmp_path / "reordered.csv"
+    rows = car_rows()
+    with open(mined, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([CAR_COLUMNS, *rows])
+    rows = [list(row) for row in reversed(rows)]
+    rows[0][1] = "?"
+    with open(reordered, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([CAR_COLUMNS, *rows])
+    rules = tmp_path / "car.rules.jsonl"
+    assert run_cli(["mine", "--data", str(mined), "--out", str(rules)], capsys)[0] == 0
+    code, _, stderr = run_cli(
+        ["impute", "--data", str(reordered), "--rules", str(rules),
+         "--out", str(tmp_path / "done.csv"), "--report", str(tmp_path / "report.json")],
+        capsys,
+    )
+    expected, found = (load_csv(path, "?").schema[0].levels for path in (mined, reordered))
+    assert expected != found and sorted(expected) == sorted(found)
+    assert code == 1
+    assert f"levels of 'buying' differ: expected {expected}, found {found}" in stderr
+
+
+def test_impute_refuses_a_rule_strength_that_is_not_a_number(tmp_path, car_csv, capsys):
+    rules = tmp_path / "car.rules.jsonl"
+    assert run_cli(["mine", "--data", str(car_csv), "--support-count", "40",
+                    "--out", str(rules)], capsys)[0] == 0
+    header, first, *_ = rules.read_text().splitlines()
+    rule = json.loads(first)
+    rule["confidence"] = math.nan
+    rules.write_text(header + "\n" + json.dumps(rule) + "\n")
+    code, _, stderr = run_cli(
+        ["impute", "--data", str(car_csv), "--rules", str(rules),
+         "--out", str(tmp_path / "done.csv"), "--report", str(tmp_path / "report.json")],
+        capsys,
+    )
+    assert code == 1
+    assert "car.rules.jsonl: line 2: bad rule record" in stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_impute_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
     rows = ["a,b,class"] + [f"{i % 3},{'xyz'[i % 3]},{'pq'[i % 2]}" for i in range(12)]
     rows[5] = "1,?,q"
@@ -462,6 +502,22 @@ def test_unknown_method_is_usage_error(car_csv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("mine", "--support", "abc"),
+    ("bench", "--missing-rate", "100"),
+    ("impute", "--k", "0"),
+    ("impute", "--k", "x"),
+    ("bench", "--values", "10..5"),
+    ("bench", "--values", "a,b"),
+    ("bench", "--methods", ","),
+])
+def test_bad_option_value_is_usage_error(car_csv, capsys, command, option, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--data", str(car_csv), option, value])
+    assert excinfo.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
 def test_data_dir_env_var(tmp_path, car_csv, capsys, monkeypatch):
     monkeypatch.setenv("RULEFILL_DATA_DIR", str(car_csv.parent))
     monkeypatch.chdir(tmp_path)
@@ -500,6 +556,20 @@ def test_demo_runs(demo, tmp_path):
         env={**child_env(), "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+PUBLIC_NAMES = [
+    "AssociationRule", "AttributeSchema", "CATEGORICAL", "DataError", "Dataset",
+    "ExperimentSpec", "KnnImputer", "KnnParams", "MiningParams", "NUMERIC", "Record",
+    "SOURCE_KNN", "SOURCE_RULES", "evaluate", "fit_all_bins", "fit_bins", "generate_rules",
+    "impute_dataset", "inject_missing", "load_csv", "mine_frequent", "mine_rules",
+    "read_rules", "run_sweep", "write_csv", "write_report_files", "write_rules",
+]
+
+
+def test_package_exports_exactly_the_public_names():
+    assert sorted(rulefill.__all__) == PUBLIC_NAMES
+    assert all(hasattr(rulefill, name) for name in PUBLIC_NAMES)
 
 
 def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):

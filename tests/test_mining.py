@@ -137,6 +137,14 @@ def test_singletons_make_no_rules():
     assert generate_rules(frequents, params) == []
 
 
+def test_generate_rules_refuses_itemsets_that_are_not_downward_closed():
+    params = MiningParams(0.5, 0.6)
+    pairs = [f for f in mine_frequent(*tidsets_of(TOY_DB), params) if len(f.itemset) == 2]
+    assert pairs
+    with pytest.raises(ValueError, match="not downward closed"):
+        generate_rules(pairs, params)
+
+
 def test_rule_rejects_overlapping_consequent():
     with pytest.raises(ValueError):
         AssociationRule(frozenset({A}), A, 0.5, 0.9)

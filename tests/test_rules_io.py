@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 
 import pytest
 
@@ -88,6 +89,11 @@ def test_bad_files_rejected(tmp_path):
         {**good, "bins": []},
         {**good, "schema": 3},
         ["rulefill-rules-v1"],                                        # not an object
+        {**good, "schema": [{"name": "a", "kind": "categorical", "levels": ["x", "x"]}]},
+        {**good, "schema": [{"name": "a", "kind": "numeric", "levels": ["x"]}]},
+        {**good, "bins": {"0": {"edges": [1.0], "representatives": []}}},
+        {**good, "bins": {"0": {"edges": [2.0, 1.0], "representatives": [1.5]}}},
+        {**good, "bins": {"0": {"edges": [0.0, 1.0], "representatives": [2.0]}}},
     ]
     for header in bad_headers:
         bad = tmp_path / "bad_header.jsonl"
@@ -102,12 +108,25 @@ def test_bad_files_rejected(tmp_path):
         [[], [1, 0], 0.5, 0.9],
         {"antecedent": [], "consequent": [1, 0], "support": "high", "confidence": 0.9},
         {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": None},
+        {"antecedent": [], "consequent": [1, 0], "support": math.nan, "confidence": 0.9},
+        {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": math.nan},
+        {"antecedent": [], "consequent": [1, 0], "support": 0, "confidence": 0.9},
+        {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": 0.0},
+        {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": 1.5},
+        {"antecedent": [], "consequent": [1, 0], "support": -math.inf, "confidence": 0.9},
     ]
     for record in bad_records:
         bad = tmp_path / "bad_rule.jsonl"
         bad.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
         with pytest.raises(DataError, match="bad_rule.jsonl: line 3"):
             read_rules(bad)
+
+
+def test_header_that_is_not_json_is_rejected(tmp_path):
+    bad = tmp_path / "bad_header.jsonl"
+    bad.write_text('{"format": "rulefill-rules-v1",\n')
+    with pytest.raises(DataError, match="bad_header.jsonl: bad rule-file header"):
+        read_rules(bad)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
