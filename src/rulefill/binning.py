@@ -19,7 +19,7 @@ EQUAL_FREQUENCY = "frequency"
 
 @dataclass(frozen=True)
 class Bins:
-    """Increasing cut points (b+1 edges for b bins) plus b representatives.
+    """Increasing finite cut points (b+1 edges for b bins) plus b representatives.
 
     The single degenerate case is a constant column, encoded as two equal
     edges and one bin.
@@ -33,6 +33,8 @@ class Bins:
             raise ValueError("need at least two edges")
         if len(self.representatives) != len(self.edges) - 1:
             raise ValueError("need exactly one representative per bin")
+        if not all(map(math.isfinite, (*self.edges, *self.representatives))):
+            raise ValueError("edges and representatives must be finite")
         degenerate = len(self.edges) == 2 and self.edges[0] == self.edges[1]
         if not degenerate and any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise ValueError("edges must be strictly increasing")

@@ -40,6 +40,17 @@ def test_equal_frequency_merges_duplicate_edges():
     assert bins.edges[0] == 1.0 and bins.edges[-1] == 2.0
 
 
+@pytest.mark.parametrize("edges, representatives", [
+    ((0.0, math.inf), (1.0,)),
+    ((-math.inf, 0.0, 1.0), (-1.0, 0.5)),
+    ((0.0, 1.0), (math.nan,)),
+    ((0.0, math.nan, 2.0), (0.5, 1.5)),
+])
+def test_bins_refuse_values_that_are_not_finite(edges, representatives):
+    with pytest.raises(ValueError, match="must be finite"):
+        Bins(edges, representatives)
+
+
 def test_fit_bins_errors():
     with pytest.raises(ValueError):
         fit_bins([], 2)

@@ -293,6 +293,27 @@ def test_impute_refuses_a_rule_strength_that_is_not_a_number(tmp_path, car_csv, 
     assert not (tmp_path / "report.json").exists()
 
 
+def test_impute_refuses_a_bin_edge_that_is_not_finite(tmp_path, credit_csv, capsys):
+    rules = tmp_path / "crx.rules.jsonl"
+    assert run_cli(["mine", "--data", str(credit_csv), "--support-count", "60",
+                    "--out", str(rules)], capsys)[0] == 0
+    first, *rest = rules.read_text().splitlines()
+    header = json.loads(first)
+    spec = next(iter(header["bins"].values()))
+    spec["edges"][-1] = math.inf  # written as a bare Infinity
+    rules.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+    assert '"edges": [' in rules.read_text() and "Infinity]" in rules.read_text()
+    out, report = tmp_path / "done.csv", tmp_path / "report.json"
+    code, _, stderr = run_cli(
+        ["impute", "--data", str(credit_csv), "--rules", str(rules),
+         "--out", str(out), "--report", str(report)],
+        capsys,
+    )
+    assert code == 1
+    assert "crx.rules.jsonl: bad rule-file header: edges and representatives must be finite" in stderr
+    assert not out.exists() and not report.exists()
+
+
 def test_impute_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
     rows = ["a,b,class"] + [f"{i % 3},{'xyz'[i % 3]},{'pq'[i % 2]}" for i in range(12)]
     rows[5] = "1,?,q"

@@ -327,11 +327,12 @@ def assert_block_is_scalar_heom(knn, queries):
             assert math.sqrt(squared) == scalar
 
 
-def expected_retries(knn, ds, cells, size):
+def expected_retries(knn, ds, cells, size, width=None):
     """Cells whose nearest records hold fewer target holders than they need.
 
     A record's nearest records are those at or below its ``size``-th smallest
-    squared distance, the record itself counting as infinitely far.
+    squared distance, the record itself counting as infinitely far; with a
+    ``width``, only the first ``width`` of them in (distance, id) order count.
     """
     by_id = sorted(ds.records, key=lambda r: r.id)  # the order of a _distances row
     retries = 0
@@ -339,16 +340,23 @@ def expected_retries(knn, ds, cells, size):
         row = [math.inf if other.id == record.id else squared
                for squared, other in zip(distance_rows(knn, [record])[0], by_id)]
         kth = sorted(row)[size - 1]
-        holders = [squared for squared, other in zip(row, by_id)
-                   if other.id != record.id and other.cells[attribute] is not None]
-        need = min(knn.params.k, len(holders))
-        retries += sum(squared <= kth for squared in holders) < need
+        nearest = sorted((squared, p) for p, squared in enumerate(row) if squared <= kth)
+        holds = [other.id != record.id and other.cells[attribute] is not None for other in by_id]
+        need = min(knn.params.k, sum(holds))
+        retries += sum(holds[p] for _, p in nearest[:width]) < need
     return retries
 
 
+def expected_fallbacks(knn, ds, cells):
+    """Cells whose heads hold fewer target holders than they need: those that reach _select."""
+    size = min(ds.n_records, 2 * knn.params.k + knn_module._NEAREST_SLACK)
+    width = min(ds.n_records, knn_module._HEAD_FACTOR * size)
+    return expected_retries(knn, ds, cells, size, width)
+
+
 def check_knn_against_oracles(monkeypatch, ds, k, cells):
-    """impute_cells and impute_dataset agree with the oracles, and each cell
-    with neighbors calls _select exactly once."""
+    """impute_cells and impute_dataset agree with the oracles, and exactly the
+    cells whose heads fall short of k holders call _select, once each."""
     knn = KnnImputer(ds, KnnParams(k=k))
     select, calls = knn_module._select, [0]
 
@@ -359,7 +367,7 @@ def check_knn_against_oracles(monkeypatch, ds, k, cells):
     monkeypatch.setattr(knn_module, "_select", counting_select)
     results = list(knn.impute_cells(cells))
     monkeypatch.setattr(knn_module, "_select", select)
-    assert calls[0] == sum(1 for _, ids in results if ids)
+    assert calls[0] == expected_fallbacks(knn, ds, cells)
 
     for (record, j), (value, ids) in zip(cells, results, strict=True):
         expected = oracle_neighbors(ds, record, j, k)
@@ -402,7 +410,13 @@ def test_reused_block_buffers_carry_nothing_over(monkeypatch):
         blocks.clear()
         knn = KnnImputer(ds, KnnParams(k=k))
         results = knn.impute_cells(cells)
-        assert [len(positions) for positions, _ in blocks] == [3] * 6 + [2]
+        # the main pass: every query record in order, in blocks of 3; any later
+        # block recomputes rows for the fallback
+        main = blocks[:7]
+        assert [len(positions) for positions, _ in main] == [3] * 6 + [2]
+        assert [p for positions, _ in main for p in positions] == [
+            knn._position[r.id] for r in ds.records]
+        assert all(len(positions) <= 3 for positions, _ in blocks[7:])
         for positions, block in blocks:
             for p, row in zip(positions, block, strict=True):
                 record = by_id[p]
@@ -504,6 +518,41 @@ def test_few_near_holders_take_tie_band_then_retry(slack, monkeypatch):
         size = min(ds.n_records, 2 * k + slack)
         assert expected_retries(KnnImputer(ds, KnnParams(k=k)), ds, cells, size) > 0
         check_knn_against_oracles(monkeypatch, ds, k, cells)
+
+
+SPARSE_SCHEMA = [
+    AttributeSchema("c0", CATEGORICAL, ("a", "b", "c")),
+    AttributeSchema("c1", CATEGORICAL, ("u", "v")),
+    AttributeSchema("x", NUMERIC),
+    AttributeSchema("c3", CATEGORICAL, ("p", "q", "r")),
+    AttributeSchema("sparse", CATEGORICAL, ("s", "t")),
+]
+
+
+def sparse_holders_dataset(rng, n_records):
+    """``sparse`` is held by about 30% of records, those whose c0 is not "a"
+    and whose c1 is "v", and every other cell is missing at 20%: a record
+    lacking ``sparse`` has few holders among its nearest records, and often
+    none in its head."""
+    records = []
+    for record_id in rng.sample(range(10 * n_records), n_records):
+        lacking = rng.random() < 0.7
+        c0, c1 = ("a", "u") if lacking else (rng.choice("bc"), "v")
+        cells = [c0, c1, f"{rng.choice([0.0, 1.0, 2.5])}", rng.choice("pqr")]
+        cells = [None if rng.random() < 0.2 else cell for cell in cells]
+        records.append(Record(record_id, (*cells, None if lacking else rng.choice("st"))))
+    return Dataset(SPARSE_SCHEMA, records)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_sparse_holders_mostly_take_the_fallback_and_match_oracle(k, monkeypatch):
+    rng = random.Random(7070 + k)
+    ds = sparse_holders_dataset(rng, 200)
+    assert 0.6 < sum(r.cells[4] is None for r in ds.records) / ds.n_records < 0.8
+    sparse = [(r, 4) for r in ds.records]
+    assert expected_fallbacks(KnnImputer(ds, KnnParams(k=k)), ds, sparse) > len(sparse) // 2
+    cells = sparse + [(r, j) for r in rng.sample(ds.records, 30) for j in range(4)]
+    check_knn_against_oracles(monkeypatch, ds, k, cells)
 
 
 @pytest.mark.parametrize("k", [1, 10, None])  # None: more than the records
@@ -797,19 +846,23 @@ def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, n
         # a different threshold per row: runs of different lengths, tied at the threshold
         flags = block <= np.sort(block, axis=1)[np.arange(rows), rng.integers(0, width, rows)][:, None]
         ordered, starts = knn._sorted_nearest(block.copy(), flags)
-        assert starts == [0, *np.cumsum(flags.sum(axis=1)).tolist()]
+        assert starts.tolist() == [0, *np.cumsum(flags.sum(axis=1)).tolist()]
         runs = [ordered[a:b].tolist() for a, b in zip(starts, starts[1:])]
         assert runs == brute_force_runs(block, flags)
 
 
 def test_select_retries_past_a_run_short_of_k_holders():
+    # the fallback for a cell whose head holds too few holders: the k nearest
+    # holders of the whole row, in (value, position) order
     row = np.array([5, 1, 1, 3, 0, 2, 2, 9], np.int32)
     present = np.array([True, False, True, True, False, True, True, True])
-    ordered = np.array([4, 1, 2])  # the positions at or below 1, in (value, position) order
-    assert knn_module._select(row, ordered, present, 1).tolist() == [2]
-    # one holder in the run: every holder at or below the 3rd holder value, sorted
-    assert knn_module._select(row, ordered, present, 3).tolist() == [2, 5, 6]
-    assert knn_module._select(row, ordered, present, 6).tolist() == [2, 5, 6, 3, 0, 7]
+    assert knn_module._select(row, present, 1).tolist() == [2]
+    assert knn_module._select(row, present, 2).tolist() == [2, 5]  # tied at 2: lower position
+    assert knn_module._select(row, present, 3).tolist() == [2, 5, 6]
+    assert knn_module._select(row, present, 6).tolist() == [2, 5, 6, 3, 0, 7]
+    # the own position holds the sentinel: never chosen while k others hold
+    row[3] = np.iinfo(np.int32).max
+    assert knn_module._select(row, present, 5).tolist() == [2, 5, 6, 0, 7]
 
 
 def test_one_block_of_120_records_over_300_terms_matches_oracle(monkeypatch):
@@ -867,6 +920,42 @@ def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
     # sort, and a fixed allowance for the results
     assert peak < 9 * knn_module._BLOCK_BYTES + (512 << 10)
     assert results == [("y", (0, 2, 4, 6, 8))] * len(cells)  # ties go to the lowest ids
+
+
+def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypatch):
+    # a narrow table, every cell of 5,000 records: an unchunked pick's copy of
+    # all 20,000 cells' heads would alone take about the whole bound
+    n = 5000
+    rng = random.Random(2020)
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b", "c")) for j in range(4)]
+    ds = Dataset(schema, [
+        Record(i, tuple(None if rng.random() < 0.2 else rng.choice("abc") for _ in schema))
+        for i in range(n)
+    ])
+    cells = [(r, j) for r in ds.records for j in range(4)]
+    mode, before_vote = knn_module._mode, []
+
+    def first_vote(codes, n_levels):
+        if not before_vote:
+            before_vote.append(tracemalloc.get_traced_memory()[1])
+        return mode(codes, n_levels)
+
+    monkeypatch.setattr(knn_module, "_mode", first_vote)
+    knn = KnnImputer(ds, KnnParams(k=5))
+    tracemalloc.start()
+    try:
+        results = knn.impute_cells(cells)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 9 * knn_module._BLOCK_BYTES + (512 << 10)
+    # the block and pick stages, before any result exists; then the whole
+    # call, less the results it returns (about 4 MB of tuples)
+    assert before_vote[0] < bound
+    assert peak - held < bound
+    for (record, j), (value, ids) in rng.sample(list(zip(cells, results)), 20):
+        assert list(ids) == oracle_neighbors(ds, record, j, 5)
+        assert value == oracle_knn_value(ds, record, j, 5)
 
 
 def test_empty_dataset_has_no_neighbors():

@@ -94,6 +94,7 @@ def test_bad_files_rejected(tmp_path):
         {**good, "bins": {"0": {"edges": [1.0], "representatives": []}}},
         {**good, "bins": {"0": {"edges": [2.0, 1.0], "representatives": [1.5]}}},
         {**good, "bins": {"0": {"edges": [0.0, 1.0], "representatives": [2.0]}}},
+        {**good, "bins": {"0": {"edges": [0.0, math.inf], "representatives": [1.0]}}},
     ]
     for header in bad_headers:
         bad = tmp_path / "bad_header.jsonl"
