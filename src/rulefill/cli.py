@@ -74,7 +74,8 @@ def _values_list(text: str) -> list[float]:
             step = float(step_text) if step_text else 10.0
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad range: {text!r}") from None
-        if step <= 0 or hi < lo:
+        # the quotient is not finite when a bound or the span is not
+        if not (0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
             raise argparse.ArgumentTypeError(f"bad range: {text!r}")
         # lo + i*step, rounded, so "0..1:0.1" ends at 1.0 rather than
         # accumulating to 0.9999999999999999

@@ -8,9 +8,9 @@ counts as maximally dissimilar.
 Each query record is scanned against every record, a block of query records
 at a time, and keeps its nearest records in (distance, id) order as a
 fixed-width head.  Every cell then picks its neighbours from the heads in one
-vectorised pass per chunk of heads; a cell whose head holds too few records
-with a value at its attribute falls back to an exact pick over its whole
-distance row.
+vectorised pass per chunk of heads.  The cells whose heads hold too few
+records with a value at their attribute go through the same scan once more,
+each as its own query row, which reaches only those records.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class KnnParams:
 # allocates them once per call, every block reuses them, and they are freed
 # when it returns.  The block's nearest-record positions (int64) reach twice
 # this size when every record ties, as on a constant column, and sorting them
-# takes at most five times this size while it runs.  The int32 heads of a
+# takes at most five times this size while it runs.  A rescan's block masks
+# each row's records that lack its attribute with at most two bool
+# temporaries, each at most a quarter of this size.  The int32 heads of a
 # chunk of blocks fill at most half this size.  Whenever they fill, their cells
 # pick their neighbours in passes whose copy of the cells' heads is at most
 # half this size too, and each other temporary of a pass at most this size.
@@ -57,11 +59,11 @@ _NEAREST_SLACK = 8
 
 # A query record keeps the first W = _HEAD_FACTOR * K of those, ties included,
 # in (distance, id) order, as its head (at most every record).  A cell whose
-# head holds fewer than k holders of its attribute takes the exact fallback
-# (_select) on its recomputed distance row.  On car at 6,912 rows with maint
-# about 70% missing and a 20% mask elsewhere, heads of W = K sent 1,192 of
-# 6,156 keys there and kNN-only impute_dataset took 0.236 s (median), against
-# 122 keys and 0.169 s with W = 2K.
+# head holds fewer than k holders of its attribute is scanned again, alone.
+# On car at 6,912 rows with a 20% mask (seed 3) and maint blanked in 65% of
+# records (seed 5), heads of W = K sent 1,877 of 8,084 keys to that rescan
+# and kNN-only impute_dataset took 0.285 s (median), against 253 keys and
+# 0.195 s with W = 2K.
 _HEAD_FACTOR = 2
 
 
@@ -88,9 +90,11 @@ class KnnImputer:
     id) order, and keeps each run's first entries, the record's head.  The
     pick stage runs whenever a chunk of heads fills: for all of the chunk's
     cells at once, it takes each head's first k holders of the cell's
-    attribute.  A cell whose head holds fewer goes to ``_select``, on
-    distance rows recomputed once every chunk is picked.  Each (attribute,
-    k) group of cells then votes once.
+    attribute into one table of the call's neighbours.  The cells whose
+    heads hold fewer go through both stages once more, each cell as its own
+    query record, whose distances to the records lacking its attribute are
+    set to ``_far``.  Such a head holds only holders, and at least k.  Each
+    (attribute, k) group of cells then votes once.
     When no participating numeric attribute has a non-zero range, every term
     is 0 or 1 and the squared distances are exact int32 integers; otherwise
     they are float64.  Either way a record's own position holds ``_far``,
@@ -160,53 +164,66 @@ class KnnImputer:
         Adjacent pairs of one record share a query record.  Query records
         run a block at a time; a block holds ``_BLOCK_BYTES`` of distances
         (int32 or float64) or one row.  Its buffers are allocated once per
-        call, reused by every block and freed before the vote, and its
-        nearest records are sorted once, into one head per query record.
-        Whenever the heads fill half of ``_BLOCK_BYTES``, their pairs pick
-        their neighbours, in passes over at most as many pairs as fill that
-        much of heads again.  Pairs whose heads hold too few holders get their distance rows
-        recomputed, a block at a time, after the last pick.  The vote runs
-        once per (attribute, k) group at the end, so no result comes back
-        before every block has been scanned.
+        call, reused by every block of both scans and freed before the
+        vote, and its nearest records are sorted once, into one head per
+        query record.  Whenever the heads fill half of ``_BLOCK_BYTES``,
+        their pairs pick their neighbours, in passes over at most as many
+        pairs as fill that much of heads again.  Pairs whose heads hold too
+        few holders are scanned once more, one query record each.  The vote
+        runs once per (attribute, k) group at the end, so no result comes
+        back before every block has been scanned.
         """
-        positions, firsts, attributes, last = [], [], [], None  # firsts: each query's first pair
-        for index, (record, attribute) in enumerate(cells):
+        owners, attributes, last = [], [], None  # owners: each pair's record position
+        for record, attribute in cells:
             if record is not last:
                 p = self._position.get(record.id)
                 if p is None or self.dataset.record_by_id(record.id) != record:
                     raise DataError(f"record {record.id} is not in the dataset")
-                positions.append(p)
-                firsts.append(index)
                 last = record
+            owners.append(p)
             attributes.append(attribute)
-        firsts.append(len(attributes))
-        positions, firsts = np.array(positions, np.intp), np.array(firsts, np.intp)
-        attributes = np.array(attributes, np.intp)
-        groups = self._neighbors(positions, firsts, attributes)
+        owners, attributes = np.array(owners, np.intp), np.array(attributes, np.intp)
+        chosen, ks = self._neighbors(owners, attributes)
 
         results = [None] * attributes.size
-        for (attribute, k), (indices, chosen) in groups.items():
+        order = np.lexsort((ks, attributes))
+        change = np.diff(attributes[order]) | np.diff(ks[order])
+        for group in np.split(order, np.flatnonzero(change) + 1) if order.size else ():
+            attribute, k = int(attributes[group[0]]), int(ks[group[0]])
             attr = self.dataset.schema[attribute]
-            indices, neighbors = np.concatenate(indices).tolist(), np.concatenate(chosen)
+            neighbors = chosen[group, : max(k, 1)]
             if attr.kind == NUMERIC:
                 # Python's sum over the values in neighbor order, as the scalar mean does
                 values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
             else:
                 winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
                 values = [attr.levels[w] for w in winners.tolist()]
-            ids = map(tuple, self._ids[neighbors].tolist()) if k else [()] * len(indices)
-            for i, value, neighbor_ids in zip(indices, values, ids):
+            ids = map(tuple, self._ids[neighbors].tolist()) if k else [()] * group.size
+            for i, value, neighbor_ids in zip(group.tolist(), values, ids):
                 results[i] = (value, neighbor_ids)
         return results
 
-    def _neighbors(self, positions, firsts, attributes) -> dict:
-        """Each pair's neighbour positions, filed under its (attribute, k).
+    def _neighbors(self, owners, attributes) -> tuple[np.ndarray, np.ndarray]:
+        """Each pair's k and neighbour positions: ``(chosen, ks)``.
 
-        Query record q is at ``positions[q]`` and its pairs are ``firsts[q]``
-        to ``firsts[q + 1]``; pair i's attribute is ``attributes[i]``.  The
-        block buffers and heads are freed on return, before the vote.
+        Pair i is the record at position ``owners[i]`` and attribute
+        ``attributes[i]``.  k is at most the holders other than the owner;
+        the pair's neighbours are the first k of ``chosen[i]``.  When k is 0,
+        no other record holds the attribute: the entry is the owner, which
+        votes alone, or, when the owner lacks the attribute too,
+        ``DataError`` is raised.  The block buffers and heads are freed on
+        return.
         """
         n = self._ids.size
+        own = self._present[attributes, owners]
+        ks = np.minimum(self.params.k, self._known[attributes] - own)
+        alone = ks == 0
+        if not own[alone].all():
+            name = self.dataset.schema[attributes[alone & ~own][0]].name
+            raise DataError(f"attribute {name!r} has no known value anywhere; cannot impute")
+        chosen = np.empty((owners.size, min(self.params.k, max(n, 1))), np.int32)
+        chosen[alone, 0] = owners[alone]
+
         rows = max(1, _BLOCK_BYTES // (self._far.itemsize * max(n, 1)))
         size = min(n, 2 * self.params.k + _NEAREST_SLACK)
         width = min(n, _HEAD_FACTOR * size)
@@ -217,21 +234,28 @@ class KnnImputer:
         chunk = max(1, picks // rows) * rows
 
         work = self._workspace(rows)
-        heads = np.empty((min(chunk, positions.size), width), np.int32)
-        groups, short = {}, []  # short: (pairs, owners, attributes, k) whose heads fell short
-        for start in range(0, positions.size, chunk):
-            queries = positions[start : start + chunk]
-            for offset, block in self._blocks(queries, rows, work):
-                self._head(block, size, heads[offset : offset + len(block)], work)
-            stop = firsts[start + queries.size]
-            for lo in range(firsts[start], stop, picks):
-                pairs = np.arange(lo, min(lo + picks, stop))
-                query = np.searchsorted(firsts, pairs, side="right") - 1
-                self._pick(pairs, heads[query - start], positions[query], attributes[pairs],
-                           groups, short)
-        if short:
-            self._fall_back(*map(np.concatenate, zip(*short)), rows, work, groups)
-        return groups
+        heads = np.empty((min(chunk, owners.size), width), np.int32)
+        # The first scan: every pair with a k, its query records the runs of one owner
+        short, reach = np.flatnonzero(ks), None
+        firsts = np.append(np.flatnonzero(np.diff(owners[short], prepend=-1)), short.size)
+        while short.size:
+            queries, lacking = owners[short[firsts[:-1]]], []
+            for start in range(0, queries.size, chunk):
+                batch = queries[start : start + chunk]
+                masks = None if reach is None else reach[start : start + chunk]
+                for offset, block in self._blocks(batch, rows, work, masks):
+                    self._head(block, size, heads[offset : offset + len(block)], work)
+                stop = firsts[start + batch.size]
+                for lo in range(firsts[start], stop, picks):
+                    pairs = np.arange(lo, min(lo + picks, stop))
+                    query = np.searchsorted(firsts, pairs, side="right") - 1
+                    lacking.append(self._pick(short[pairs], heads[query - start], attributes, ks,
+                                              chosen))
+            # The rescan: one query record per short pair, which reaches only
+            # the holders of the pair's attribute, so its head holds k of them
+            short = np.concatenate(lacking)
+            firsts, reach = np.arange(short.size + 1), attributes[short]
+        return chosen, ks
 
     def _workspace(self, rows: int) -> _Workspace:
         """Buffers for blocks of up to ``rows`` query records."""
@@ -240,13 +264,16 @@ class KnnImputer:
         return _Workspace(np.empty(shape, dtype), np.empty(shape, dtype),
                           np.empty(shape, self._match_dtype), np.empty(shape, bool), terms)
 
-    def _blocks(self, positions: np.ndarray, rows: int, work: _Workspace):
+    def _blocks(self, positions: np.ndarray, rows: int, work: _Workspace, reach=None):
         """(offset, block) for each ``rows`` of ``positions``: a ``_distances``
-        block with each record's own position at ``_far``."""
+        block with each record's own position at ``_far``.  With ``reach``,
+        an attribute per position, so is every record lacking it."""
         for offset in range(0, positions.size, rows):
             queries = positions[offset : offset + rows]
             block = self._distances(queries, work)
             block[np.arange(queries.size), queries] = self._far  # never one's own neighbor
+            if reach is not None:
+                block[~self._present[reach[offset : offset + rows], :-1]] = self._far
             yield offset, block
 
     def _distances(self, positions, work: _Workspace) -> np.ndarray:
@@ -284,7 +311,8 @@ class KnnImputer:
         """Write each block row's head into its row of ``heads``.
 
         A row's nearest records are its positions at or below the row's
-        ``size``-th smallest value, ties included.  Its head is their first
+        ``size``-th smallest value, ties included, short of ``_far`` (every
+        distance is at most the term count).  Its head is their first
         ``heads.shape[1]`` in (distance, id) order, padded with the position
         past the last record, which no attribute holds.
         """
@@ -292,60 +320,33 @@ class KnnImputer:
         part, flags = work.partition[:n], work.flags[:n]
         np.copyto(part, block)
         part.partition(size - 1, axis=1)
-        np.less_equal(block, part[:, size - 1 : size], out=flags)
+        np.less_equal(block, np.minimum(part[:, size - 1 : size], len(self._terms)), out=flags)
         ordered, starts = self._sorted_nearest(block, flags)
         index = starts[:-1, None] + np.arange(heads.shape[1])
         heads[...] = ordered.take(index, mode="clip")
         heads[index >= starts[1:, None]] = block.shape[1]  # past the row's run
 
-    def _pick(self, pairs, heads, owners, attributes, groups, short) -> None:
-        """File each pair's first k holders in its head under its (attribute, k).
+    def _pick(self, pairs, heads, attributes, ks, chosen) -> np.ndarray:
+        """Write each pair's first k holders in its head into its row of ``chosen``.
 
-        ``pairs`` are indices into the cells, with each pair's head, its own
-        record's position (``owners``) and its attribute.  k is at most the
-        holders other than the owner.  Pairs whose heads hold fewer than k
-        holders go to ``short``.  When k is 0, no other record holds the
-        attribute: the entry is the owner, which votes alone, or, when the
-        owner lacks the attribute too, ``DataError`` is raised.
+        ``pairs`` index ``attributes``, ``ks`` and ``chosen``, with one row
+        of ``heads`` each.  Returns the pairs whose heads hold fewer than k
+        holders; their rows of ``chosen`` are left as they were.
         """
-        holds = self._present[attributes[:, None], heads]
-        own = self._present[attributes, owners]
-        k = np.minimum(self.params.k, self._known[attributes] - own)
+        holds = self._present[attributes[pairs, None], heads]
+        k = ks[pairs]
         counts = np.cumsum(holds, axis=1, dtype=np.min_scalar_type(heads.shape[1]))
         found = counts[:, -1] >= k
-        if not found.all():
-            lacking = ~found
-            short.append((pairs[lacking], owners[lacking], attributes[lacking], k[lacking]))
         holds &= counts <= k[:, None]  # each pair's first k holders,
         holds &= found[:, None]  # when it has them
-        # a chosen holder's count, less one, is its column in its pair's row of
-        # ``chosen``; a found pair's k is at most the head width
-        chosen = np.empty((pairs.size, min(self.params.k, heads.shape[1])), np.int32)
+        # a chosen holder's count, less one, is its column in its pair's row
         flat = np.flatnonzero(holds)
-        target = flat // heads.shape[1]
+        target = pairs[flat // heads.shape[1]]
         target *= chosen.shape[1]
         target += counts.ravel()[flat]
         target -= 1
         chosen.ravel()[target] = heads.ravel()[flat]
-        alone = k == 0
-        if alone.any():
-            if not own[alone].all():
-                name = self.dataset.schema[attributes[alone & ~own][0]].name
-                raise DataError(f"attribute {name!r} has no known value anywhere; cannot impute")
-            chosen[alone, 0] = owners[alone]
-        _file(groups, np.flatnonzero(found), pairs, attributes, k, chosen)
-
-    def _fall_back(self, pairs, owners, attributes, k, rows, work, groups) -> None:
-        """File the pairs that ``_pick`` left short, from ``_select`` on their owners' rows."""
-        distinct, query = np.unique(owners, return_inverse=True)
-        order = np.argsort(query, kind="stable")
-        bounds = np.searchsorted(query[order], np.arange(0, distinct.size + rows, rows)).tolist()
-        chosen = np.empty((pairs.size, k.max()), np.int32)
-        for (offset, block), lo, hi in zip(self._blocks(distinct, rows, work), bounds, bounds[1:]):
-            for i in order[lo:hi].tolist():
-                present = self._present[attributes[i], :-1]
-                chosen[i, : k[i]] = _select(block[query[i] - offset], present, k[i])
-        _file(groups, np.arange(pairs.size), pairs, attributes, k, chosen)
+        return pairs[~found]
 
     def _sorted_nearest(self, block: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every row's flagged positions in (distance, position) order, rows one after another.
@@ -375,35 +376,6 @@ class KnnImputer:
             flat = flat[np.lexsort((distances, flat // width))]
         flat %= width
         return flat, starts
-
-
-def _select(row: np.ndarray, present: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k nearest holders (``present``) in ``row``, in (value, position) order.
-
-    The candidates are every holder at or below the k-th smallest holder
-    value, and a stable sort of them by value keeps position order among
-    ties; every other holder is farther than every candidate.  Needs at
-    least k holder values below the sentinel ``KnnImputer._far``.
-    """
-    kth = np.partition(row[present], k - 1)[k - 1]
-    candidates = np.flatnonzero(present & (row <= kth))
-    return candidates[np.argsort(row[candidates], kind="stable")[:k]]
-
-
-def _file(groups: dict, cells, pairs, attributes, k, chosen) -> None:
-    """File ``cells`` (indices into the other arrays) under their (attribute, k).
-
-    Each cell's entry is its pair and the first k (at least one) of its row
-    of ``chosen``.
-    """
-    cells = cells[np.lexsort((k[cells], attributes[cells]))]
-    change = (np.diff(attributes[cells]) != 0) | (np.diff(k[cells]) != 0)
-    for group in np.split(cells, np.flatnonzero(change) + 1):
-        if group.size:
-            attribute, kg = int(attributes[group[0]]), int(k[group[0]])
-            indices, entries = groups.setdefault((attribute, kg), ([], []))
-            indices.append(pairs[group])
-            entries.append(chosen[group, : max(kg, 1)])
 
 
 def _mean(numbers: list) -> float:

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .binning import Bins
-from .data import AttributeSchema, DataError, Dataset
+from .data import NUMERIC, AttributeSchema, DataError, Dataset
 from .mining import AssociationRule, MiningParams
 
 FORMAT = "rulefill-rules-v1"
@@ -123,6 +123,9 @@ def _rule_file_from_header(header: dict) -> RuleFile:
         int(j): Bins(tuple(spec["edges"]), tuple(spec["representatives"]))
         for j, spec in header.get("bins", {}).items()
     }
+    for j in bins:
+        if not (0 <= j < len(schema) and schema[j].kind == NUMERIC):
+            raise ValueError(f"bins key {j} is not a numeric column of the schema")
     raw_params = header.get("params")
     params = MiningParams(**raw_params) if raw_params else None
     return RuleFile([], schema, header.get("class_column"), bins, params)

@@ -530,13 +530,17 @@ def test_unknown_method_is_usage_error(car_csv):
     ("impute", "--k", "x"),
     ("bench", "--values", "10..5"),
     ("bench", "--values", "a,b"),
+    ("bench", "--values", "0..inf"),
+    ("bench", "--values", "10..nan"),
     ("bench", "--methods", ","),
 ])
 def test_bad_option_value_is_usage_error(car_csv, capsys, command, option, value):
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--data", str(car_csv), option, value])
     assert excinfo.value.code == 2
-    assert f"argument {option}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err
+    assert f"argument {option}: invalid" not in err  # the option's own message, not argparse's
 
 
 def test_data_dir_env_var(tmp_path, car_csv, capsys, monkeypatch):

@@ -348,26 +348,34 @@ def expected_retries(knn, ds, cells, size, width=None):
 
 
 def expected_fallbacks(knn, ds, cells):
-    """Cells whose heads hold fewer target holders than they need: those that reach _select."""
+    """Cells whose heads hold fewer target holders than they need: those that are scanned again."""
     size = min(ds.n_records, 2 * knn.params.k + knn_module._NEAREST_SLACK)
     width = min(ds.n_records, knn_module._HEAD_FACTOR * size)
     return expected_retries(knn, ds, cells, size, width)
 
 
+def count_rescans(monkeypatch):
+    """Patch KnnImputer._blocks to count the query rows of rescans, one per pair."""
+    blocks, rescanned = KnnImputer._blocks, [0]
+
+    def counting_blocks(knn, positions, rows, work, reach=None):
+        if reach is not None:
+            rescanned[0] += positions.size
+        return blocks(knn, positions, rows, work, reach)
+
+    monkeypatch.setattr(KnnImputer, "_blocks", counting_blocks)
+    return rescanned
+
+
 def check_knn_against_oracles(monkeypatch, ds, k, cells):
     """impute_cells and impute_dataset agree with the oracles, and exactly the
-    cells whose heads fall short of k holders call _select, once each."""
+    cells whose heads fall short of k holders are scanned again, once each.
+
+    Returns how many pairs were scanned again."""
     knn = KnnImputer(ds, KnnParams(k=k))
-    select, calls = knn_module._select, [0]
-
-    def counting_select(*args):
-        calls[0] += 1
-        return select(*args)
-
-    monkeypatch.setattr(knn_module, "_select", counting_select)
-    results = list(knn.impute_cells(cells))
-    monkeypatch.setattr(knn_module, "_select", select)
-    assert calls[0] == expected_fallbacks(knn, ds, cells)
+    rescanned = count_rescans(monkeypatch)
+    results, rescans = list(knn.impute_cells(cells)), rescanned[0]
+    assert rescans == expected_fallbacks(knn, ds, cells)
 
     for (record, j), (value, ids) in zip(cells, results, strict=True):
         expected = oracle_neighbors(ds, record, j, k)
@@ -380,6 +388,7 @@ def check_knn_against_oracles(monkeypatch, ds, k, cells):
         record = ds.record_by_id(cell.record_id)
         assert list(cell.neighbor_ids) == oracle_neighbors(ds, record, cell.attribute, k)
         assert cell.value == oracle_knn_value(ds, record, cell.attribute, k)
+    return rescans
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])
@@ -851,18 +860,33 @@ def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, n
         assert runs == brute_force_runs(block, flags)
 
 
-def test_select_retries_past_a_run_short_of_k_holders():
-    # the fallback for a cell whose head holds too few holders: the k nearest
-    # holders of the whole row, in (value, position) order
-    row = np.array([5, 1, 1, 3, 0, 2, 2, 9], np.int32)
-    present = np.array([True, False, True, True, False, True, True, True])
-    assert knn_module._select(row, present, 1).tolist() == [2]
-    assert knn_module._select(row, present, 2).tolist() == [2, 5]  # tied at 2: lower position
-    assert knn_module._select(row, present, 3).tolist() == [2, 5, 6]
-    assert knn_module._select(row, present, 6).tolist() == [2, 5, 6, 3, 0, 7]
-    # the own position holds the sentinel: never chosen while k others hold
-    row[3] = np.iinfo(np.int32).max
-    assert knn_module._select(row, present, 5).tolist() == [2, 5, 6, 0, 7]
+def test_a_rescan_takes_the_nearest_holders_past_a_head_of_non_holders(monkeypatch):
+    # the query's 12 nearest records lack t, so its first head holds no holder;
+    # the rescan finds a at distance 2, then b and c tied at 3 for the second
+    # neighbour: b, the lower id.  The query holds t itself, at distance 0.
+    schema = [*(AttributeSchema(f"a{j}", CATEGORICAL, ("x", "y")) for j in range(5)),
+              AttributeSchema("t", CATEGORICAL, ("p", "q"))]
+    query = Record(3, ("x",) * 5 + ("p",))
+    a = Record(20, ("y", "y", "x", "x", "x", "p"))
+    b = Record(5, ("y", "y", "y", "x", "x", "p"))
+    c = Record(9, ("y", "y", "x", "x", "x", "q"))
+    lacking = [Record(i, ("x",) * 5 + (None,)) for i in (*range(10, 20), 21, 22)]
+    far = [Record(i, ("y",) * 4 + ("x", "p")) for i in range(30, 35)]
+    ds = Dataset(schema, [c, *far, b, *lacking, query, a])
+    sorted_nearest, runs = KnnImputer._sorted_nearest, []
+
+    def recording(knn, block, flags):
+        runs.append(flags.sum(axis=1).tolist())
+        return sorted_nearest(knn, block, flags)
+
+    monkeypatch.setattr(KnnImputer, "_sorted_nearest", recording)
+    assert check_knn_against_oracles(monkeypatch, ds, 2, [(query, 5)]) == 1
+    # the first run is the 12 records tied at distance 1; the rescan's holds
+    # the 8 holders, fewer than the 12 nearest it asks for, and no record
+    # out of its reach
+    assert runs[:2] == [[12], [8]]
+    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(query, 5)])
+    assert ids == (a.id, b.id) and value == "p"
 
 
 def test_one_block_of_120_records_over_300_terms_matches_oracle(monkeypatch):
@@ -922,17 +946,9 @@ def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
     assert results == [("y", (0, 2, 4, 6, 8))] * len(cells)  # ties go to the lowest ids
 
 
-def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypatch):
-    # a narrow table, every cell of 5,000 records: an unchunked pick's copy of
-    # all 20,000 cells' heads would alone take about the whole bound
-    n = 5000
-    rng = random.Random(2020)
-    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b", "c")) for j in range(4)]
-    ds = Dataset(schema, [
-        Record(i, tuple(None if rng.random() < 0.2 else rng.choice("abc") for _ in schema))
-        for i in range(n)
-    ])
-    cells = [(r, j) for r in ds.records for j in range(4)]
+def assert_within_the_documented_memory_bound(monkeypatch, ds, cells, k):
+    """impute_cells's results, with its block and pick stages, and the whole
+    call less the results it returns, each within the documented bound."""
     mode, before_vote = knn_module._mode, []
 
     def first_vote(codes, n_levels):
@@ -941,7 +957,7 @@ def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypat
         return mode(codes, n_levels)
 
     monkeypatch.setattr(knn_module, "_mode", first_vote)
-    knn = KnnImputer(ds, KnnParams(k=5))
+    knn = KnnImputer(ds, KnnParams(k=k))
     tracemalloc.start()
     try:
         results = knn.impute_cells(cells)
@@ -950,17 +966,50 @@ def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypat
         tracemalloc.stop()
     bound = 9 * knn_module._BLOCK_BYTES + (512 << 10)
     # the block and pick stages, before any result exists; then the whole
-    # call, less the results it returns (about 4 MB of tuples)
+    # call, less the results it returns
     assert before_vote[0] < bound
     assert peak - held < bound
+    return results
+
+
+def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypatch):
+    # a narrow table, every cell of 5,000 records: an unchunked pick's copy of
+    # all 20,000 cells' heads would alone take about the whole bound (the
+    # results are about 4 MB of tuples)
+    n = 5000
+    rng = random.Random(2020)
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b", "c")) for j in range(4)]
+    ds = Dataset(schema, [
+        Record(i, tuple(None if rng.random() < 0.2 else rng.choice("abc") for _ in schema))
+        for i in range(n)
+    ])
+    cells = [(r, j) for r in ds.records for j in range(4)]
+    results = assert_within_the_documented_memory_bound(monkeypatch, ds, cells, 5)
     for (record, j), (value, ids) in rng.sample(list(zip(cells, results)), 20):
         assert list(ids) == oracle_neighbors(ds, record, j, 5)
         assert value == oracle_knn_value(ds, record, j, 5)
 
 
+def test_rescans_of_whole_rows_stay_within_the_documented_memory_bound(monkeypatch):
+    # the 100 records lacking b lie at distance 1 from each other, more than
+    # a head holds, and the 2,900 holders all tie at distance 2: every cell is
+    # scanned again, and each rescan's run holds nearly its whole row
+    n = 3000
+    schema = [AttributeSchema("a", CATEGORICAL, ("x",)), AttributeSchema("b", CATEGORICAL, ("y",)),
+              AttributeSchema("c", CATEGORICAL, ("u", "v"))]
+    ds = Dataset(schema, [Record(i, ("x", None, "u") if i % 30 == 0 else ("x", "y", "v"))
+                          for i in range(n)])
+    cells = [(r, 1) for r in ds.records if r.cells[1] is None]
+    rescanned = count_rescans(monkeypatch)
+    results = assert_within_the_documented_memory_bound(monkeypatch, ds, cells, 5)
+    assert rescanned[0] == len(cells) == 100
+    assert results == [("y", (1, 2, 3, 4, 5))] * len(cells)  # ties go to the lowest ids
+
+
 def test_empty_dataset_has_no_neighbors():
     query = Record(5, (None, "red"))
     knn = KnnImputer(Dataset(MIXED_SCHEMA, []), KnnParams(k=3))
+    assert knn.impute_cells([]) == []
     with pytest.raises(DataError, match="record 5 "):
         list(knn.impute_cells([(query, 1)]))  # every record is foreign to an empty table
     knn = KnnImputer(Dataset(MIXED_SCHEMA, [query]), KnnParams(k=3))

@@ -80,6 +80,12 @@ def test_bad_files_rejected(tmp_path):
         read_rules(broken)
 
     good = {"format": "rulefill-rules-v1", "schema": [], "bins": {}, "params": None}
+    mixed = {**good, "schema": [{"name": "x", "kind": "numeric", "levels": []},
+                                {"name": "c", "kind": "categorical", "levels": ["a"]}]}
+    spec = {"edges": [0.0, 1.0], "representatives": [0.5]}
+    fine = tmp_path / "fine.jsonl"
+    fine.write_text(json.dumps({**mixed, "bins": {"0": spec}}) + "\n")
+    assert list(read_rules(fine).bins) == [0]
     bad_headers = [
         {"format": "rulefill-rules-v1", "bins": {}, "params": None},  # no schema
         {**good, "params": {"min_support": 0.4, "bogus": 1}},         # unknown param
@@ -95,6 +101,9 @@ def test_bad_files_rejected(tmp_path):
         {**good, "bins": {"0": {"edges": [2.0, 1.0], "representatives": [1.5]}}},
         {**good, "bins": {"0": {"edges": [0.0, 1.0], "representatives": [2.0]}}},
         {**good, "bins": {"0": {"edges": [0.0, math.inf], "representatives": [1.0]}}},
+        {**mixed, "bins": {"99": spec}},                              # no such column
+        {**mixed, "bins": {"-1": spec}},
+        {**mixed, "bins": {"1": spec}},                               # a categorical column
     ]
     for header in bad_headers:
         bad = tmp_path / "bad_header.jsonl"
