@@ -88,6 +88,16 @@ class Dataset:
                     f"record {r.id} has {len(r.cells)} cells for "
                     f"{len(self.schema)} attributes"
                 )
+        self._tidsets = {}  # (bins, exclude) -> tidsets
+
+    def _refilled(self, records) -> Dataset:
+        """This dataset with ``records`` in its records' places, unchecked: each
+        must keep its place's id and have a cell per attribute."""
+        refilled = Dataset.__new__(Dataset)
+        refilled.schema, refilled.records = self.schema, tuple(records)
+        refilled.class_column, refilled._index_of = self.class_column, self._index_of
+        refilled._position_of, refilled._tidsets = self._position_of, {}
+        return refilled
 
     # -- shape -----------------------------------------------------------
 
@@ -155,8 +165,12 @@ class Dataset:
         Items are (attribute index, level or bin index) of the present cells
         outside ``exclude``.  A numeric cell maps to its bin in ``bins``
         (attribute index -> Bins), which a numeric attribute with a present
-        cell must have.
+        cell must have.  The mapping is built once per (bins, exclude) and
+        cached, so every caller shares it: no caller may mutate it.
         """
+        key = (frozenset((bins or {}).items()), frozenset(exclude))
+        if key in self._tidsets:
+            return self._tidsets[key]
         codes, values = self.columns
         tidsets = {}
         for j, attr in enumerate(self.schema):
@@ -170,6 +184,7 @@ class Dataset:
             for level in np.unique(levels[levels >= 0]).tolist():
                 bits = np.packbits(levels == level, bitorder="little")
                 tidsets[j, level] = int.from_bytes(bits, "little")
+        self._tidsets[key] = tidsets
         return tidsets
 
     # -- cells -------------------------------------------------------------

@@ -40,7 +40,7 @@ class ImputationReport:
     """Imputation results stored once per key, plus a parameter echo.
 
     ``keys`` holds one ``(attribute, value, source, rules, neighbor_ids)``
-    entry per distinct (record cells, attribute) key: a ``CellImputation``
+    entry per distinct (encoded cells, attribute) key: a ``CellImputation``
     without its record id.  The imputed cells, in record order, are the
     parallel lists ``record_ids`` and ``key_index`` (the cell's entry in
     ``keys``); ``cells`` views them.
@@ -152,67 +152,83 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     when a rule targets a missing cell, so rule-less (kNN-only) imputation
     needs no bins.
 
-    Work is per key, not per cell.  Each distinct (record cells, attribute)
-    key is imputed once, from the first record that has it, and stored once
-    in the report, whose cells are views of the keys; records with the same
-    cells share one completed cells tuple.  This is exact.  Records with
-    identical cells have the same items, and neither holds the attribute, so
+    Work is per key, not per cell.  Records missing a cell are grouped by
+    their encoded cells (``Dataset.columns``: level codes and numeric values,
+    bit for bit), and each distinct (encoded cells, attribute) key is imputed
+    once, from the first record that has it, and stored once in the report,
+    whose cells are views of the keys.  This is exact.  Records with equal
+    encoded cells have the same items, and neither holds the attribute, so
     neither is a kNN candidate for the other and both are at the same
-    distance from every candidate.
+    distance from every candidate.  Each completed record keeps its own
+    cells' text, so ``1.0`` and ``1.00`` share a key but not a cell.
     """
     rules = sorted(rules, key=AssociationRule.sort_key)
     _check_rules_fit_schema(rules, dataset, bins)
     knn_params = knn_params or KnnParams()
+    key_firsts, key_attrs, lacking, rows, key_index = _key_table(dataset)
 
-    # One pass over the records: each record's group, numbered by first
-    # appearance of its cells, or -1 when it misses nothing.  It builds the
-    # key table, one entry per (group, missing attribute), group by group:
-    # the key's attribute (``key_attrs``) and its group's first position
-    # (``key_firsts``).  Group g's keys are ``starts[g]`` to ``starts[g + 1]``.
-    group_of, groups, starts, key_firsts, key_attrs = {}, [], [0], [], []
-    for position, record in enumerate(dataset.records):
-        if None not in record.cells:
-            groups.append(-1)
-            continue
-        g = group_of.setdefault(record.cells, len(starts) - 1)
-        if g == len(starts) - 1:
-            lacking = [j for j, cell in enumerate(record.cells) if cell is None]
-            key_attrs += lacking
-            key_firsts += [position] * len(lacking)
-            starts.append(len(key_attrs))
-        groups.append(g)
-
-    keys = [None] * len(key_attrs)  # (attribute, value, source, rules, neighbor_ids) per key
+    attributes = key_attrs.tolist()
+    keys = [None] * len(attributes)  # (attribute, value, source, rules, neighbor_ids) per key
     for i, value, fired in _fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs):
-        keys[i] = (key_attrs[i], value, SOURCE_RULES, fired, ())
+        keys[i] = (attributes[i], value, SOURCE_RULES, fired, ())
     # The keys no rule covers; a record's are adjacent and share one kNN distance row
     pending = [i for i, key in enumerate(keys) if key is None]
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
-        results = knn.impute_cells([(dataset.records[key_firsts[i]], key_attrs[i])
-                                    for i in pending])
+        results = knn._impute(knn._rank[key_firsts[pending]], key_attrs[pending])
         for i, (value, neighbor_ids) in zip(pending, results):
-            keys[i] = (key_attrs[i], value, SOURCE_KNN, (), neighbor_ids)
+            keys[i] = (attributes[i], value, SOURCE_KNN, (), neighbor_ids)
 
-    filled = []  # one completed cells tuple per group, in group order
-    for cells, start, stop in zip(group_of, starts, starts[1:]):
-        cells = list(cells)
-        for i in range(start, stop):
-            cells[key_attrs[i]] = keys[i][1]
-        filled.append(tuple(cells))
-    records = [record if g < 0 else Record(record.id, filled[g])
-               for record, g in zip(dataset.records, groups)]
-    record_ids = [record.id for record, g in zip(dataset.records, groups) if g >= 0
-                  for _ in range(starts[g], starts[g + 1])]
-    key_index = [i for g in groups if g >= 0 for i in range(starts[g], starts[g + 1])]
-    completed = Dataset(dataset.schema, records, dataset.class_column)
+    # One completed cells tuple per group, from its first record (at ``firsts``),
+    # shared by its records.  Equal codes mean equal text, but equal numbers
+    # need not (1.0 and 1.00): a record whose text differs fills in its own.
+    firsts, key_groups = np.unique(key_firsts, return_inverse=True)
+    heads = [dataset.records[p].cells for p in firsts.tolist()]
+    shape = (firsts.size, dataset.n_attributes)
+    table = np.fromiter(itertools.chain.from_iterable(heads), object, np.prod(shape)).reshape(shape)
+    table[key_groups, key_attrs] = [key[1] for key in keys]
+    filled = list(map(tuple, table.tolist()))
+    originals = [dataset.records[p] for p in lacking.tolist()]
+    groups = key_groups[key_index[np.flatnonzero(np.diff(rows, prepend=-1))]].tolist()
+    cells = [filled[g] for g in groups]
+    if any(attr.kind == NUMERIC for attr in dataset.schema):
+        cells = [c if r.cells == heads[g] else tuple(
+                     f if x is None else x for x, f in zip(r.cells, c))
+                 for r, g, c in zip(originals, groups, cells)]
+    records, ids = list(dataset.records), [record.id for record in originals]
+    for p, record in zip(lacking.tolist(), map(Record, ids, cells)):
+        records[p] = record
     report = ImputationReport(
-        keys, record_ids, key_index,
+        keys, np.repeat(np.array(ids, object), np.bincount(rows)).tolist(), key_index.tolist(),
         attribute_names=tuple(a.name for a in dataset.schema),
         parameters={"k": knn_params.k, "distance": knn_params.distance,
                     "rule_count": len(rules), **(parameters or {})},
     )
-    return completed, report
+    return dataset._refilled(records), report
+
+
+def _key_table(dataset: Dataset):
+    """``(key_firsts, key_attrs, lacking, rows, key_index)`` from the encoded columns.
+
+    A key is an attribute that a group of records with equal encoded cells
+    (categorical codes and numeric values, bit for bit) lacks.  Per key, in
+    order: its group's first position and its attribute.  ``lacking`` holds
+    the positions of the records missing a cell; per missing cell, in record
+    order: its record's index in ``lacking`` and its key.
+    """
+    codes, values = dataset.columns
+    missing = (codes < 0) & np.isnan(values)  # attributes x records
+    lacking = np.flatnonzero(missing.any(axis=0))
+    numeric = np.array([attr.kind == NUMERIC for attr in dataset.schema], bool)
+    encoded = np.hstack([  # a row of bytes per record missing a cell
+        np.ascontiguousarray(codes[np.ix_(~numeric, lacking)].T).view(np.uint8),
+        np.ascontiguousarray(values[np.ix_(numeric, lacking)].T).view(np.uint8)])
+    _, first, group = np.unique(encoded.view(np.dtype((np.void, encoded.shape[1]))).ravel(),
+                                return_index=True, return_inverse=True)
+    rows, attrs = np.nonzero(missing[:, lacking].T)  # the missing cells, in record order
+    width = dataset.n_attributes
+    keys, key_index = np.unique(lacking[first[group[rows]]] * width + attrs, return_inverse=True)
+    return *np.divmod(keys, width), lacking, rows, key_index
 
 
 def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
@@ -235,10 +251,9 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
       the counts in bin order give the sorted representatives, and with
       them the middle one or two.
     """
-    holes = set(key_attrs)
+    holes = set(key_attrs.tolist())
     if not any(rule.consequent[0] in holes for rule in rules):
         return []
-    key_firsts, key_attrs = np.array(key_firsts, np.intp), np.array(key_attrs, np.intp)
     lacking = np.zeros((dataset.n_attributes, dataset.n_records), bool)
     lacking[key_attrs, key_firsts] = True
     need = [int.from_bytes(row, "little")

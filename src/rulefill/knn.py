@@ -116,6 +116,7 @@ class KnnImputer:
         order = np.argsort(ids)  # ids are unique
         self._ids = ids[order]
         self._position = {record_id: p for p, record_id in enumerate(self._ids.tolist())}
+        self._rank = np.argsort(order)  # by dataset position: the record's position in id order
         codes, values = dataset.columns
         self._codes = np.take(codes, order, axis=1)  # level index; -1 missing
         self._values = np.take(values, order, axis=1)  # numeric value; NaN missing
@@ -173,7 +174,7 @@ class KnnImputer:
         runs once per (attribute, k) group at the end, so no result comes
         back before every block has been scanned.
         """
-        owners, attributes, last = [], [], None  # owners: each pair's record position
+        owners, attributes, last = [], [], None  # owners: each pair's record position in id order
         for record, attribute in cells:
             if record is not last:
                 p = self._position.get(record.id)
@@ -183,6 +184,11 @@ class KnnImputer:
             owners.append(p)
             attributes.append(attribute)
         owners, attributes = np.array(owners, np.intp), np.array(attributes, np.intp)
+        return self._impute(owners, attributes)
+
+    def _impute(self, owners: np.ndarray, attributes: np.ndarray) -> list:
+        """``impute_cells`` for the records at positions ``owners`` in id order
+        (``_rank[p]`` for dataset position p) and ``attributes``, unchecked."""
         chosen, ks = self._neighbors(owners, attributes)
 
         results = [None] * attributes.size

@@ -92,6 +92,29 @@ def oracle_fired(rules, known, attribute):
     return tuple(fired)
 
 
+def oracle_key_table(dataset):
+    """impute_dataset's key table, record by record: records with the same
+    cells' text form a group, numbered by first appearance, and each (group,
+    missing attribute) is a key, group by group and attributes ascending.
+    Returns (key_firsts, key_attrs, record_ids, key_index): per key, its
+    group's first position and its attribute; per missing cell, in record
+    order, its record's id and its key.  On tables where equal values have
+    equal text, grouping by text and by encoded value agree."""
+    group_of, starts, key_firsts, key_attrs, record_ids, key_index = {}, [0], [], [], [], []
+    for position, record in enumerate(dataset.records):
+        if None not in record.cells:
+            continue
+        g = group_of.setdefault(record.cells, len(starts) - 1)
+        if g == len(starts) - 1:
+            lacking = [j for j, cell in enumerate(record.cells) if cell is None]
+            key_attrs += lacking
+            key_firsts += [position] * len(lacking)
+            starts.append(len(key_attrs))
+        record_ids += [record.id] * (starts[g + 1] - starts[g])
+        key_index += range(starts[g], starts[g + 1])
+    return key_firsts, key_attrs, record_ids, key_index
+
+
 def present_values(dataset, attribute):
     """The attribute's present cells, in record order."""
     return [r.cells[attribute] for r in dataset.records if r.cells[attribute] is not None]

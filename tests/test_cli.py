@@ -230,6 +230,26 @@ def test_impute_neighbour_mean_past_the_largest_float_stays_finite(tmp_path, cap
     assert [cell["value"] for cell in payload["cells"]] == [1e308]
 
 
+def test_impute_keeps_each_record_s_own_numeric_text(tmp_path, capsys):
+    # rows 0 and 1 differ only in x's text, not its value, and both lack c
+    data = tmp_path / "text.csv"
+    data.write_text("x,c,d\n1.0,?,p\n1.00,?,p\n2,a,p\n2.5,b,q\n3,a,p\n0.5,b,q\n",
+                    encoding="utf-8")
+    out, report = tmp_path / "done.csv", tmp_path / "report.json"
+    code, _, stderr = run_cli(
+        ["impute", "--data", str(data), "--support-count", "100", "--k", "3",
+         "--out", str(out), "--report", str(report)],
+        capsys,
+    )
+    assert code == 0, stderr
+    first, second = json.loads(report.read_text(encoding="utf-8"))["cells"]
+    assert (first.pop("row"), second.pop("row")) == (0, 1)
+    assert first == second and first["source"] == "knn"
+    value = first["value"]
+    assert out.read_text(encoding="utf-8").splitlines()[1:3] == [f"1.0,{value},p",
+                                                                 f"1.00,{value},p"]
+
+
 def test_impute_without_missing_cells_notes_zero(tmp_path, car_csv, capsys):
     out = tmp_path / "done.csv"
     report = tmp_path / "report.json"

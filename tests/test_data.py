@@ -180,6 +180,29 @@ def test_itemize_numeric_uses_bins():
     assert Dataset(schema, [Record(0, (None,))]).tidsets() == {}  # unless no cell is present
 
 
+def test_tidsets_are_built_once_per_bins_and_exclusion(monkeypatch):
+    schema = [AttributeSchema("x", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b"))]
+    ds = Dataset(schema, [Record(0, ("2.0", "a")), Record(1, (None, "b")), Record(2, ("9", "a"))])
+    with pytest.raises(DataError, match="no bins fitted"):
+        ds.tidsets()  # a failed build leaves nothing behind
+    binned = []
+    bin_of = data_module.bin_of
+
+    def counting(values, bins):
+        binned.append(bins)
+        return bin_of(values, bins)
+
+    monkeypatch.setattr(data_module, "bin_of", counting)
+    bins = {0: Bins((0.0, 5.0, 10.0), (2.5, 7.5))}
+    tidsets = ds.tidsets(bins)
+    assert tidsets == {(0, 0): 0b001, (0, 1): 0b100, (1, 0): 0b101, (1, 1): 0b010}
+    assert ds.tidsets({0: Bins((0.0, 5.0, 10.0), (2.5, 7.5))}, exclude=[]) is tidsets
+    assert ds.tidsets(bins, [1]) is ds.tidsets(bins, frozenset({1})) != tidsets
+    assert len(binned) == 2  # one build per (bins, exclude)
+    with pytest.raises(DataError, match="no bins fitted"):
+        ds.tidsets()
+
+
 def test_itemize_exclude():
     schema = [
         AttributeSchema("a", CATEGORICAL, ("x",)),

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from rulefill import (
@@ -25,6 +26,7 @@ from rulefill import (
 )
 from rulefill.bench import inject_missing
 from rulefill.binning import Bins
+from rulefill.imputer import _key_table
 from rulefill.knn import KnnImputer
 from rulefill.rules_io import rule_from_dict
 from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
@@ -32,6 +34,7 @@ from oracles import (
     impute_from_rules,
     oracle_fired,
     oracle_itemize,
+    oracle_key_table,
     oracle_knn_value,
     oracle_neighbors,
     random_dataset,
@@ -526,16 +529,43 @@ def test_each_cell_of_a_repeated_table_matches_the_oracles():
     assert shared > 100  # the tables do repeat patterns
 
 
+def test_key_table_matches_the_record_by_record_oracle():
+    rng = random.Random(22)
+    wide = AttributeSchema("wide", CATEGORICAL, tuple(f"w{i}" for i in range(130)))
+    complete = zeros = 0
+    for _ in range(40):
+        base = random_dataset(rng, max_records=8, missing_rate=0.3)
+        schema = [*base.schema, wide]
+        numeric = [j for j, attr in enumerate(schema) if attr.kind == NUMERIC]
+        rows = []
+        for _ in range(rng.randint(0, 40)):  # a few repeated patterns
+            cells = [*rng.choice(base.records).cells, rng.choice([None, "w0", "w129"])]
+            for j in numeric:  # zeros of both signs: equal as numbers, not as encoded cells
+                if cells[j] is not None and rng.random() < 0.3:
+                    cells[j] = rng.choice(["0", "-0"])
+                    zeros += 1
+            rows.append(tuple(cells))
+        ids = rng.sample(range(10 * len(rows) + 1), len(rows))
+        ds = Dataset(schema, [Record(i, row) for i, row in zip(ids, rows)])
+        assert ds.columns[0].dtype == np.int16  # 130 levels
+        complete += sum(None not in row for row in rows)
+        key_firsts, key_attrs, lacking, cell_rows, key_index = _key_table(ds)
+        record_ids = [ds.records[p].id for p in lacking[cell_rows].tolist()]
+        assert (key_firsts.tolist(), key_attrs.tolist(), record_ids, key_index.tolist()) == \
+            oracle_key_table(ds)
+    assert complete > 0 and zeros > 0
+
+
 def test_knn_runs_once_per_distinct_uncovered_key(monkeypatch):
     received = []
-    impute_cells = KnnImputer.impute_cells
+    impute = KnnImputer._impute
 
-    def spy(self, cells):
-        cells = list(cells)
-        received.extend(cells)
-        return impute_cells(self, cells)
+    def spy(self, owners, attributes):
+        records = [self.dataset.record_by_id(i) for i in self._ids[owners].tolist()]
+        received.extend(zip(records, attributes.tolist()))
+        return impute(self, owners, attributes)
 
-    monkeypatch.setattr(KnnImputer, "impute_cells", spy)
+    monkeypatch.setattr(KnnImputer, "_impute", spy)
     rng = random.Random(7)
     for _ in range(20):
         ds, rules, bins, exclude, k = repeated_patterns(rng)
