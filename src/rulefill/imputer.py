@@ -169,7 +169,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
 
     attributes = key_attrs.tolist()
     keys = [None] * len(attributes)  # (attribute, value, source, rules, neighbor_ids) per key
-    for i, value, fired in _fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs):
+    for i, value, fired in zip(*_fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs)):
         keys[i] = (attributes[i], value, SOURCE_RULES, fired, ())
     # The keys no rule covers; a record's are adjacent and share one kNN distance row
     pending = [i for i, key in enumerate(keys) if key is None]
@@ -232,35 +232,36 @@ def _key_table(dataset: Dataset):
 
 
 def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
-    """(key index, value, fired rules) for each key some rule fires on.
+    """``(keys, values, fired)`` for the keys some rule fires on: parallel lists
+    of each such key's index, value and fired rules.
 
     ``key_firsts`` and ``key_attrs`` are ``impute_dataset``'s key table: per
     key, its group's first position and its attribute.  ``rules`` are in
     firing order.  Each rule fires on every group at once: ``need[j]``, the
     bitset of the first positions of the groups lacking attribute j, ANDed
     with the bitsets of the rule's antecedent items (``Dataset.tidsets``).
-    Neither is built unless some rule targets a missing attribute; then one
-    attributes × records mask, packed row by row, gives every ``need``.  One
-    ``np.unpackbits`` turns the hits into (rule, key) pairs, and each key
-    votes once from the counts of its rules' consequent levels or bins:
+    Neither is built unless some rule targets a missing attribute.  One
+    ``np.unpackbits`` turns the hits into (rule, key) pairs, one sort orders
+    them by key, then firing order, and each key votes once from the counts
+    of its rules' consequent levels or bins:
 
-    * categorical: the rules of one target come sorted by (confidence,
-      support) descending, so a level's first rule is its best, and a
-      dense rank of (confidence, support) breaks count ties;
+    * categorical: a dense rank of (confidence, support), which ascends in
+      firing order among the rules of one target, breaks count ties by each
+      level's best (lowest-ranked) rule;
     * numeric: bin representatives do not decrease with the bin index, so
       the counts in bin order give the sorted representatives, and with
       them the middle one or two.
     """
-    holes = set(key_attrs.tolist())
-    if not any(rule.consequent[0] in holes for rule in rules):
-        return []
-    lacking = np.zeros((dataset.n_attributes, dataset.n_records), bool)
+    width, n = dataset.n_attributes, dataset.n_records
+    lacking = np.zeros((width, n), bool)
     lacking[key_attrs, key_firsts] = True
     need = [int.from_bytes(row, "little")
             for row in np.packbits(lacking, axis=1, bitorder="little")]
+    if not any(need[rule.consequent[0]] for rule in rules):
+        return [], [], []
 
     tidsets = dataset.tidsets(bins, exclude)
-    size = (dataset.n_records + 7) // 8
+    size = (n + 7) // 8
     hit_rules, hit_bits = [], bytearray()
     for rule in rules:
         hits = need[rule.consequent[0]]
@@ -270,56 +271,54 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
             hit_rules.append(rule)
             hit_bits += hits.to_bytes(size, "little")
     if not hit_rules:
-        return []
+        return [], [], []
 
-    # (hit rule, position) pairs in firing order, unpacking only non-zero bytes
+    # (hit rule, position) pairs in firing order from the non-zero bytes (flagged: bool scans fast)
     packed = np.frombuffer(hit_bits, np.uint8)
-    nonzero = np.flatnonzero(packed)
-    byte, bit = np.divmod(np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little")), 8)
-    which, positions = np.divmod(nonzero[byte] * 8 + bit, size * 8)
+    nonzero = np.flatnonzero(packed != 0)
+    bits = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little").view(bool))
+    which, positions = np.divmod(nonzero[bits >> 3] * 8 + (bits & 7), size * 8)
     fields = np.fromiter(itertools.chain.from_iterable(  # attribute, level, confidence, support
         (*r.consequent, r.confidence, r.support) for r in hit_rules), float).reshape(-1, 4)
     attrs, levels = fields[:, :2].T.astype(np.intp)
     # a dense rank of each hit rule's (confidence, support), ascending in firing order
     rank = np.cumsum(np.any(np.diff(fields[:, 2:], axis=0, prepend=np.nan) != 0, axis=1)) - 1
-    width = dataset.n_attributes  # (position, attribute) codes ascend in key order
-    pair_keys = np.searchsorted(key_firsts * width + key_attrs, positions * width + attrs[which])
-
-    order = np.argsort(pair_keys, kind="stable")  # by key, each key's rules in firing order
-    pair_keys, which = pair_keys[order], which[order]
-    new_key = np.diff(pair_keys, prepend=-1) != 0
+    # by key, each key's rules in firing order: (position, attribute) codes ascend in key order
+    codes, which = np.divmod(np.sort((positions * width + attrs[which]) * len(hit_rules) + which),
+                             len(hit_rules))
+    new_key = np.diff(codes, prepend=-1) != 0
     starts, local = np.flatnonzero(new_key), np.cumsum(new_key) - 1  # local: covered key number
     span = int(levels.max()) + 1
-    cells, first, counts = np.unique(local * span + levels[which], return_index=True,
-                                     return_counts=True)
-    count = np.zeros((len(starts), span), np.int64)
-    count.flat[cells] = counts
-    # categorical: the most rules, then the best first (strongest) rule, then the lowest level
+    cells = local * span + levels[which]
+    count = np.bincount(cells, minlength=starts.size * span)
+    # categorical: the most rules, then the best rule, then the lowest level
     top = int(rank[-1]) + 1
-    score = np.full(count.size, -1, np.int64)
-    score[cells] = counts * top + (top - 1 - rank[which[first]])
-    winners = score.reshape(count.shape).argmax(axis=1).tolist()
-    # numeric: the bins of the two middle consequents
-    running = count.cumsum(axis=1)
-    totals = running[:, -1]
-    lows = (running <= ((totals - 1) // 2)[:, None]).sum(axis=1).tolist()
-    highs = (running <= (totals // 2)[:, None]).sum(axis=1).tolist()
+    best = np.full(count.size, top)  # top where no rule names the level: a score of -1
+    np.minimum.at(best, cells, rank[which])
+    winners = (count * top + (top - 1 - best)).reshape(-1, span).argmax(axis=1)
 
-    fired = [hit_rules[w] for w in which.tolist()]
+    fired = tuple(np.fromiter(hit_rules, object, len(hit_rules))[which].tolist())
     bounds = [*starts.tolist(), len(fired)]
-    votes = []
-    for u, (i, j) in enumerate(zip(pair_keys[starts].tolist(), attrs[which[starts]].tolist())):
-        attr = dataset.schema[j]
-        if attr.kind == NUMERIC:
-            reps = bins[j].representatives
-            low, high = reps[lows[u]], reps[highs[u]]
-            value = low if totals[u] % 2 else (low + high) / 2.0
+    targets = attrs[which[starts]]
+    names, numeric = np.full((width, span), None, object), np.zeros(width, bool)
+    for j, attr in enumerate(dataset.schema):  # each categorical target's level names
+        names[j, : len(attr.levels)], numeric[j] = attr.levels[:span], attr.kind == NUMERIC
+    values = names[targets, winners].tolist()
+    numeric = np.flatnonzero(numeric[targets])
+    if numeric.size:  # the bins of the two middle consequents
+        running = count.reshape(-1, span)[numeric].cumsum(axis=1)
+        totals = running[:, -1]
+        lows = (running <= ((totals - 1) // 2)[:, None]).sum(axis=1).tolist()
+        highs = (running <= (totals // 2)[:, None]).sum(axis=1).tolist()
+        for u, total, lo, hi in zip(numeric.tolist(), totals.tolist(), lows, highs):
+            reps = bins[int(targets[u])].representatives
+            low, high = reps[lo], reps[hi]
+            value = low if total % 2 else (low + high) / 2.0
             if not math.isfinite(value):  # halve first only when the sum overflows
                 value = low / 2.0 + high / 2.0
-        else:
-            value = attr.levels[winners[u]]
-        votes.append((i, value, tuple(fired[bounds[u]:bounds[u + 1]])))
-    return votes
+            values[u] = value
+    covered = np.searchsorted(key_firsts * width + key_attrs, codes[starts]).tolist()
+    return covered, values, [fired[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_rules_fit_schema(rules, dataset: Dataset, bins) -> None:

@@ -6,7 +6,7 @@ range-normalized absolute differences, and a missing value on either side
 counts as maximally dissimilar.
 
 Each query record is scanned against every record, a block of query records
-at a time, and keeps its nearest records in (distance, id) order as a
+at a time, and keeps its first records in (distance, id) order as a
 fixed-width head.  Every cell then picks its neighbours from the heads in one
 vectorised pass per chunk of heads.  The cells whose heads hold too few
 records with a value at their attribute go through the same scan once more,
@@ -37,34 +37,31 @@ class KnnParams:
             raise ValueError(f"unsupported distance: {self.distance!r}")
 
 
-# Distance rows computed at once: a block of query records is at most this
-# many bytes of distances (int32 or float64, see KnnImputer), which bounds the
-# kNN fallback's working memory.  The block's partition copy, numeric terms,
-# match counts and flags are each at most this size again; impute_cells
-# allocates them once per call, every block reuses them, and they are freed
-# when it returns.  The block's nearest-record positions (int64) reach twice
-# this size when every record ties, as on a constant column, and sorting them
-# takes at most five times this size while it runs.  A rescan's block masks
-# each row's records that lack its attribute with at most two bool
-# temporaries, each at most a quarter of this size.  The int32 heads of a
-# chunk of blocks fill at most half this size.  Whenever they fill, their cells
-# pick their neighbours in passes whose copy of the cells' heads is at most
-# half this size too, and each other temporary of a pass at most this size.
+# Distance rows computed at once: a block of query records is at most this many
+# bytes of distances (int32 keys or float64, see KnnImputer), which bounds the
+# kNN fallback's working memory.  The block's match counts and flags, and on the
+# float64 path a buffer for its numeric terms and then its partition copy, are
+# each at most this size again; impute_cells allocates them once per call, every
+# block reuses them, and they are freed when it returns.  An int32 block is
+# partitioned in place.  A float64 block's nearest-record positions (int64) reach
+# this size when every record ties, and ordering them takes at most five times
+# this size while it runs.  A rescan's block masks each row's records that lack
+# its attribute with at most two bool temporaries, each at most a quarter of
+# this size.  The int32 heads of a chunk of blocks fill at most half this
+# size.  Whenever they fill, their cells pick their neighbours in passes whose
+# copy of the cells' heads is at most half this size too, and each other
+# temporary of a pass at most this size.
 _BLOCK_BYTES = 1 << 18
 
-# A query record's cells pick their neighbours from its K = 2k + _NEAREST_SLACK
-# nearest records (k from KnnParams, at most every record) and their ties:
-# room for k holders of the target value even when half of the nearest lack it.
-_NEAREST_SLACK = 8
-
-# A query record keeps the first W = _HEAD_FACTOR * K of those, ties included,
-# in (distance, id) order, as its head (at most every record).  A cell whose
-# head holds fewer than k holders of its attribute is scanned again, alone.
-# On car at 6,912 rows with a 20% mask (seed 3) and maint blanked in 65% of
-# records (seed 5), heads of W = K sent 1,877 of 8,084 keys to that rescan
-# and kNN-only impute_dataset took 0.285 s (median), against 253 keys and
-# 0.195 s with W = 2K.
-_HEAD_FACTOR = 2
+# A query record keeps its first W = 2 * (2k + _HEAD_SLACK) records in
+# (distance, id) order (k from KnnParams, at most every record) as its head:
+# room for k holders of the target attribute even when three in four of the
+# nearest lack it.  A cell whose head holds fewer than k holders of its
+# attribute is scanned again, alone.  On car at 6,912 rows with a 20% mask
+# (seed 3) and maint blanked in 65% of records (seed 5), heads of 2k + 8 sent
+# 1,877 of 8,084 keys to that rescan and kNN-only impute_dataset took 0.285 s
+# (median), against 253 keys and 0.195 s with twice as many.
+_HEAD_SLACK = 8
 
 
 class _Workspace(NamedTuple):
@@ -72,11 +69,10 @@ class _Workspace(NamedTuple):
     of a block, a column per record.  A shorter block uses the first rows.
     """
 
-    distances: np.ndarray  # squared HEOM, int32 or float64 (KnnImputer._far's type)
-    partition: np.ndarray  # copy of distances, partitioned in place
-    matches: np.ndarray  # the leading categorical run's match counts
+    distances: np.ndarray  # int32 keys or float64 squared HEOM (KnnImputer._far's type)
+    matches: np.ndarray  # the leading run of 0/1 terms' match counts
     flags: np.ndarray  # bool
-    terms: np.ndarray | None  # float64 numeric terms; None on the int32 path
+    floats: np.ndarray | None  # numeric terms, then the partition copy; None on the int32 path
 
 
 class KnnImputer:
@@ -84,21 +80,23 @@ class KnnImputer:
 
     It copies the dataset's columns (``Dataset.columns``) into ascending
     record id, so that position order is id order.  Queries run in two
-    stages.  The block stage computes one squared-HEOM array per block of
-    records, one partition per record for its nearest records and one sort
-    of the whole block's nearest records into per-record runs in (distance,
-    id) order, and keeps each run's first entries, the record's head.  The
-    pick stage runs whenever a chunk of heads fills: for all of the chunk's
-    cells at once, it takes each head's first k holders of the cell's
-    attribute into one table of the call's neighbours.  The cells whose
-    heads hold fewer go through both stages once more, each cell as its own
-    query record, whose distances to the records lacking its attribute are
-    set to ``_far``.  Such a head holds only holders, and at least k.  Each
-    (attribute, k) group of cells then votes once.
-    When no participating numeric attribute has a non-zero range, every term
-    is 0 or 1 and the squared distances are exact int32 integers; otherwise
-    they are float64.  Either way a record's own position holds ``_far``,
-    farther than any distance, so it is never its own neighbour.
+    stages.  The block stage computes one distance array per block of
+    records and keeps each record's head: its first W records below
+    ``_far`` in (distance, id) order.  The pick stage runs whenever a chunk
+    of heads fills: for all of the chunk's cells at once, it takes each
+    head's first k holders of the cell's attribute into one table of the
+    call's neighbours.  The cells whose heads hold fewer go through both
+    stages once more, each cell as its own query record, whose distances to
+    the records lacking its attribute are set to ``_far``.  Such a head
+    holds only holders, and at least k.  Each (attribute, k) group of cells
+    then votes once.
+    When every term is 0 or 1 (no non-zero numeric range), a squared
+    distance is an integer up to the term count T; if (T + 1) * n fits
+    int32 (``_exact``), a block holds int32 keys distance * n + position,
+    in (distance, id) order, so one partition of a row finds its head.
+    Otherwise the squared distances are float64.  Either way a record's own
+    position holds ``_far``, beyond any key or distance, so it is never its
+    own neighbour.
     Evidence is always the dataset as given (never previously imputed
     values); a numeric attribute whose range overflows a float raises
     ``DataError``.
@@ -115,7 +113,6 @@ class KnnImputer:
         ids = np.array([r.id for r in dataset.records], dtype=np.int64)
         order = np.argsort(ids)  # ids are unique
         self._ids = ids[order]
-        self._position = {record_id: p for p, record_id in enumerate(self._ids.tolist())}
         self._rank = np.argsort(order)  # by dataset position: the record's position in id order
         codes, values = dataset.columns
         self._codes = np.take(codes, order, axis=1)  # level index; -1 missing
@@ -138,17 +135,18 @@ class KnnImputer:
             (j, self.ranges.get(j)) for j in range(dataset.n_attributes) if j not in self.exclude
         ]
 
-        # The leading run of categorical terms (those before the first numeric
-        # one) sums 0/1 terms, an exact integer in any order: its length minus
-        # the matches, counted in the narrowest integer type that holds it.
-        self._lead = len(list(itertools.takewhile(lambda term: term[1] is None, self._terms)))
+        # The leading run of 0/1 terms (before the first non-zero range) sums
+        # to an exact integer in any order: its length minus the matches,
+        # counted in the narrowest integer type that holds it.
+        self._lead = len(list(itertools.takewhile(lambda term: not term[1], self._terms)))
         self._match_dtype = np.min_scalar_type(self._lead)
-        # Without a non-zero numeric range every term is 0 or 1, so every
-        # squared distance is an exact integer, held as int32: on car's rows it
-        # partitions about 4x faster than float64, and narrower types are no
-        # faster on such heavily tied values.
-        exact = not any(scale for _, scale in self._terms)
+        # On the exact path every term is in the run, and a row of keys is
+        # T * n + position less n per match; int32 keys partition about 4x
+        # faster than float64 on car's rows.
+        n = self._ids.size
+        exact = _exact([scale for _, scale in self._terms], n)
         self._far = np.int32(np.iinfo(np.int32).max) if exact else np.float64(np.inf)
+        self._base = self._lead * n + np.arange(n, dtype=np.int32) if exact else None
 
     def impute_cells(self, cells) -> list:
         """(imputed value, neighbor ids) for each (record, attribute) pair, in order.
@@ -164,27 +162,26 @@ class KnnImputer:
 
         Adjacent pairs of one record share a query record.  Query records
         run a block at a time; a block holds ``_BLOCK_BYTES`` of distances
-        (int32 or float64) or one row.  Its buffers are allocated once per
-        call, reused by every block of both scans and freed before the
-        vote, and its nearest records are sorted once, into one head per
-        query record.  Whenever the heads fill half of ``_BLOCK_BYTES``,
-        their pairs pick their neighbours, in passes over at most as many
-        pairs as fill that much of heads again.  Pairs whose heads hold too
-        few holders are scanned once more, one query record each.  The vote
-        runs once per (attribute, k) group at the end, so no result comes
-        back before every block has been scanned.
+        (int32 keys or float64) or one row.  Its buffers are allocated once
+        per call, reused by every block of both scans and freed before the
+        vote, and each of its rows gives one query record's head.  Whenever
+        the heads fill half of ``_BLOCK_BYTES``, their pairs pick their
+        neighbours, in passes over at most as many pairs as fill that much
+        of heads again.  Pairs whose heads hold too few holders are scanned
+        once more, one query record each.  The vote runs once per
+        (attribute, k) group at the end, so no result comes back before
+        every block has been scanned.
         """
-        owners, attributes, last = [], [], None  # owners: each pair's record position in id order
+        owners, attributes, last = [], [], None  # owners: each pair's record position
         for record, attribute in cells:
             if record is not last:
-                p = self._position.get(record.id)
-                if p is None or self.dataset.record_by_id(record.id) != record:
+                p = self.dataset._position_of.get(record.id)
+                if p is None or self.dataset.records[p] != record:
                     raise DataError(f"record {record.id} is not in the dataset")
                 last = record
             owners.append(p)
             attributes.append(attribute)
-        owners, attributes = np.array(owners, np.intp), np.array(attributes, np.intp)
-        return self._impute(owners, attributes)
+        return self._impute(self._rank[np.array(owners, np.intp)], np.array(attributes, np.intp))
 
     def _impute(self, owners: np.ndarray, attributes: np.ndarray) -> list:
         """``impute_cells`` for the records at positions ``owners`` in id order
@@ -231,8 +228,7 @@ class KnnImputer:
         chosen[alone, 0] = owners[alone]
 
         rows = max(1, _BLOCK_BYTES // (self._far.itemsize * max(n, 1)))
-        size = min(n, 2 * self.params.k + _NEAREST_SLACK)
-        width = min(n, _HEAD_FACTOR * size)
+        width = min(n, 2 * (2 * self.params.k + _HEAD_SLACK))
         # The most pairs one pick takes, whose int32 heads fill half of
         # _BLOCK_BYTES, and the most query records whose heads fill at once:
         # a whole number of blocks, at least one
@@ -250,7 +246,7 @@ class KnnImputer:
                 batch = queries[start : start + chunk]
                 masks = None if reach is None else reach[start : start + chunk]
                 for offset, block in self._blocks(batch, rows, work, masks):
-                    self._head(block, size, heads[offset : offset + len(block)], work)
+                    self._head(block, heads[offset : offset + len(block)], work)
                 stop = firsts[start + batch.size]
                 for lo in range(firsts[start], stop, picks):
                     pairs = np.arange(lo, min(lo + picks, stop))
@@ -265,10 +261,9 @@ class KnnImputer:
 
     def _workspace(self, rows: int) -> _Workspace:
         """Buffers for blocks of up to ``rows`` query records."""
-        shape, dtype = (rows, self._ids.size), self._far.dtype
-        terms = np.empty(shape) if dtype == np.float64 else None
-        return _Workspace(np.empty(shape, dtype), np.empty(shape, dtype),
-                          np.empty(shape, self._match_dtype), np.empty(shape, bool), terms)
+        shape, floats = (rows, self._ids.size), self._base is None
+        return _Workspace(np.empty(shape, self._far.dtype), np.empty(shape, self._match_dtype),
+                          np.empty(shape, bool), np.empty(shape) if floats else None)
 
     def _blocks(self, positions: np.ndarray, rows: int, work: _Workspace, reach=None):
         """(offset, block) for each ``rows`` of ``positions``: a ``_distances``
@@ -285,7 +280,8 @@ class KnnImputer:
     def _distances(self, positions, work: _Workspace) -> np.ndarray:
         """Squared HEOM from the records at ``positions`` to every record: one block.
 
-        Written into the first rows of ``work.distances``, which come back.
+        Written into the first rows of ``work.distances``, which come back,
+        as keys on the exact path (see ``KnnImputer``).
         """
         n = len(positions)
         total, matches, flags = work.distances[:n], work.matches[:n], work.flags[:n]
@@ -295,14 +291,21 @@ class KnnImputer:
         codes[codes == -1] = -2
         values = np.take(self._values, positions, axis=1)[:, :, None]
         matches.fill(0)
-        for j, _ in self._terms[: self._lead]:
-            matches += np.equal(self._codes[j], codes[j], out=flags)
-        np.subtract(self._lead, matches, out=total)
+        for j, scale in self._terms[: self._lead]:
+            if scale is None:
+                matches += np.equal(self._codes[j], codes[j], out=flags)
+            else:  # zero range: NaN equals nothing
+                matches += np.equal(self._values[j], values[j], out=flags)
+        if self._base is None:
+            np.subtract(self._lead, matches, out=total)
+        else:  # every term is in the run
+            np.multiply(matches, -self._ids.size, out=total, dtype=np.int32)
+            total += self._base
         for j, scale in self._terms[self._lead:]:
             if scale is None:
                 total += np.not_equal(self._codes[j], codes[j], out=flags)
             elif scale > 0.0:
-                term = work.terms[:n]
+                term = work.floats[:n]
                 np.subtract(self._values[j], values[j], out=term)
                 np.abs(term, out=term)
                 term /= scale
@@ -313,24 +316,30 @@ class KnnImputer:
                 total += np.not_equal(self._values[j], values[j], out=flags)
         return total
 
-    def _head(self, block: np.ndarray, size: int, heads: np.ndarray, work: _Workspace) -> None:
+    def _head(self, block: np.ndarray, heads: np.ndarray, work: _Workspace) -> None:
         """Write each block row's head into its row of ``heads``.
 
-        A row's nearest records are its positions at or below the row's
-        ``size``-th smallest value, ties included, short of ``_far`` (every
-        distance is at most the term count).  Its head is their first
-        ``heads.shape[1]`` in (distance, id) order, padded with the position
-        past the last record, which no attribute holds.
+        A row's head is its first ``heads.shape[1]`` positions below ``_far``
+        in (distance, position) order, padded with the position past the
+        last record, which no attribute holds.  An int32 block of keys is
+        partitioned in place, so it is not read again.
         """
-        n = block.shape[0]
-        part, flags = work.partition[:n], work.flags[:n]
+        width, n = heads.shape[1], block.shape[1]
+        if self._base is not None:  # keys: their order is (distance, position) order
+            block.partition(width - 1, axis=1)
+            keys = np.sort(block[:, :width], axis=1)
+            np.remainder(keys, n, out=heads)
+            heads[keys == self._far] = n
+            return
+        # the head: at most the row's W-th smallest distance and the term count (short of _far)
+        part, flags = work.floats[: len(block)], work.flags[: len(block)]
         np.copyto(part, block)
-        part.partition(size - 1, axis=1)
-        np.less_equal(block, np.minimum(part[:, size - 1 : size], len(self._terms)), out=flags)
+        part.partition(width - 1, axis=1)
+        np.less_equal(block, np.minimum(part[:, width - 1 : width], len(self._terms)), out=flags)
         ordered, starts = self._sorted_nearest(block, flags)
-        index = starts[:-1, None] + np.arange(heads.shape[1])
+        index = starts[:-1, None] + np.arange(width)
         heads[...] = ordered.take(index, mode="clip")
-        heads[index >= starts[1:, None]] = block.shape[1]  # past the row's run
+        heads[index >= starts[1:, None]] = n  # past the row's run
 
     def _pick(self, pairs, heads, attributes, ks, chosen) -> np.ndarray:
         """Write each pair's first k holders in its head into its row of ``chosen``.
@@ -358,30 +367,21 @@ class KnnImputer:
         """Every row's flagged positions in (distance, position) order, rows one after another.
 
         Row r's run is ``ordered[starts[r]:starts[r + 1]]``.  One
-        ``flatnonzero`` finds the flagged cells in row-major order; one sort
-        then orders each row's run.  An exact int32 distance is at most the
-        term count, or the ``_far`` sentinel (clamped to one more), so
-        (row, distance, position) packs into one int64 key, sorted in
-        place; float distances sort with ``lexsort`` over (row, distance),
-        which is stable, so ties stay in position order.
+        ``flatnonzero`` finds the flagged cells in row-major order; one
+        ``lexsort`` over (row, distance), which is stable, then orders each
+        row's run with ties in position order.
         """
         width = flags.shape[1]
         flat = np.flatnonzero(flags)  # row * width + position
-        distances = block.ravel()[flat]
         starts = np.searchsorted(flat, np.arange(flags.shape[0] + 1) * width)
-        if self._far.dtype == np.int32:
-            span = len(self._terms) + 2
-            key = flat // width
-            key *= span - 1
-            key += np.minimum(distances, span - 1, out=distances)
-            key *= width
-            flat += key  # ((row * span + distance) * width + position)
-            del key, distances  # freed before the sort, which runs in place
-            flat.sort()
-        else:
-            flat = flat[np.lexsort((distances, flat // width))]
+        flat = flat[np.lexsort((block.ravel()[flat], flat // width))]
         flat %= width
         return flat, starts
+
+
+def _exact(scales, n_records: int) -> bool:
+    """Whether blocks hold int32 keys: no term's scale is non-zero, and (T + 1) * n fits int32."""
+    return not any(scales) and (len(scales) + 1) * n_records <= np.iinfo(np.int32).max
 
 
 def _mean(numbers: list) -> float:

@@ -313,9 +313,16 @@ def batch_dataset(rng, n_records):
     return Dataset(BATCH_SCHEMA, records)
 
 
+def position(knn, record):
+    """``record``'s position in id order, the order of a ``_distances`` row."""
+    return knn._rank[knn.dataset._position_of[record.id]]
+
+
 def distance_rows(knn, records):
-    """Squared HEOM rows of ``records``, each in ascending id of the other record."""
-    return knn._distances([knn._position[r.id] for r in records], knn._workspace(len(records)))
+    """Squared HEOM rows of ``records``, each in ascending id of the other record;
+    on the exact path, the distance part of each key."""
+    rows = knn._distances([position(knn, r) for r in records], knn._workspace(len(records)))
+    return rows if knn._base is None else rows // knn._ids.size
 
 
 def assert_block_is_scalar_heom(knn, queries):
@@ -347,11 +354,15 @@ def expected_retries(knn, ds, cells, size, width=None):
     return retries
 
 
+def head_width(n_records, k):
+    """W: the records a head holds."""
+    return min(n_records, 2 * (2 * k + knn_module._HEAD_SLACK))
+
+
 def expected_fallbacks(knn, ds, cells):
     """Cells whose heads hold fewer target holders than they need: those that are scanned again."""
-    size = min(ds.n_records, 2 * knn.params.k + knn_module._NEAREST_SLACK)
-    width = min(ds.n_records, knn_module._HEAD_FACTOR * size)
-    return expected_retries(knn, ds, cells, size, width)
+    width = head_width(ds.n_records, knn.params.k)
+    return expected_retries(knn, ds, cells, width, width)
 
 
 def count_rescans(monkeypatch):
@@ -424,7 +435,7 @@ def test_reused_block_buffers_carry_nothing_over(monkeypatch):
         main = blocks[:7]
         assert [len(positions) for positions, _ in main] == [3] * 6 + [2]
         assert [p for positions, _ in main for p in positions] == [
-            knn._position[r.id] for r in ds.records]
+            position(knn, r) for r in ds.records]
         assert all(len(positions) <= 3 for positions, _ in blocks[7:])
         for positions, block in blocks:
             for p, row in zip(positions, block, strict=True):
@@ -515,7 +526,7 @@ def near_constant_dataset(rng, n_records):
 
 @pytest.mark.parametrize("slack", [1, 8])
 def test_few_near_holders_take_tie_band_then_retry(slack, monkeypatch):
-    monkeypatch.setattr(knn_module, "_NEAREST_SLACK", slack)
+    monkeypatch.setattr(knn_module, "_HEAD_SLACK", slack)
     rng = random.Random(808 + slack)
     for _ in range(3):
         ds = far_holders_dataset(rng, rng.randint(100, 130), rng.randint(2, 5))
@@ -524,8 +535,7 @@ def test_few_near_holders_take_tie_band_then_retry(slack, monkeypatch):
         cells = [(r, 3) for r in ds.records] + [
             (r, j) for r in rng.sample(ds.records, 25) for j in range(3)
         ]
-        size = min(ds.n_records, 2 * k + slack)
-        assert expected_retries(KnnImputer(ds, KnnParams(k=k)), ds, cells, size) > 0
+        assert expected_fallbacks(KnnImputer(ds, KnnParams(k=k)), ds, cells) > 0
         check_knn_against_oracles(monkeypatch, ds, k, cells)
 
 
@@ -580,6 +590,13 @@ EDGE_SCHEMA = [
     AttributeSchema("x", NUMERIC),
     AttributeSchema("c4", CATEGORICAL, ("m", "n")),
 ]
+
+
+def zero_range_dataset(rng, n_records):
+    """edge_dataset over EDGE_SCHEMA with one value wherever x is present."""
+    ds = edge_dataset(rng, EDGE_SCHEMA, n_records)
+    return Dataset(EDGE_SCHEMA, [Record(r.id, (*r.cells[:3], r.cells[3] and "2.5", r.cells[4]))
+                                 for r in ds.records])
 
 
 def edge_dataset(rng, schema, n_records):
@@ -663,10 +680,10 @@ def test_all_categorical_int32_blocks_match_oracle(block_rows, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3, 10])
 def test_tiny_tables_partition_up_to_the_own_record_sentinel(k, monkeypatch):
-    # n <= 2k + 8: the K-th smallest value of every row is the row's own
-    # position, which holds the int32 sentinel
+    # n <= W: every row's head spans the whole row, whose largest key is the
+    # row's own position, which holds the int32 sentinel
     rng = random.Random(k)
-    for n in range(2, 2 * k + knn_module._NEAREST_SLACK + 1):
+    for n in range(2, 2 * k + knn_module._HEAD_SLACK + 1):
         ds = categorical_dataset(rng, n)
         knn = KnnImputer(ds, KnnParams(k=k))
         assert knn._far == np.iinfo(np.int32).max
@@ -687,15 +704,15 @@ def test_distance_dtype_is_int32_without_a_non_zero_numeric_range(case, dtype):
         schema = CATEGORICAL_SCHEMA
     elif case == "excluded numeric":
         exclude = (3,)
-    ds = edge_dataset(rng, schema, 30)
-    if case == "zero-range numeric":  # one value wherever x is present
-        ds = Dataset(schema, [Record(r.id, (*r.cells[:3], r.cells[3] and "2.5", r.cells[4]))
-                              for r in ds.records])
+    if case == "zero-range numeric":
+        ds = zero_range_dataset(rng, 30)
         assert oracle_ranges(ds)[3] == 0.0
+    else:
+        ds = edge_dataset(rng, schema, 30)
     knn = KnnImputer(ds, KnnParams(k=4), exclude)
     work = knn._workspace(2)
-    assert work.distances.dtype == work.partition.dtype == knn._far.dtype == dtype
-    assert (work.terms is None) == (dtype == np.int32)
+    assert work.distances.dtype == knn._far.dtype == dtype
+    assert (work.floats is None) == (dtype == np.int32)
     assert_block_is_scalar_heom(knn, ds.records)
     for record in ds.records[:10]:
         for j in range(ds.n_attributes):
@@ -730,7 +747,7 @@ def test_workspace_buffers_stay_within_the_block_bound(numeric, block_bytes, mon
     [work] = built
     assert work.distances.shape == (1 if block_bytes else 4 if numeric else 9, 6912)
     assert work.distances.itemsize == (8 if numeric else 4)
-    assert (work.terms is not None) == numeric
+    assert (work.floats is not None) == numeric
     for buffer in filter(lambda b: b is not None, work):
         assert buffer.shape == work.distances.shape
         assert buffer.nbytes <= max(knn_module._BLOCK_BYTES, buffer[0].nbytes)
@@ -831,26 +848,29 @@ def brute_force_runs(block, flags):
 
 
 @pytest.mark.parametrize("terms, rows, numeric", [
-    (3, 6, False),
-    (300, 120, False),  # rows * (terms + 2) is past the int16 range
+    (3, 6, False),  # 0/1 terms only: integral float64 distances
+    (300, 120, False),
     (3, 6, True),
     (4, 40, True),
 ])
-def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, numeric):
+def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, numeric,
+                                                                   monkeypatch):
+    # without numeric terms, as past the int32 key bound: the float64 path
+    monkeypatch.setattr(knn_module, "_exact", lambda scales, n_records: False)
     schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(terms)]
     cells = ["a"] * terms
     if numeric:
         schema.append(AttributeSchema("x", NUMERIC))
     ds = Dataset(schema, [Record(i, (*cells, f"{i}.5")[:len(schema)]) for i in range(2)])
     knn = KnnImputer(ds)
-    assert (knn._far.dtype == np.float64) == numeric
+    assert knn._far.dtype == np.float64
     rng = np.random.default_rng(terms + rows)
     width = 50
     for _ in range(10):
         if numeric:  # few values, so ties; inf is the own-record sentinel
             block = rng.choice([0.0, 0.25, 1.0, 1.5, np.inf], size=(rows, width))
         else:
-            block = rng.integers(0, terms + 1, size=(rows, width)).astype(np.int32)
+            block = rng.integers(0, terms + 1, size=(rows, width)).astype(np.float64)
             block[rng.random((rows, width)) < 0.05] = knn._far
         # a different threshold per row: runs of different lengths, tied at the threshold
         flags = block <= np.sort(block, axis=1)[np.arange(rows), rng.integers(0, width, rows)][:, None]
@@ -860,31 +880,95 @@ def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, n
         assert runs == brute_force_runs(block, flags)
 
 
+def brute_force_heads(knn, queries, reach, width):
+    """Each query's first ``width`` other records in (HEOM, id) order, less
+    those lacking its ``reach`` attribute (None: none), as positions in id
+    order padded with n."""
+    ds, n = knn.dataset, knn._ids.size
+    by_id = sorted(ds.records, key=lambda r: r.id)
+    heads = []
+    for record, j in zip(queries, reach, strict=True):
+        order = sorted((oracle_heom(record, other, ds.schema, knn.ranges), p)
+                       for p, other in enumerate(by_id)
+                       if other.id != record.id and (j is None or other.cells[j] is not None))
+        head = [p for _, p in order[:width]]
+        heads.append(head + [n] * (width - len(head)))
+    return heads
+
+
+@pytest.mark.parametrize("kind, n_records, k", [
+    ("categorical", 5, 3),  # n <= W: a head is every other record, then padding
+    ("categorical", 60, 1),
+    ("categorical", 200, 3),
+    ("zero-range numeric", 80, 2),
+    ("300 terms", 40, 2),
+])
+def test_exact_heads_are_the_first_w_of_a_scalar_heom_id_sort(kind, n_records, k):
+    rng = random.Random(f"{kind}-{n_records}")
+    if kind == "categorical":
+        ds = categorical_dataset(rng, n_records)
+    elif kind == "zero-range numeric":
+        ds = zero_range_dataset(rng, n_records)
+    else:
+        schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
+        ds = Dataset(schema, [
+            Record(i, tuple(None if rng.random() < 0.05 else rng.choice("ab") for _ in schema))
+            for i in rng.sample(range(10 * n_records), n_records)  # shuffled ids
+        ])
+    knn = KnnImputer(ds, KnnParams(k=k))
+    assert knn._far.dtype == np.int32
+    width = head_width(n_records, k)
+    queries = rng.sample(ds.records, min(n_records, 12))
+    positions = np.array([position(knn, r) for r in queries])
+    work = knn._workspace(5)  # blocks of 5 rows, the last one shorter
+    for reach in (None, np.array(rng.choices(range(ds.n_attributes), k=len(queries)))):
+        heads = np.empty((len(queries), width), np.int32)
+        for offset, block in knn._blocks(positions, 5, work, reach):
+            knn._head(block, heads[offset : offset + len(block)], work)
+        expected = brute_force_heads(knn, queries, [None] * len(queries) if reach is None
+                                     else reach.tolist(), width)
+        assert heads.tolist() == expected
+
+
+def test_exact_keys_only_while_the_largest_key_fits_int32():
+    # T terms and n records: keys reach (T + 1) * n - 1, which must lie below
+    # the int32 sentinel; past it, the float64 path
+    top = np.iinfo(np.int32).max
+    for scales in ([None] * 300, [None, 0.0], [0.0]):
+        most = top // (len(scales) + 1)
+        assert knn_module._exact(scales, most) and not knn_module._exact(scales, most + 1)
+    assert not knn_module._exact([None, 2.5], 10)  # a non-zero range: float64 distances
+
+
 def test_a_rescan_takes_the_nearest_holders_past_a_head_of_non_holders(monkeypatch):
-    # the query's 12 nearest records lack t, so its first head holds no holder;
-    # the rescan finds a at distance 2, then b and c tied at 3 for the second
-    # neighbour: b, the lower id.  The query holds t itself, at distance 0.
+    # the query's 24 nearest records lack t, as many as a head holds for k = 2,
+    # so its first head holds no holder; the rescan finds a at distance 2, then
+    # b and c tied at 3 for the second neighbour: b, the lower id.  The query
+    # holds t itself, at distance 0.
     schema = [*(AttributeSchema(f"a{j}", CATEGORICAL, ("x", "y")) for j in range(5)),
               AttributeSchema("t", CATEGORICAL, ("p", "q"))]
     query = Record(3, ("x",) * 5 + ("p",))
     a = Record(20, ("y", "y", "x", "x", "x", "p"))
     b = Record(5, ("y", "y", "y", "x", "x", "p"))
     c = Record(9, ("y", "y", "x", "x", "x", "q"))
-    lacking = [Record(i, ("x",) * 5 + (None,)) for i in (*range(10, 20), 21, 22)]
-    far = [Record(i, ("y",) * 4 + ("x", "p")) for i in range(30, 35)]
+    lacking = [Record(i, ("x",) * 5 + (None,)) for i in (*range(10, 20), *range(21, 35))]
+    far = [Record(i, ("y",) * 4 + ("x", "p")) for i in range(40, 45)]
     ds = Dataset(schema, [c, *far, b, *lacking, query, a])
-    sorted_nearest, runs = KnnImputer._sorted_nearest, []
+    assert len(lacking) == head_width(ds.n_records, 2) < ds.n_records
+    head, heads = KnnImputer._head, []
 
-    def recording(knn, block, flags):
-        runs.append(flags.sum(axis=1).tolist())
-        return sorted_nearest(knn, block, flags)
+    def recording(knn, block, rows, work):
+        head(knn, block, rows, work)
+        heads.append(rows.tolist())
 
-    monkeypatch.setattr(KnnImputer, "_sorted_nearest", recording)
+    monkeypatch.setattr(KnnImputer, "_head", recording)
     assert check_knn_against_oracles(monkeypatch, ds, 2, [(query, 5)]) == 1
-    # the first run is the 12 records tied at distance 1; the rescan's holds
-    # the 8 holders, fewer than the 12 nearest it asks for, and no record
-    # out of its reach
-    assert runs[:2] == [[12], [8]]
+    # the first head is the records lacking t, in id order; the rescan's holds
+    # the 8 holders in (distance, id) order, then the padding past the last
+    # record, and no record out of its reach
+    by_id = sorted(r.id for r in ds.records)
+    assert heads[0] == [[by_id.index(r.id) for r in lacking]]
+    assert heads[1] == [[by_id.index(r.id) for r in (a, b, c, *far)] + [ds.n_records] * 16]
     [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(query, 5)])
     assert ids == (a.id, b.id) and value == "p"
 
@@ -911,7 +995,9 @@ def test_one_block_of_120_records_over_300_terms_matches_oracle(monkeypatch):
 
 def test_runs_of_different_lengths_in_one_block_match_oracle(monkeypatch):
     rng = random.Random(6161)
-    ds = near_constant_dataset(rng, 120)  # one int32 block of every record
+    ds = near_constant_dataset(rng, 120)  # one float64 block of every record
+    # the float64 path, as past the int32 key bound; runs belong to it alone
+    monkeypatch.setattr(knn_module, "_exact", lambda scales, n_records: False)
     sorted_nearest, runs = KnnImputer._sorted_nearest, []
 
     def recording(knn, block, flags):
@@ -924,7 +1010,7 @@ def test_runs_of_different_lengths_in_one_block_match_oracle(monkeypatch):
     check_knn_against_oracles(monkeypatch, ds, 3, cells)
     lengths = runs[0]
     assert len(lengths) == ds.n_records and len(set(lengths.tolist())) > 1
-    assert lengths.max() > 2 * 3 + knn_module._NEAREST_SLACK  # ties at the threshold
+    assert lengths.max() > head_width(ds.n_records, 3)  # ties at the threshold
 
 
 def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
