@@ -175,7 +175,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     pending = [i for i, key in enumerate(keys) if key is None]
     if pending:
         knn = KnnImputer(dataset, knn_params, exclude)
-        results = knn._impute(knn._rank[key_firsts[pending]], key_attrs[pending])
+        results = knn._impute(key_firsts[pending], key_attrs[pending])
         for i, (value, neighbor_ids) in zip(pending, results):
             keys[i] = (attributes[i], value, SOURCE_KNN, (), neighbor_ids)
 

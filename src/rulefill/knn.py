@@ -41,7 +41,7 @@ class KnnParams:
 # bytes of distances (int32 keys or float64, see KnnImputer), which bounds the
 # kNN fallback's working memory.  The block's match counts and flags, and on the
 # float64 path a buffer for its numeric terms and then its partition copy, are
-# each at most this size again; impute_cells allocates them once per call, every
+# each at most this size again; _impute allocates them once per call, every
 # block reuses them, and they are freed when it returns.  An int32 block is
 # partitioned in place.  A float64 block's nearest-record positions (int64) reach
 # this size when every record ties, and ordering them takes at most five times
@@ -57,7 +57,7 @@ _BLOCK_BYTES = 1 << 18
 # (distance, id) order (k from KnnParams, at most every record) as its head:
 # room for k holders of the target attribute even when three in four of the
 # nearest lack it.  A cell whose head holds fewer than k holders of its
-# attribute is scanned again, alone.  On car at 6,912 rows with a 20% mask
+# attribute is scanned again as its own query.  On car at 6,912 rows with a 20% mask
 # (seed 3) and maint blanked in 65% of records (seed 5), heads of 2k + 8 sent
 # 1,877 of 8,084 keys to that rescan and kNN-only impute_dataset took 0.285 s
 # (median), against 253 keys and 0.195 s with twice as many.
@@ -65,7 +65,7 @@ _HEAD_SLACK = 8
 
 
 class _Workspace(NamedTuple):
-    """The block buffers of one ``impute_cells`` call: a row per query record
+    """The block buffers of one ``_impute`` call: a row per query record
     of a block, a column per record.  A shorter block uses the first rows.
     """
 
@@ -109,8 +109,9 @@ class KnnImputer:
         self.ranges = {}  # per participating numeric attribute: max minus min, 0.0 if none
 
         # Copies in ascending record id; np.take keeps them C-contiguous,
-        # which the block arithmetic in _distances relies on for speed.
-        ids = np.array([r.id for r in dataset.records], dtype=np.int64)
+        # which the block arithmetic in _distances relies on for speed.  The
+        # dataset's id map holds the ids in record order.
+        ids = np.fromiter(dataset._position_of, np.int64, dataset.n_records)
         order = np.argsort(ids)  # ids are unique
         self._ids = ids[order]
         self._rank = np.argsort(order)  # by dataset position: the record's position in id order
@@ -148,17 +149,15 @@ class KnnImputer:
         self._far = np.int32(np.iinfo(np.int32).max) if exact else np.float64(np.inf)
         self._base = self._lead * n + np.arange(n, dtype=np.int32) if exact else None
 
-    def impute_cells(self, cells) -> list:
-        """(imputed value, neighbor ids) for each (record, attribute) pair, in order.
+    def _impute(self, positions: np.ndarray, attributes: np.ndarray) -> list:
+        """(imputed value, neighbor ids) for each pair of a record's dataset
+        position in ``positions`` and an attribute in ``attributes``, in order.
 
-        Each record must be one of the dataset's own; any other raises
-        ``DataError``.  The neighbors are the k nearest other records
-        holding a value at the attribute, ties on distance broken by
-        ascending record id; fewer than k candidates means all of them.
-        They vote (a count tie goes to the smallest level index) or, for a
-        numeric attribute, average.  Empty ids mean no other record holds a
-        value: the record's own value votes alone, and a record lacking it
-        too raises ``DataError``.
+        The neighbors are the k nearest other records holding a value at the
+        attribute, ties on distance broken by ascending record id; fewer than
+        k candidates means all of them.  They vote (a count tie goes to the
+        smallest level index) or, for a numeric attribute, average.  A pair
+        whose attribute no other record holds raises ``DataError``.
 
         Adjacent pairs of one record share a query record.  Query records
         run a block at a time; a block holds ``_BLOCK_BYTES`` of distances
@@ -172,21 +171,7 @@ class KnnImputer:
         (attribute, k) group at the end, so no result comes back before
         every block has been scanned.
         """
-        owners, attributes, last = [], [], None  # owners: each pair's record position
-        for record, attribute in cells:
-            if record is not last:
-                p = self.dataset._position_of.get(record.id)
-                if p is None or self.dataset.records[p] != record:
-                    raise DataError(f"record {record.id} is not in the dataset")
-                last = record
-            owners.append(p)
-            attributes.append(attribute)
-        return self._impute(self._rank[np.array(owners, np.intp)], np.array(attributes, np.intp))
-
-    def _impute(self, owners: np.ndarray, attributes: np.ndarray) -> list:
-        """``impute_cells`` for the records at positions ``owners`` in id order
-        (``_rank[p]`` for dataset position p) and ``attributes``, unchecked."""
-        chosen, ks = self._neighbors(owners, attributes)
+        chosen, ks = self._neighbors(self._rank[positions], attributes)
 
         results = [None] * attributes.size
         order = np.lexsort((ks, attributes))
@@ -194,14 +179,14 @@ class KnnImputer:
         for group in np.split(order, np.flatnonzero(change) + 1) if order.size else ():
             attribute, k = int(attributes[group[0]]), int(ks[group[0]])
             attr = self.dataset.schema[attribute]
-            neighbors = chosen[group, : max(k, 1)]
+            neighbors = chosen[group, :k]
             if attr.kind == NUMERIC:
                 # Python's sum over the values in neighbor order, as the scalar mean does
                 values = [_mean(row) for row in self._values[attribute][neighbors].tolist()]
             else:
                 winners = _mode(self._codes[attribute][neighbors], len(attr.levels))
                 values = [attr.levels[w] for w in winners.tolist()]
-            ids = map(tuple, self._ids[neighbors].tolist()) if k else [()] * group.size
+            ids = map(tuple, self._ids[neighbors].tolist())
             for i, value, neighbor_ids in zip(group.tolist(), values, ids):
                 results[i] = (value, neighbor_ids)
         return results
@@ -211,21 +196,16 @@ class KnnImputer:
 
         Pair i is the record at position ``owners[i]`` and attribute
         ``attributes[i]``.  k is at most the holders other than the owner;
-        the pair's neighbours are the first k of ``chosen[i]``.  When k is 0,
-        no other record holds the attribute: the entry is the owner, which
-        votes alone, or, when the owner lacks the attribute too,
-        ``DataError`` is raised.  The block buffers and heads are freed on
-        return.
+        the pair's neighbours are the first k of ``chosen[i]``.  A k of 0,
+        when no other record holds the attribute, raises ``DataError``.  The
+        block buffers and heads are freed on return.
         """
         n = self._ids.size
-        own = self._present[attributes, owners]
-        ks = np.minimum(self.params.k, self._known[attributes] - own)
-        alone = ks == 0
-        if not own[alone].all():
-            name = self.dataset.schema[attributes[alone & ~own][0]].name
+        ks = np.minimum(self.params.k, self._known[attributes] - self._present[attributes, owners])
+        if not ks.all():
+            name = self.dataset.schema[attributes[np.argmin(ks)]].name  # the first k of 0
             raise DataError(f"attribute {name!r} has no known value anywhere; cannot impute")
-        chosen = np.empty((owners.size, min(self.params.k, max(n, 1))), np.int32)
-        chosen[alone, 0] = owners[alone]
+        chosen = np.empty((owners.size, min(self.params.k, n)), np.int32)
 
         rows = max(1, _BLOCK_BYTES // (self._far.itemsize * max(n, 1)))
         width = min(n, 2 * (2 * self.params.k + _HEAD_SLACK))
@@ -237,9 +217,9 @@ class KnnImputer:
 
         work = self._workspace(rows)
         heads = np.empty((min(chunk, owners.size), width), np.int32)
-        # The first scan: every pair with a k, its query records the runs of one owner
-        short, reach = np.flatnonzero(ks), None
-        firsts = np.append(np.flatnonzero(np.diff(owners[short], prepend=-1)), short.size)
+        # The first scan: every pair, its query records the runs of one owner
+        short, reach = np.arange(owners.size), None
+        firsts = np.append(np.flatnonzero(np.diff(owners, prepend=-1)), owners.size)
         while short.size:
             queries, lacking = owners[short[firsts[:-1]]], []
             for start in range(0, queries.size, chunk):

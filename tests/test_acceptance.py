@@ -10,13 +10,13 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from rulefill import (
     ExperimentSpec,
     KnnParams,
     MiningParams,
-    KnnImputer,
     SOURCE_RULES,
     evaluate,
     fit_all_bins,
@@ -27,6 +27,7 @@ from rulefill import (
     mine_rules,
     run_sweep,
 )
+from rulefill.knn import KnnImputer
 from oracles import (
     brute_force_frequent,
     brute_force_rules,
@@ -244,7 +245,9 @@ def test_criterion_7_knn_oracle_exact():
                     if r.id != record.id
                 ):
                     continue
-                [(value, ids)] = knn.impute_cells([(record, attribute)])
+                [(value, ids)] = knn._impute(
+                    np.array([ds._position_of[record.id]]), np.array([attribute])
+                )
                 assert list(ids) == oracle_neighbors(
                     ds, record, attribute, k
                 ), "neighbor selection differs from exhaustive sort"

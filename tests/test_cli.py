@@ -81,6 +81,19 @@ def test_mine_empty_dataset_exits_one(tmp_path, capsys, command):
     assert "empty dataset" in stderr
 
 
+@pytest.mark.parametrize("command", ["impute", "bench"])
+def test_all_missing_column_is_refused_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                           command):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "blank.csv"
+    data.write_text("a,b,c\nx,?,u\ny,?,v\nx,?,u\ny,?,u\n")
+    code, _, stderr = run_cli([command, "--data", str(data)], capsys)
+    assert code == 1
+    # the error line alone: no traceback
+    assert stderr == "error: attribute 'b' has no known value anywhere; cannot impute\n"
+    assert list(tmp_path.iterdir()) == [data]  # nothing written
+
+
 def test_mine_equal_width_overflow_names_the_column(tmp_path, capsys):
     data = tmp_path / "huge.csv"
     data.write_text("span,c\n-1e308,a\n1e308,b\n0,a\n5,b\n")
@@ -605,7 +618,7 @@ def test_demo_runs(demo, tmp_path):
 
 PUBLIC_NAMES = [
     "AssociationRule", "AttributeSchema", "CATEGORICAL", "DataError", "Dataset",
-    "ExperimentSpec", "KnnImputer", "KnnParams", "MiningParams", "NUMERIC", "Record",
+    "ExperimentSpec", "KnnParams", "MiningParams", "NUMERIC", "Record",
     "SOURCE_KNN", "SOURCE_RULES", "evaluate", "fit_all_bins", "fit_bins", "generate_rules",
     "impute_dataset", "inject_missing", "load_csv", "mine_frequent", "mine_rules",
     "read_rules", "run_sweep", "write_csv", "write_report_files", "write_rules",

@@ -560,10 +560,10 @@ def test_knn_runs_once_per_distinct_uncovered_key(monkeypatch):
     received = []
     impute = KnnImputer._impute
 
-    def spy(self, owners, attributes):
-        records = [self.dataset.record_by_id(i) for i in self._ids[owners].tolist()]
+    def spy(self, positions, attributes):
+        records = [self.dataset.records[p] for p in positions.tolist()]
         received.extend(zip(records, attributes.tolist()))
-        return impute(self, owners, attributes)
+        return impute(self, positions, attributes)
 
     monkeypatch.setattr(KnnImputer, "_impute", spy)
     rng = random.Random(7)

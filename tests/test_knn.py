@@ -14,7 +14,6 @@ from rulefill import (
     AttributeSchema,
     DataError,
     Dataset,
-    KnnImputer,
     KnnParams,
     Record,
     fit_all_bins,
@@ -22,6 +21,7 @@ from rulefill import (
 )
 from rulefill import knn as knn_module
 from rulefill import sample_data
+from rulefill.knn import KnnImputer
 from oracles import (
     oracle_heom,
     oracle_knn_value,
@@ -38,6 +38,26 @@ MIXED_SCHEMA = [
 
 def mixed_dataset(rows):
     return Dataset(MIXED_SCHEMA, [Record(i, tuple(r)) for i, r in enumerate(rows)])
+
+
+def impute_pairs(knn, cells):
+    """``knn._impute`` for (record, attribute) pairs of its dataset, present cells too."""
+    positions = [knn.dataset._position_of[record.id] for record, _ in cells]
+    return knn._impute(np.array(positions, np.intp), np.array([j for _, j in cells], np.intp))
+
+
+def every_cell(ds):
+    """Every (record, attribute) pair, present cells too, whose attribute another record holds."""
+    holders = [sum(r.cells[j] is not None for r in ds.records) for j in range(ds.n_attributes)]
+    return [(r, j) for r in ds.records for j in range(ds.n_attributes)
+            if holders[j] > (r.cells[j] is not None)]
+
+
+def knn_only_cell(ds, k):
+    """The imputation of ``ds``'s one missing cell by ``impute_dataset`` without rules."""
+    _, report = impute_dataset(ds, [], KnnParams(k=k))
+    [cell] = report.cells
+    return cell
 
 
 def test_identical_records_have_zero_distance():
@@ -84,8 +104,7 @@ def test_knn_params_validation():
 
 def test_nearest_exact_match_wins():
     ds = mixed_dataset([(None, "red"), ("2.0", "red"), ("9.0", "blue")])
-    [(value, _)] = KnnImputer(ds, KnnParams(k=1)).impute_cells([(ds.records[0], 0)])
-    assert value == 2.0
+    assert knn_only_cell(ds, 1).value == 2.0
 
 
 def test_majority_vote():
@@ -102,20 +121,17 @@ def test_majority_vote():
             Record(3, ("blue", "a")),
         ],
     )
-    [(value, _)] = KnnImputer(ds, KnnParams(k=3)).impute_cells([(ds.records[0], 0)])
-    assert value == "red"
+    assert knn_only_cell(ds, 3).value == "red"
 
 
 def test_numeric_mean():
     ds = mixed_dataset([(None, "red"), ("4.0", "red"), ("6.0", "red")])
-    [(value, _)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(ds.records[0], 0)])
-    assert value == 5.0
+    assert knn_only_cell(ds, 2).value == 5.0
 
 
 def test_fewer_candidates_than_k_uses_all():
     ds = mixed_dataset([(None, "red"), ("4.0", "red")])
-    [(value, _)] = KnnImputer(ds, KnnParams(k=10)).impute_cells([(ds.records[0], 0)])
-    assert value == 4.0
+    assert knn_only_cell(ds, 10).value == 4.0
 
 
 def test_vote_tie_breaks_to_smallest_level_index():
@@ -132,8 +148,7 @@ def test_vote_tie_breaks_to_smallest_level_index():
         ],
     )
     # one vote each: the tie goes to level index 0 regardless of label text
-    [(value, _)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(ds.records[0], 0)])
-    assert value == "z_first"
+    assert knn_only_cell(ds, 2).value == "z_first"
 
 
 def test_distance_tie_breaks_by_record_id():
@@ -149,9 +164,7 @@ def test_distance_tie_breaks_by_record_id():
             Record(2, ("red", "u")),
         ],
     )
-    knn = KnnImputer(ds, KnnParams(k=1))
-    [(_, ids)] = knn.impute_cells([(ds.record_by_id(5), 0)])
-    assert list(ids) == [2]
+    assert knn_only_cell(ds, 1).neighbor_ids == (2,)
 
 
 def test_global_fallback_mode_and_mean():
@@ -168,37 +181,19 @@ def test_global_fallback_mode_and_mean():
     lonely = Dataset(schema, [Record(0, (None, "1")), Record(1, (None, "3"))])
     knn = KnnImputer(lonely, KnnParams(k=2))
     with pytest.raises(DataError):
-        [(_, _)] = knn.impute_cells([(lonely.records[0], 0)])  # no known value anywhere
-    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(ds.records[0], 0)])
+        impute_pairs(knn, [(lonely.records[0], 0)])  # no known value anywhere
+    [(value, ids)] = impute_pairs(KnnImputer(ds, KnnParams(k=2)), [(ds.records[0], 0)])
     assert ids  # normal path still returns neighbors
     empty_target = Dataset(
         schema, [Record(0, ("red", None)), Record(1, ("red", None)), Record(2, ("blue", "7"))]
     )
     knn = KnnImputer(empty_target, KnnParams(k=2))
-    [(value, ids)] = knn.impute_cells([(empty_target.records[0], 1)])
+    [(value, ids)] = impute_pairs(knn, [(empty_target.records[0], 1)])
     assert ids == (2,)
-    # drop the only carrier: global fallback over known values
+    # a present cell whose one other holder votes alone
     only = Dataset(schema, [Record(0, ("red", None)), Record(1, ("blue", "7"))])
-    [(value, ids)] = KnnImputer(only, KnnParams(k=2)).impute_cells([(only.records[0], 0)])
+    [(value, ids)] = impute_pairs(KnnImputer(only, KnnParams(k=2)), [(only.records[0], 0)])
     assert value == "blue" and ids == (1,)
-
-
-def test_numeric_global_fallback_for_the_only_holder():
-    # the query is the only record holding x, so no other record can vote
-    ds = mixed_dataset([("2.5", "red"), (None, "red"), (None, "blue")])
-    record = ds.record_by_id(0)
-    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(record, 0)])
-    assert ids == ()
-    assert value == oracle_knn_value(ds, record, 0, 2) == 2.5
-
-
-def test_categorical_global_fallback_for_the_only_holder():
-    # the query is the only record holding color, so no other record can vote
-    ds = mixed_dataset([("1", None), ("2", "blue"), ("3", None)])
-    record = ds.record_by_id(1)
-    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(record, 1)])
-    assert ids == ()
-    assert value == oracle_knn_value(ds, record, 1, 2) == "blue"
 
 
 def test_metric_properties_random():
@@ -249,7 +244,7 @@ def test_neighbor_selection_matches_oracle():
             record = rng.choice(ds.records)
             attribute = rng.randrange(ds.n_attributes)
             expected = oracle_neighbors(ds, record, attribute, knn.params.k)
-            [(_, ids)] = knn.impute_cells([(record, attribute)])
+            [(_, ids)] = impute_pairs(knn, [(record, attribute)])
             assert list(ids) == expected
 
 
@@ -267,7 +262,7 @@ def test_imputed_values_match_oracle():
                     r.cells[attribute] is not None for r in ds.records if r.id != record.id
                 ):
                     continue
-                [(value, _)] = knn.impute_cells([(record, attribute)])
+                [(value, _)] = impute_pairs(knn, [(record, attribute)])
                 assert value == oracle_knn_value(ds, record, attribute, k)
 
 
@@ -289,7 +284,7 @@ BATCH_SCHEMA = [
     AttributeSchema("x", NUMERIC),
     AttributeSchema("flat", NUMERIC),  # one value wherever present: zero range
     AttributeSchema("d", CATEGORICAL, ("u", "v")),
-    AttributeSchema("rare", CATEGORICAL, ("p", "q")),  # one holder: global fallback
+    AttributeSchema("rare", CATEGORICAL, ("p", "q")),  # one holder: k = 1 for every other record
 ]
 
 
@@ -379,13 +374,13 @@ def count_rescans(monkeypatch):
 
 
 def check_knn_against_oracles(monkeypatch, ds, k, cells):
-    """impute_cells and impute_dataset agree with the oracles, and exactly the
+    """_impute and impute_dataset agree with the oracles, and exactly the
     cells whose heads fall short of k holders are scanned again, once each.
 
     Returns how many pairs were scanned again."""
     knn = KnnImputer(ds, KnnParams(k=k))
     rescanned = count_rescans(monkeypatch)
-    results, rescans = list(knn.impute_cells(cells)), rescanned[0]
+    results, rescans = impute_pairs(knn, cells), rescanned[0]
     assert rescans == expected_fallbacks(knn, ds, cells)
 
     for (record, j), (value, ids) in zip(cells, results, strict=True):
@@ -412,7 +407,7 @@ def test_batched_path_matches_oracle(block_rows, monkeypatch):
         k = rng.randint(1, ds.n_records + 3)  # often more than the candidates
         assert_block_is_scalar_heom(KnnImputer(ds, KnnParams(k=k)), ds.records[:5])
         # every cell, present ones too, so candidate counts differ within a block
-        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        cells = every_cell(ds)
         check_knn_against_oracles(monkeypatch, ds, k, cells)
 
 
@@ -425,11 +420,11 @@ def test_reused_block_buffers_carry_nothing_over(monkeypatch):
     monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * 3)
     by_id = sorted(ds.records, key=lambda r: r.id)
     blocks = record_blocks(monkeypatch)
-    cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+    cells = every_cell(ds)
     for k in (1, 3, ds.n_records + 3):
         blocks.clear()
         knn = KnnImputer(ds, KnnParams(k=k))
-        results = knn.impute_cells(cells)
+        results = impute_pairs(knn, cells)
         # the main pass: every query record in order, in blocks of 3; any later
         # block recomputes rows for the fallback
         main = blocks[:7]
@@ -449,8 +444,8 @@ def test_reused_block_buffers_carry_nothing_over(monkeypatch):
         # one imputer, two calls of different lengths: each as from a fresh imputer
         state = dict(vars(knn))
         short = cells[7:30]
-        assert knn.impute_cells(short) == KnnImputer(ds, KnnParams(k=k)).impute_cells(short)
-        assert knn.impute_cells(cells) == KnnImputer(ds, KnnParams(k=k)).impute_cells(cells)
+        for pairs in (short, cells):
+            assert impute_pairs(knn, pairs) == impute_pairs(KnnImputer(ds, KnnParams(k=k)), pairs)
         assert vars(knn).keys() == state.keys()  # no buffer stays on the instance
 
 
@@ -467,17 +462,16 @@ def test_votes_once_per_categorical_attribute_and_k(monkeypatch):
     for _ in range(12):
         ds = batch_dataset(rng, rng.randint(3, 30))
         k = rng.randint(1, ds.n_records + 3)
-        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        cells = every_cell(ds)
         expected = [oracle_neighbors(ds, record, j, k) for record, j in cells]
         calls.clear()
-        results = KnnImputer(ds, KnnParams(k=k)).impute_cells(cells)
-        # one call per categorical (attribute, k) group, with all of its cells
-        # as rows; a k = 0 group votes with its own value, one column wide
+        results = impute_pairs(KnnImputer(ds, KnnParams(k=k)), cells)
+        # one call per categorical (attribute, k) group, with all of its cells as rows
         groups = Counter(
             (j, len(ids)) for (_, j), ids in zip(cells, expected)
             if ds.schema[j].kind == CATEGORICAL
         )
-        assert sorted(calls) == sorted((size, width or 1) for (_, width), size in groups.items())
+        assert sorted(calls) == sorted((size, width) for (_, width), size in groups.items())
         for (record, j), (value, ids), neighbors in zip(cells, results, expected, strict=True):
             assert list(ids) == neighbors
             assert value == oracle_knn_value(ds, record, j, k)
@@ -579,7 +573,7 @@ def test_heavy_ties_match_oracle(k, monkeypatch):
     rng = random.Random(9090)
     ds = near_constant_dataset(rng, 300)
     k = k or ds.n_records + 3
-    cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+    cells = every_cell(ds)
     check_knn_against_oracles(monkeypatch, ds, k, cells)
 
 
@@ -622,7 +616,7 @@ def test_leading_categorical_run_with_exclusions_is_bit_exact(exclude):
     assert_block_is_scalar_heom(knn, ds.records)
     for record in ds.records[:10]:
         for j in range(ds.n_attributes):
-            [(_, ids)] = knn.impute_cells([(record, j)])
+            [(_, ids)] = impute_pairs(knn, [(record, j)])
             assert list(ids) == oracle_neighbors(ds, record, j, 4, exclude)
 
 
@@ -669,9 +663,9 @@ def test_all_categorical_int32_blocks_match_oracle(block_rows, monkeypatch):
         k = rng.randint(1, n + 3)
         knn = KnnImputer(ds, KnnParams(k=k))
         assert_block_is_scalar_heom(knn, ds.records[:5])
-        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        cells = every_cell(ds)
         blocks.clear()
-        knn.impute_cells(cells)
+        impute_pairs(knn, cells)
         assert [len(positions) for positions, _ in blocks] == (
             [block_rows] * (n // block_rows) + [n % block_rows] * (n % block_rows > 0))
         assert all(block.dtype == np.int32 for _, block in blocks)
@@ -687,7 +681,7 @@ def test_tiny_tables_partition_up_to_the_own_record_sentinel(k, monkeypatch):
         ds = categorical_dataset(rng, n)
         knn = KnnImputer(ds, KnnParams(k=k))
         assert knn._far == np.iinfo(np.int32).max
-        cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+        cells = every_cell(ds)
         check_knn_against_oracles(monkeypatch, ds, k, cells)
 
 
@@ -716,7 +710,7 @@ def test_distance_dtype_is_int32_without_a_non_zero_numeric_range(case, dtype):
     assert_block_is_scalar_heom(knn, ds.records)
     for record in ds.records[:10]:
         for j in range(ds.n_attributes):
-            [(value, ids)] = knn.impute_cells([(record, j)])
+            [(value, ids)] = impute_pairs(knn, [(record, j)])
             assert list(ids) == oracle_neighbors(ds, record, j, 4, exclude)
             assert value == oracle_knn_value(ds, record, j, 4, exclude)
 
@@ -742,7 +736,7 @@ def test_workspace_buffers_stay_within_the_block_bound(numeric, block_bytes, mon
 
     monkeypatch.setattr(KnnImputer, "_workspace", recording_workspace)
     knn = KnnImputer(ds, KnnParams(k=10))
-    [(value, ids)] = knn.impute_cells([(ds.records[0], 0)])
+    [(value, ids)] = impute_pairs(knn, [(ds.records[0], 0)])
     assert len(ids) == 10 and value in schema[0].levels
     [work] = built
     assert work.distances.shape == (1 if block_bytes else 4 if numeric else 9, 6912)
@@ -751,16 +745,6 @@ def test_workspace_buffers_stay_within_the_block_bound(numeric, block_bytes, mon
     for buffer in filter(lambda b: b is not None, work):
         assert buffer.shape == work.distances.shape
         assert buffer.nbytes <= max(knn_module._BLOCK_BYTES, buffer[0].nbytes)
-
-
-def test_foreign_record_is_a_data_error():
-    ds = edge_dataset(random.Random(6), EDGE_SCHEMA, 40)
-    knn = KnnImputer(ds, KnnParams(k=5))
-    own = ds.records[3]
-    for stranger in (Record(10**6, (None, "v", None, None, "m")),  # unknown id
-                     Record(own.id, (None, *own.cells[1:]))):  # known id, other cells
-        with pytest.raises(DataError, match=f"record {stranger.id} "):
-            list(knn.impute_cells([(own, 0), (stranger, 1)]))
 
 
 def test_unique_valued_leading_column_keeps_memory_small():
@@ -778,7 +762,7 @@ def test_unique_valued_leading_column_keeps_memory_small():
     tracemalloc.start()
     try:
         knn = KnnImputer(ds, KnnParams(k=5))
-        results = list(knn.impute_cells(cells))
+        results = impute_pairs(knn, cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -969,7 +953,7 @@ def test_a_rescan_takes_the_nearest_holders_past_a_head_of_non_holders(monkeypat
     by_id = sorted(r.id for r in ds.records)
     assert heads[0] == [[by_id.index(r.id) for r in lacking]]
     assert heads[1] == [[by_id.index(r.id) for r in (a, b, c, *far)] + [ds.n_records] * 16]
-    [(value, ids)] = KnnImputer(ds, KnnParams(k=2)).impute_cells([(query, 5)])
+    [(value, ids)] = impute_pairs(KnnImputer(ds, KnnParams(k=2)), [(query, 5)])
     assert ids == (a.id, b.id) and value == "p"
 
 
@@ -985,7 +969,7 @@ def test_one_block_of_120_records_over_300_terms_matches_oracle(monkeypatch):
     blocks = record_blocks(monkeypatch)
     knn = KnnImputer(ds, KnnParams(k=3))
     cells = [(r, rng.randrange(300)) for r in ds.records]
-    results = knn.impute_cells(cells)
+    results = impute_pairs(knn, cells)
     [(positions, _)] = blocks
     assert len(positions) * (knn._lead + 2) > np.iinfo(np.int16).max
     for (record, j), (value, ids) in rng.sample(list(zip(cells, results)), 12):
@@ -1006,7 +990,7 @@ def test_runs_of_different_lengths_in_one_block_match_oracle(monkeypatch):
         return ordered, starts
 
     monkeypatch.setattr(KnnImputer, "_sorted_nearest", recording)
-    cells = [(r, j) for r in ds.records for j in range(ds.n_attributes)]
+    cells = every_cell(ds)
     check_knn_against_oracles(monkeypatch, ds, 3, cells)
     lengths = runs[0]
     assert len(lengths) == ds.n_records and len(set(lengths.tolist())) > 1
@@ -1022,7 +1006,7 @@ def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
     knn = KnnImputer(ds, KnnParams(k=5))
     tracemalloc.start()
     try:
-        results = knn.impute_cells(cells)
+        results = impute_pairs(knn, cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1033,7 +1017,7 @@ def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
 
 
 def assert_within_the_documented_memory_bound(monkeypatch, ds, cells, k):
-    """impute_cells's results, with its block and pick stages, and the whole
+    """_impute's results, with its block and pick stages, and the whole
     call less the results it returns, each within the documented bound."""
     mode, before_vote = knn_module._mode, []
 
@@ -1046,7 +1030,7 @@ def assert_within_the_documented_memory_bound(monkeypatch, ds, cells, k):
     knn = KnnImputer(ds, KnnParams(k=k))
     tracemalloc.start()
     try:
-        results = knn.impute_cells(cells)
+        results = impute_pairs(knn, cells)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1095,14 +1079,11 @@ def test_rescans_of_whole_rows_stay_within_the_documented_memory_bound(monkeypat
 def test_empty_dataset_has_no_neighbors():
     query = Record(5, (None, "red"))
     knn = KnnImputer(Dataset(MIXED_SCHEMA, []), KnnParams(k=3))
-    assert knn.impute_cells([]) == []
-    with pytest.raises(DataError, match="record 5 "):
-        list(knn.impute_cells([(query, 1)]))  # every record is foreign to an empty table
+    assert impute_pairs(knn, []) == []
     knn = KnnImputer(Dataset(MIXED_SCHEMA, [query]), KnnParams(k=3))
     assert knn._distances([0], knn._workspace(1)).shape == (1, 1)
-    assert list(knn.impute_cells([(query, 1)])) == [("red", ())]  # no other record
     with pytest.raises(DataError, match="no known value"):
-        list(knn.impute_cells([(query, 0)]))
+        impute_pairs(knn, [(query, 0)])
 
 
 def test_numeric_range_that_overflows_a_float_names_the_attribute():
