@@ -58,4 +58,4 @@ print(f"    known cells: {record.cells}")
 print(f"    imputed value: {example.value!r} (truth: {truth[(example.record_id, example.attribute)]!r})")
 print(f"    fired rules ({len(example.rules)}), strongest first:")
 for rule in example.rules[:3]:
-    print(f"        {sorted(rule.antecedent)} -> {rule.consequent} conf={rule.confidence:.2f}")
+    print(f"        {rule.antecedent} -> {rule.consequent} conf={rule.confidence:.2f}")

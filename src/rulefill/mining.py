@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 # An item is an (attribute index, level-or-bin index) assignment; an itemset
-# is a frozenset of items carrying at most one item per attribute.
+# is a sorted tuple of items carrying at most one item per attribute.
 Item = tuple[int, int]
 
 
@@ -44,7 +44,9 @@ class MiningParams:
 
 @dataclass(frozen=True)
 class FrequentItemset:
-    itemset: frozenset
+    """An itemset, as a sorted tuple of items, with its record count and support."""
+
+    itemset: tuple
     support_count: int
     support: float
 
@@ -53,16 +55,17 @@ class FrequentItemset:
 class AssociationRule:
     """antecedent -> consequent with the joint support and the confidence.
 
-    Both strengths are fractions in (0, 1]; anything else, NaN included,
-    raises ``ValueError``.
+    The antecedent is held as the sorted tuple of the distinct items given.
+    Both strengths are in (0, 1]; anything else, NaN included, raises ValueError.
     """
 
-    antecedent: frozenset
+    antecedent: tuple
     consequent: Item
     support: float
     confidence: float
 
     def __post_init__(self):
+        object.__setattr__(self, "antecedent", tuple(sorted(set(self.antecedent))))
         if self.consequent in self.antecedent:
             raise ValueError("consequent must be disjoint from the antecedent")
         if not (0.0 < self.support <= 1.0 and 0.0 < self.confidence <= 1.0):
@@ -74,7 +77,7 @@ class AssociationRule:
             self.consequent[0],
             -self.confidence,
             -self.support,
-            tuple(sorted(self.antecedent)),
+            self.antecedent,
             self.consequent[1],
         )
 
@@ -107,7 +110,7 @@ def mine_frequent(tidsets, n_records: int, params: MiningParams) -> list[Frequen
         count = tidsets[item].bit_count()
         if count >= minimum:
             level[(item,)] = tidsets[item]
-            found.append(FrequentItemset(frozenset((item,)), count, count / n_records))
+            found.append(FrequentItemset((item,), count, count / n_records))
 
     size = 2
     while level and (max_len is None or size <= max_len):
@@ -125,7 +128,7 @@ def mine_frequent(tidsets, n_records: int, params: MiningParams) -> list[Frequen
                 if count >= minimum:
                     candidate = a + (b[-1],)
                     next_level[candidate] = mask
-                    found.append(FrequentItemset(frozenset(candidate), count, count / n_records))
+                    found.append(FrequentItemset(candidate, count, count / n_records))
         level = next_level
         size += 1
     return found
@@ -145,8 +148,8 @@ def generate_rules(frequents, params: MiningParams) -> list[AssociationRule]:
     for f in frequents:
         if len(f.itemset) < 2:
             continue
-        for consequent in f.itemset:
-            antecedent = f.itemset - {consequent}
+        for i, consequent in enumerate(f.itemset):
+            antecedent = f.itemset[:i] + f.itemset[i + 1:]
             try:
                 antecedent_count = counts[antecedent]
             except KeyError:

@@ -20,7 +20,7 @@ FORMAT = "rulefill-rules-v1"
 
 def rule_to_dict(rule: AssociationRule) -> dict:
     return {
-        "antecedent": [list(item) for item in sorted(rule.antecedent)],
+        "antecedent": [list(item) for item in rule.antecedent],
         "consequent": list(rule.consequent),
         "support": rule.support,
         "confidence": rule.confidence,
@@ -32,13 +32,16 @@ def rule_from_dict(payload: dict, items: dict) -> AssociationRule:
 
     ``items`` maps each checked (attribute, level) tuple to itself; one dict
     for a whole file, as ``read_rules`` passes, gives every rule naming an
-    item the same tuple for it.
+    item the same tuple for it.  Each strength must be a JSON number.
     """
+    support, confidence = payload["support"], payload["confidence"]
+    if type(support) not in (int, float) or type(confidence) not in (int, float):
+        raise ValueError(f"support {support!r} and confidence {confidence!r} must be numbers")
     return AssociationRule(
-        antecedent=frozenset([_item(raw, items) for raw in payload["antecedent"]]),
+        antecedent=[_item(raw, items) for raw in payload["antecedent"]],
         consequent=_item(payload["consequent"], items),
-        support=float(payload["support"]),
-        confidence=float(payload["confidence"]),
+        support=float(support),
+        confidence=float(confidence),
     )
 
 

@@ -81,11 +81,16 @@ def brute_force_rules(db, params):
     return rules
 
 
+def as_sorted_tuples(rows):
+    """Oracle rows with each leading itemset as the library holds one: a sorted tuple."""
+    return [(tuple(sorted(itemset)), *rest) for itemset, *rest in rows]
+
+
 def oracle_fired(rules, known, attribute):
     """Rules aimed at ``attribute`` whose antecedent lies within ``known``,
     ordered confidence descending, support descending, sorted antecedent,
     consequent level.  A plain filter and one sort with a spelled-out key."""
-    fired = [r for r in rules if r.consequent[0] == attribute and r.antecedent <= known]
+    fired = [r for r in rules if r.consequent[0] == attribute and known.issuperset(r.antecedent)]
     fired.sort(
         key=lambda r: (-r.confidence, -r.support, sorted(r.antecedent), r.consequent[1])
     )

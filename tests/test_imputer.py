@@ -86,7 +86,7 @@ def test_empty_antecedent_fires_on_anything():
         fired = fired_on_y(known, rules)
         assert len(fired) == 1
         # oracle: set inclusion says the empty set is a subset of anything
-        assert all(r.antecedent <= known for r in fired)
+        assert all(known.issuperset(r.antecedent) for r in fired)
 
 
 def test_fire_rules_ordering():

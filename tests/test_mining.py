@@ -12,6 +12,7 @@ from rulefill import (
     mine_frequent,
 )
 from oracles import (
+    as_sorted_tuples,
     brute_force_frequent,
     brute_force_rules,
     random_itemized_db,
@@ -47,12 +48,12 @@ def test_support_count_examples():
 def test_mine_frequent_toy_db():
     frequents = mine_frequent(*tidsets_of(TOY_DB), MiningParams(0.5, 0.6))
     expected = {
-        frozenset({A}): 3,
-        frozenset({B}): 3,
-        frozenset({C}): 3,
-        frozenset({A, B}): 2,
-        frozenset({A, C}): 2,
-        frozenset({B, C}): 2,
+        (A,): 3,
+        (B,): 3,
+        (C,): 3,
+        (A, B): 2,
+        (A, C): 2,
+        (B, C): 2,
     }
     assert {f.itemset: f.support_count for f in frequents} == expected
     for f in frequents:
@@ -66,7 +67,8 @@ def test_mine_frequent_full_support_threshold():
 def test_min_support_floor_keeps_everything():
     frequents = mine_frequent(*tidsets_of(TOY_DB), MiningParams(1 / len(TOY_DB), 0.6))
     assert {f.itemset for f in frequents} == {
-        itemset for itemset, _, _ in brute_force_frequent(TOY_DB, MiningParams(1 / 4, 0.6))
+        itemset for itemset, _, _ in as_sorted_tuples(
+            brute_force_frequent(TOY_DB, MiningParams(1 / 4, 0.6)))
     }
 
 
@@ -87,7 +89,7 @@ def test_support_boundary_matches_the_oracle(n, min_support, least):
     db = nested_db(n, {max(1, least - 1), least, min(n, least + 1), n})
     params = MiningParams(min_support, 0.6)
     frequents = mine_frequent(*tidsets_of(db), params)
-    assert as_tuples(frequents) == brute_force_frequent(db, params)
+    assert as_tuples(frequents) == as_sorted_tuples(brute_force_frequent(db, params))
     assert min(f.support_count for f in frequents) == least
 
 
@@ -150,6 +152,23 @@ def test_rule_rejects_overlapping_consequent():
         AssociationRule(frozenset({A}), A, 0.5, 0.9)
 
 
+def test_rule_holds_its_antecedent_as_one_sorted_tuple():
+    D = (3, 1)
+    rules = [AssociationRule(frozenset({C, A}), D, 0.5, 0.9),
+             AssociationRule([C, A], D, 0.5, 0.9),
+             AssociationRule([A, C, A], D, 0.5, 0.9)]
+    for r in rules:
+        assert r.antecedent == (A, C) and type(r.antecedent) is tuple
+    assert rules[0] == rules[1] == rules[2]
+    assert len({hash(r) for r in rules}) == 1
+    assert len({r.sort_key() for r in rules}) == 1
+    with pytest.raises(ValueError, match="disjoint"):
+        AssociationRule([C, A, C], C, 0.5, 0.9)
+    for support, confidence in [(0.0, 0.9), (0.5, 1.5), (math.nan, 0.9), (0.5, -0.1)]:
+        with pytest.raises(ValueError, match="must be in"):
+            AssociationRule([C, A, A], D, support, confidence)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MiningParams(0.0, 0.5)
@@ -165,9 +184,9 @@ def test_absolute_support_count_threshold():
     params = MiningParams(0.9, 0.6, min_support_count=2)
     frequents = mine_frequent(*tidsets_of(TOY_DB), params)
     # count threshold ignores the (stricter) fractional one
-    assert {f.itemset for f in frequents} >= {frozenset({A, B})}
+    assert {f.itemset for f in frequents} >= {(A, B)}
     assert as_tuples(frequents) == [
-        (i, c, s) for i, c, s in brute_force_frequent(TOY_DB, params)
+        (i, c, s) for i, c, s in as_sorted_tuples(brute_force_frequent(TOY_DB, params))
     ]
 
 
@@ -189,9 +208,9 @@ def test_oracle_equivalence_randomized():
             min_confidence=rng.choice([0.3, 0.5, 0.7, 0.9]),
         )
         frequents = mine_frequent(*tidsets_of(db), params)
-        assert as_tuples(frequents) == brute_force_frequent(db, params)
+        assert as_tuples(frequents) == as_sorted_tuples(brute_force_frequent(db, params))
         rules = generate_rules(frequents, params)
-        assert rule_tuples(rules) == brute_force_rules(db, params)
+        assert rule_tuples(rules) == as_sorted_tuples(brute_force_rules(db, params))
 
 
 def test_downward_closure_on_random_dbs():
@@ -203,7 +222,7 @@ def test_downward_closure_on_random_dbs():
         for f in frequents:
             for item in f.itemset:
                 if len(f.itemset) > 1:
-                    assert f.itemset - {item} in reported
+                    assert tuple(i for i in f.itemset if i != item) in reported
 
 
 def test_rules_recheck_against_support_count():
@@ -214,7 +233,7 @@ def test_rules_recheck_against_support_count():
         rules = generate_rules(mine_frequent(*tidsets_of(db), params), params)
         n = len(db)
         for r in rules:
-            joint = support_count(r.antecedent | {r.consequent}, db)
+            joint = support_count({*r.antecedent, r.consequent}, db)
             base = support_count(r.antecedent, db)
             assert r.support == joint / n
             assert r.confidence == joint / base
@@ -280,5 +299,6 @@ def itemized_dbs(draw):
 def test_oracle_equivalence_property(db, support, confidence):
     params = MiningParams(support, confidence)
     frequents = mine_frequent(*tidsets_of(db), params)
-    assert as_tuples(frequents) == brute_force_frequent(db, params)
-    assert rule_tuples(generate_rules(frequents, params)) == brute_force_rules(db, params)
+    assert as_tuples(frequents) == as_sorted_tuples(brute_force_frequent(db, params))
+    assert rule_tuples(generate_rules(frequents, params)) == as_sorted_tuples(
+        brute_force_rules(db, params))

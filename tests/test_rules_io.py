@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rulefill import (
+    AssociationRule,
     DataError,
     MiningParams,
     fit_all_bins,
@@ -124,12 +125,30 @@ def test_bad_files_rejected(tmp_path):
         {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": 0.0},
         {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": 1.5},
         {"antecedent": [], "consequent": [1, 0], "support": -math.inf, "confidence": 0.9},
+        {"antecedent": [], "consequent": [1, 0], "support": True, "confidence": 0.9},
+        {"antecedent": [], "consequent": [1, 0], "support": 0.5, "confidence": "1"},
     ]
     for record in bad_records:
         bad = tmp_path / "bad_rule.jsonl"
         bad.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
         with pytest.raises(DataError, match="bad_rule.jsonl: line 3"):
             read_rules(bad)
+
+
+def test_out_of_order_and_repeated_antecedent_items_read_back_canonical(tmp_path, car_dataset):
+    path = tmp_path / "hand.rules.jsonl"
+    write_rules(path, [], car_dataset)
+    header = path.read_text()
+    path.write_text(header + (
+        '{"antecedent": [[3, 2], [0, 1], [3, 2]], "consequent": [6, 0], '
+        '"support": 0.25, "confidence": 0.75}\n'))
+    (loaded,) = read_rules(path).rules
+    assert loaded == AssociationRule([(0, 1), (3, 2)], (6, 0), 0.25, 0.75)
+    assert loaded.antecedent == ((0, 1), (3, 2))
+    write_rules(path, [loaded], car_dataset)
+    assert path.read_text() == header + (
+        '{"antecedent": [[0, 1], [3, 2]], "confidence": 0.75, "consequent": [6, 0], '
+        '"support": 0.25}\n')
 
 
 def test_header_that_is_not_json_is_rejected(tmp_path):
