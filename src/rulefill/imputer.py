@@ -179,27 +179,17 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
         for i, (value, neighbor_ids) in zip(pending, results):
             keys[i] = (attributes[i], value, SOURCE_KNN, (), neighbor_ids)
 
-    # One completed cells tuple per group, from its first record (at ``firsts``),
-    # shared by its records.  Equal codes mean equal text, but equal numbers
-    # need not (1.0 and 1.00): a record whose text differs fills in its own.
-    firsts, key_groups = np.unique(key_firsts, return_inverse=True)
-    heads = [dataset.records[p].cells for p in firsts.tolist()]
-    shape = (firsts.size, dataset.n_attributes)
-    table = np.fromiter(itertools.chain.from_iterable(heads), object, np.prod(shape)).reshape(shape)
-    table[key_groups, key_attrs] = [key[1] for key in keys]
-    filled = list(map(tuple, table.tolist()))
+    # Each record fills its own cells
     originals = [dataset.records[p] for p in lacking.tolist()]
-    groups = key_groups[key_index[np.flatnonzero(np.diff(rows, prepend=-1))]].tolist()
-    cells = [filled[g] for g in groups]
-    if any(attr.kind == NUMERIC for attr in dataset.schema):
-        cells = [c if r.cells == heads[g] else tuple(
-                     f if x is None else x for x, f in zip(r.cells, c))
-                 for r, g, c in zip(originals, groups, cells)]
+    cells = [list(record.cells) for record in originals]
+    rows, targets, key_index = rows.tolist(), key_attrs[key_index].tolist(), key_index.tolist()
+    for r, j, i in zip(rows, targets, key_index):
+        cells[r][j] = keys[i][1]
     records, ids = list(dataset.records), [record.id for record in originals]
-    for p, record in zip(lacking.tolist(), map(Record, ids, cells)):
+    for p, record in zip(lacking.tolist(), map(Record, ids, map(tuple, cells))):
         records[p] = record
     report = ImputationReport(
-        keys, np.repeat(np.array(ids, object), np.bincount(rows)).tolist(), key_index.tolist(),
+        keys, [ids[r] for r in rows], key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
         parameters={"k": knn_params.k, "distance": knn_params.distance,
                     "rule_count": len(rules), **(parameters or {})},

@@ -287,10 +287,9 @@ class KnnImputer:
             elif scale > 0.0:
                 term = work.floats[:n]
                 np.subtract(self._values[j], values[j], out=term)
-                np.abs(term, out=term)
                 term /= scale
-                term *= term
-                np.copyto(term, 1.0, where=np.isnan(term, out=flags))  # missing on either side
+                term *= term  # at most 1 for present values: |a - b| <= range
+                np.fmin(term, 1.0, out=term)  # NaN, missing on either side, becomes 1
                 total += term
             else:  # zero range: NaN is unequal to everything
                 total += np.not_equal(self._values[j], values[j], out=flags)

@@ -333,6 +333,34 @@ def test_rule_less_imputation_needs_no_bins():
             assert cell.value == expected
 
 
+def test_equal_numbers_share_a_key_but_each_record_keeps_its_own_cell():
+    # records 0-2 encode alike (x is 1.0 as "1.0", "1.00" and a float) and lack c
+    schema = [
+        AttributeSchema("x", NUMERIC),
+        AttributeSchema("c", CATEGORICAL, ("p", "q")),
+        AttributeSchema("d", CATEGORICAL, ("r", "s")),
+    ]
+    ds = Dataset(schema, [
+        Record(0, ("1.0", None, "r")),
+        Record(1, ("1.00", None, "r")),
+        Record(2, (1.0, None, "r")),
+        Record(3, ("2.0", "p", "r")),
+        Record(4, ("3.0", "q", "s")),
+        Record(5, ("1.5", "p", "s")),
+    ])
+    # kNN alone, then a rule that fires on the shared key
+    for rules, source in (([], SOURCE_KNN), ([rule({(2, 0)}, (1, 1))], SOURCE_RULES)):
+        done, report = impute_dataset(ds, rules, KnnParams(2), bins=fit_all_bins(ds, 2))
+        assert report.record_ids == [0, 1, 2] and len(set(report.key_index)) == 1
+        ((attribute, value, got, _, _),) = report.keys
+        assert (attribute, got) == (1, source)
+        for before, after in zip(ds.records[:3], done.records):
+            assert after.cells[1] == value
+            assert type(after.cells[0]) is type(before.cells[0])
+            assert after.cells[0] == before.cells[0] and after.cells[2] == "r"
+        assert done.records[3:] == ds.records[3:]
+
+
 def test_impute_dataset_no_missing_is_identity():
     tiny = tiny_dataset()
     ds = Dataset(tiny.schema, [*tiny.records[:4], Record(4, ("a0", "b0", "y1"))])
