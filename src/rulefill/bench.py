@@ -64,7 +64,7 @@ def inject_missing(dataset: Dataset, rate: float, seed: int,
             f"cannot mask {target} cells without emptying a record "
             f"(only {len(truth)} maskable)"
         )
-    return Dataset(dataset.schema, records, dataset.class_column), truth
+    return dataset._refilled(records), truth
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,10 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
     """Run the configured sweep and return one report row per (value, method).
 
     The missing-rate axis draws a fresh mask per position (seed = spec.seed
-    + position); support and confidence sweeps share one fixed mask so
-    coverage comparisons across thresholds are exact.  All methods at one
-    position share the same mask.
+    + position); support and confidence sweeps keep the mask drawn at
+    position 0, so coverage comparisons across thresholds are exact.  All
+    methods at one position share the same mask; the hybrid mines its rules
+    just before it imputes.
     """
     if dataset is None:
         dataset = load_csv(
@@ -237,45 +238,27 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
     )
 
     points = list(spec.sweep_values) if spec.sweep_axis != "none" else [None]
-    shared_mask = None
-    if spec.sweep_axis in ("none", "support", "confidence"):
-        shared_mask = inject_missing(
-            dataset, spec.missing_rate, spec.seed, exclude_class=not spec.inject_class
-        )
-
+    rate_axis = spec.sweep_axis == "missing_rate"
     rows = []
     for position, value in enumerate(points):
         rate, mining = _resolved_point(spec, value)
-        if spec.sweep_axis == "missing_rate":
-            seed_used = spec.seed + position
+        seed_used = spec.seed + position if rate_axis else spec.seed
+        if rate_axis or position == 0:
             masked, truth = inject_missing(
                 dataset, rate, seed_used, exclude_class=not spec.inject_class
             )
-        else:
-            seed_used = spec.seed
-            masked, truth = shared_mask
-
         bins = fit_all_bins(masked, spec.n_bins, spec.bin_strategy, exclude)
 
-        rules = []
-        time_mine = None
-        if METHOD_HYBRID in spec.methods:
-            start = time.perf_counter()
-            rules = mine_rules(masked, mining, bins, exclude)
-            time_mine = time.perf_counter() - start
-
         for method in spec.methods:
-            method_rules = rules if method == METHOD_HYBRID else []
+            rules = time_mine = None
+            if method == METHOD_HYBRID:
+                start = time.perf_counter()
+                rules = mine_rules(masked, mining, bins, exclude)
+                time_mine = round(time.perf_counter() - start, 6)
             start = time.perf_counter()
-            completed, report = impute_dataset(
-                masked, method_rules, spec.knn, bins, exclude
-            )
+            completed, report = impute_dataset(masked, rules or [], spec.knn, bins, exclude)
             time_impute = time.perf_counter() - start
-            metrics = (
-                evaluate(completed, truth, dataset.schema)
-                if truth
-                else EvalMetrics(None, None, 0, 0, 0, 0)
-            )
+            metrics = evaluate(completed, truth) if truth else EvalMetrics(None, None, 0, 0, 0, 0)
             rows.append(
                 BenchRow(
                     position=position,
@@ -289,11 +272,11 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
                     min_confidence=mining.min_confidence,
                     k=spec.knn.k,
                     n_missing=len(truth),
-                    rule_count=len(rules) if method == METHOD_HYBRID else None,
+                    rule_count=None if rules is None else len(rules),
                     rule_coverage=report.rule_coverage(),
                     categorical_accuracy=metrics.categorical_accuracy,
                     numeric_nrmse=metrics.numeric_nrmse,
-                    time_mine_s=round(time_mine, 6) if method == METHOD_HYBRID else None,
+                    time_mine_s=time_mine,
                     time_impute_s=round(time_impute, 6),
                 )
             )

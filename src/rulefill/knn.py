@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,14 +27,14 @@ from .data import NUMERIC, DataError, Dataset
 
 @dataclass(frozen=True)
 class KnnParams:
+    """Neighbour count k of the HEOM kNN fallback; ``distance`` is fixed."""
+
     k: int = 10
-    distance: str = "heom"
+    distance: str = field(default="heom", init=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.distance != "heom":
-            raise ValueError(f"unsupported distance: {self.distance!r}")
 
 
 # Distance rows computed at once: a block of query records is at most this many

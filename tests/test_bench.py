@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import rulefill.bench
 from rulefill import (
     CATEGORICAL,
     NUMERIC,
@@ -17,6 +18,7 @@ from rulefill import (
     MiningParams,
     Record,
     evaluate,
+    impute_dataset,
     inject_missing,
     load_csv,
     run_sweep,
@@ -171,14 +173,38 @@ def spec_for(path, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
-def test_run_sweep_missing_rate_rows(car_csv):
+def spied_sweep(monkeypatch, spec):
+    """Run ``spec``; return its report, the (seed, masked table) of every mask
+    draw, and the table each imputation was given, in call order."""
+    draws, imputed = [], []
+
+    def spy_inject(dataset, rate, seed, **options):
+        masked, truth = inject_missing(dataset, rate, seed, **options)
+        draws.append((seed, masked))
+        return masked, truth
+
+    def spy_impute(dataset, *args):
+        imputed.append(dataset)
+        return impute_dataset(dataset, *args)
+
+    monkeypatch.setattr(rulefill.bench, "inject_missing", spy_inject)
+    monkeypatch.setattr(rulefill.bench, "impute_dataset", spy_impute)
+    return run_sweep(spec), draws, imputed
+
+
+def test_run_sweep_missing_rate_rows(car_csv, monkeypatch):
     spec = spec_for(
         car_csv,
         sweep_axis="missing_rate",
         sweep_values=(0.05, 0.10),
         methods=("hmit", "knn"),
     )
-    report = run_sweep(spec)
+    report, draws, imputed = spied_sweep(monkeypatch, spec)
+    # one draw per position, seeded spec.seed + position, shared by its methods
+    assert [seed for seed, _ in draws] == [spec.seed, spec.seed + 1]
+    assert len(imputed) == len(report.rows)
+    for row, table in zip(report.rows, imputed):
+        assert table is draws[row.position][1]
     assert len(report.rows) == 4  # two values x two methods
     assert [r.method for r in report.rows] == ["hmit", "knn", "hmit", "knn"]
     assert report.rows[0].n_missing == round(0.05 * 1728 * 6)
@@ -201,7 +227,7 @@ def test_run_sweep_single_knn_row(car_csv):
     assert row.time_mine_s is None  # no mining happened at all
 
 
-def test_run_sweep_support_axis_shares_one_mask(car_csv):
+def test_run_sweep_support_axis_shares_one_mask(car_csv, monkeypatch):
     spec = spec_for(
         car_csv,
         sweep_axis="support",
@@ -209,7 +235,11 @@ def test_run_sweep_support_axis_shares_one_mask(car_csv):
         methods=("hmit",),
         missing_rate=0.20,
     )
-    report = run_sweep(spec)
+    report, draws, imputed = spied_sweep(monkeypatch, spec)
+    # one draw for the whole sweep, and every position imputes that table
+    [(seed, masked)] = draws
+    assert seed == spec.seed and isinstance(masked, Dataset)
+    assert len(imputed) == 3 and all(table is masked for table in imputed)
     assert len(report.rows) == 3
     n_missing = {row.n_missing for row in report.rows}
     assert len(n_missing) == 1  # fixed mask across the sweep
@@ -220,7 +250,7 @@ def test_run_sweep_support_axis_shares_one_mask(car_csv):
     assert [row.min_support for row in report.rows] == [0.10, 0.30, 0.60]
 
 
-def test_run_sweep_confidence_axis(car_csv):
+def test_run_sweep_confidence_axis(car_csv, monkeypatch):
     spec = spec_for(
         car_csv,
         sweep_axis="confidence",
@@ -228,7 +258,10 @@ def test_run_sweep_confidence_axis(car_csv):
         methods=("hmit",),
         mining=MiningParams(0.40, 0.60, min_support_count=40),
     )
-    report = run_sweep(spec)
+    report, draws, imputed = spied_sweep(monkeypatch, spec)
+    [(seed, masked)] = draws  # one draw, kept across the thresholds
+    assert seed == spec.seed and isinstance(masked, Dataset)
+    assert len(imputed) == 2 and all(table is masked for table in imputed)
     assert [row.min_confidence for row in report.rows] == [0.2, 0.8]
     assert report.rows[0].rule_coverage >= report.rows[1].rule_coverage
     # support settings carry through unchanged

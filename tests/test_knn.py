@@ -98,7 +98,7 @@ def test_zero_range_terms():
 def test_knn_params_validation():
     with pytest.raises(ValueError):
         KnnParams(k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # k is the only option; HEOM is fixed
         KnnParams(distance="euclidean")
 
 
