@@ -42,7 +42,7 @@ print(
     f"(coverage {report.rule_coverage():.1%})"
 )
 
-metrics = evaluate(completed, truth, dataset.schema)
+metrics = evaluate(completed, truth)
 print(f"categorical accuracy against the hidden truth: {metrics.categorical_accuracy:.4f}")
 
 by_column = Counter(report.attribute_names[c.attribute] for c in report.cells)
@@ -56,6 +56,8 @@ print(
 )
 print(f"    known cells: {record.cells}")
 print(f"    imputed value: {example.value!r} (truth: {truth[(example.record_id, example.attribute)]!r})")
-print(f"    fired rules ({len(example.rules)}), strongest first:")
-for rule in example.rules[:3]:
+# a cell's fired rules are positions in report.rules, the report's one table of fired rules
+fired = [report.rules[i] for i in example.rules]
+print(f"    fired rules ({len(fired)}), strongest first:")
+for rule in fired[:3]:
     print(f"        {rule.antecedent} -> {rule.consequent} conf={rule.confidence:.2f}")

@@ -77,7 +77,7 @@ class EvalMetrics:
     n_numeric: int
 
 
-def evaluate(imputed: Dataset, truth: dict, schema=None) -> EvalMetrics:
+def evaluate(imputed: Dataset, truth: dict) -> EvalMetrics:
     """Score imputations against the ground-truth cell map.
 
     Categorical accuracy is the exact-match fraction.  Numeric error is the
@@ -87,13 +87,12 @@ def evaluate(imputed: Dataset, truth: dict, schema=None) -> EvalMetrics:
     """
     if not truth:
         raise ValueError("empty ground-truth map")
-    schema = schema if schema is not None else imputed.schema
 
     n_cat = cat_correct = 0
     numeric_errors: dict[int, list[tuple[float, float]]] = {}
     for (record_id, j), true_value in truth.items():
         got = imputed.record_by_id(record_id).cells[j]
-        if schema[j].kind == CATEGORICAL:
+        if imputed.schema[j].kind == CATEGORICAL:
             n_cat += 1
             if got is not None and str(got) == str(true_value):
                 cat_correct += 1
@@ -115,7 +114,7 @@ def evaluate(imputed: Dataset, truth: dict, schema=None) -> EvalMetrics:
                 squares = sum((t - (math.inf if g is None else g)) ** 2 for t, g in pairs)
             except OverflowError:
                 raise DataError(
-                    f"numeric attribute {schema[j].name!r}: squared error overflows a float"
+                    f"numeric attribute {imputed.schema[j].name!r}: squared error overflows a float"
                 ) from None
             rmse = math.sqrt(squares / len(pairs))
             if spread > 0:

@@ -25,7 +25,7 @@ SOURCE_KNN = "knn"
 
 @dataclass(frozen=True)
 class CellImputation:
-    """What one missing cell received and where the value came from."""
+    """One missing cell's value and source; ``rules`` are positions in the report's ``rules``."""
 
     record_id: int
     attribute: int
@@ -39,13 +39,15 @@ class CellImputation:
 class ImputationReport:
     """Imputation results stored once per key, plus a parameter echo.
 
-    ``keys`` holds one ``(attribute, value, source, rules, neighbor_ids)``
-    entry per distinct (encoded cells, attribute) key: a ``CellImputation``
-    without its record id.  The imputed cells, in record order, are the
-    parallel lists ``record_ids`` and ``key_index`` (the cell's entry in
-    ``keys``); ``cells`` views them.
+    ``rules`` lists each rule that fired, once per copy in the rule list, in
+    firing order.  ``keys`` holds one ``(attribute, value, source, rules,
+    neighbor_ids)`` entry per distinct (encoded cells, attribute) key: a
+    ``CellImputation`` without its record id.  The imputed cells, in record
+    order, are the parallel lists ``record_ids`` and ``key_index`` (the cell's
+    entry in ``keys``); ``cells`` views them.
     """
 
+    rules: list[AssociationRule]
     keys: list[tuple]
     record_ids: list[int]
     key_index: list[int]
@@ -88,21 +90,17 @@ class ImputationReport:
         """The report as JSON-ready data, schema ``rulefill-report-v2``.
 
         Top-level keys: ``schema``, ``parameters``, ``totals``,
-        ``per_attribute``, ``rules`` and ``cells``.  ``rules`` lists each
-        distinct fired rule once (``rule_to_dict``), in
-        ``AssociationRule.sort_key`` order, so it does not depend on record
-        order.  Each cell gives ``row``, ``column``, ``value``, ``source``
-        and ``provenance``: a rule cell's fired rules as positions in
-        ``rules``, in firing order; a kNN cell's neighbor record ids.  Each
+        ``per_attribute``, ``rules`` and ``cells``.  ``rules`` is the report's
+        ``rules`` (``rule_to_dict``), in firing order, so it does not depend
+        on record order.  Each cell gives ``row``, ``column``, ``value``,
+        ``source`` and ``provenance``: a rule cell's fired rules as positions
+        in ``rules``, in firing order; a kNN cell's neighbor record ids.  Each
         key's column, value, source and provenance are resolved once and
         shared by its cells.
         """
-        fired = sorted({r for key in self.keys for r in key[3]}, key=AssociationRule.sort_key)
-        rule_ids = {r: i for i, r in enumerate(fired)}
         key_fields = [  # each key's part of its cells' entries
-            {"column": self.attribute_names[j], "value": value, "source": source, "provenance": (
-                [rule_ids[r] for r in rules] if source == SOURCE_RULES else list(neighbor_ids)
-            )}
+            {"column": self.attribute_names[j], "value": value, "source": source,
+             "provenance": list(rules or neighbor_ids)}
             for j, value, source, rules, neighbor_ids in self.keys
         ]
         per_attribute = self.per_attribute()
@@ -117,7 +115,7 @@ class ImputationReport:
                 "rule_coverage": n_rules / self.n_imputed if self.key_index else 0.0,
             },
             "per_attribute": per_attribute,
-            "rules": [rule_to_dict(r) for r in fired],
+            "rules": [rule_to_dict(r) for r in self.rules],
             "cells": [{"row": record_id, **key_fields[i]}
                       for record_id, i in zip(self.record_ids, self.key_index)],
         }
@@ -169,8 +167,9 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
 
     attributes = key_attrs.tolist()
     keys = [None] * len(attributes)  # (attribute, value, source, rules, neighbor_ids) per key
-    for i, value, fired in zip(*_fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs)):
-        keys[i] = (attributes[i], value, SOURCE_RULES, fired, ())
+    hit_rules, *covered = _fire_rules(dataset, rules, bins, exclude, key_firsts, key_attrs)
+    for i, value, positions in zip(*covered):
+        keys[i] = (attributes[i], value, SOURCE_RULES, positions, ())
     # The keys no rule covers; a record's are adjacent and share one kNN distance row
     pending = [i for i, key in enumerate(keys) if key is None]
     if pending:
@@ -189,7 +188,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     for p, record in zip(lacking.tolist(), map(Record, ids, map(tuple, cells))):
         records[p] = record
     report = ImputationReport(
-        keys, [ids[r] for r in rows], key_index,
+        hit_rules, keys, [ids[r] for r in rows], key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
         parameters={"k": knn_params.k, "distance": knn_params.distance,
                     "rule_count": len(rules), **(parameters or {})},
@@ -222,8 +221,8 @@ def _key_table(dataset: Dataset):
 
 
 def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
-    """``(keys, values, fired)`` for the keys some rule fires on: parallel lists
-    of each such key's index, value and fired rules.
+    """``(hit_rules, keys, values, fired)``: the rules that fire, in firing order,
+    and parallel lists of each covered key's index, value and hit-rule positions.
 
     ``key_firsts`` and ``key_attrs`` are ``impute_dataset``'s key table: per
     key, its group's first position and its attribute.  ``rules`` are in
@@ -248,7 +247,7 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
     need = [int.from_bytes(row, "little")
             for row in np.packbits(lacking, axis=1, bitorder="little")]
     if not any(need[rule.consequent[0]] for rule in rules):
-        return [], [], []
+        return [], [], [], []
 
     tidsets = dataset.tidsets(bins, exclude)
     size = (n + 7) // 8
@@ -257,11 +256,11 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
         hits = need[rule.consequent[0]]
         for item in rule.antecedent:
             hits &= tidsets.get(item, 0)
-        if hits:
+        if hits:  # hit bits are first positions of keys, so the rule fires on some key
             hit_rules.append(rule)
             hit_bits += hits.to_bytes(size, "little")
     if not hit_rules:
-        return [], [], []
+        return [], [], [], []
 
     # (hit rule, position) pairs in firing order from the non-zero bytes (flagged: bool scans fast)
     packed = np.frombuffer(hit_bits, np.uint8)
@@ -287,7 +286,7 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
     np.minimum.at(best, cells, rank[which])
     winners = (count * top + (top - 1 - best)).reshape(-1, span).argmax(axis=1)
 
-    fired = tuple(np.fromiter(hit_rules, object, len(hit_rules))[which].tolist())
+    fired = tuple(which.tolist())
     bounds = [*starts.tolist(), len(fired)]
     targets = attrs[which[starts]]
     names, numeric = np.full((width, span), None, object), np.zeros(width, bool)
@@ -308,7 +307,7 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
                 value = low / 2.0 + high / 2.0
             values[u] = value
     covered = np.searchsorted(key_firsts * width + key_attrs, codes[starts]).tolist()
-    return covered, values, [fired[a:b] for a, b in zip(bounds, bounds[1:])]
+    return hit_rules, covered, values, [fired[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_rules_fit_schema(rules, dataset: Dataset, bins) -> None:

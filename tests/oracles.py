@@ -97,6 +97,11 @@ def oracle_fired(rules, known, attribute):
     return tuple(fired)
 
 
+def fired_rules(report, cell):
+    """A cell's fired rules: its positions resolved through ``report.rules``."""
+    return tuple(report.rules[i] for i in cell.rules)
+
+
 def oracle_key_table(dataset):
     """impute_dataset's key table, record by record: records with the same
     cells' text form a group, numbered by first appearance, and each (group,

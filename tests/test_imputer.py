@@ -28,9 +28,10 @@ from rulefill.bench import inject_missing
 from rulefill.binning import Bins
 from rulefill.imputer import _key_table
 from rulefill.knn import KnnImputer
-from rulefill.rules_io import rule_from_dict
+from rulefill.rules_io import rule_to_dict
 from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
 from oracles import (
+    fired_rules,
     impute_from_rules,
     oracle_fired,
     oracle_itemize,
@@ -61,8 +62,9 @@ def fired_on_y(known, rules):
     assert oracle_itemize(ds, ds.record_by_id(0)) == known
     _, report = impute_dataset(ds, rules)
     (cell,) = [c for c in report.cells if (c.record_id, c.attribute) == (0, Y)]
-    assert cell.rules == oracle_fired(rules, known, Y)
-    return cell.rules
+    fired = fired_rules(report, cell)
+    assert fired == oracle_fired(rules, known, Y)
+    return fired
 
 
 def test_fire_rules_subset_condition():
@@ -165,18 +167,18 @@ VOTE_BINS = {X: Bins((0.0, 5.0, 10.0, 15.0), (2.5, 7.5, 12.5))}
 
 def voted(rules, attribute, bins=VOTE_BINS):
     """impute_dataset's cell for ``attribute`` of a record holding HELD and
-    lacking color and x, the rules given in shuffled order; checked against
-    oracle_fired and the scalar impute_from_rules."""
+    lacking color and x, the rules given in shuffled order, and the cell's
+    fired rules; checked against oracle_fired and the scalar impute_from_rules."""
     ds = Dataset(VOTE_SCHEMA, [Record(0, ("p",) * 4 + (None, None)),
                                Record(1, ("q",) * 4 + ("red", "1.0"))])
     shuffled = list(rules)
     random.Random(len(rules)).shuffle(shuffled)
     _, report = impute_dataset(ds, shuffled, bins=bins)
     (cell,) = [c for c in report.cells if c.attribute == attribute]
-    fired = oracle_fired(rules, HELD, attribute)
-    assert cell.source == SOURCE_RULES and cell.rules == fired
+    fired = fired_rules(report, cell)
+    assert cell.source == SOURCE_RULES and fired == oracle_fired(rules, HELD, attribute)
     assert cell.value == impute_from_rules(fired, VOTE_SCHEMA[attribute], bins.get(attribute))
-    return cell
+    return cell, fired
 
 
 def on(*attributes):
@@ -187,11 +189,13 @@ def on(*attributes):
 def test_array_vote_breaks_a_strength_tie_by_level_not_by_firing_order():
     # equal (confidence, support): blue's antecedent sorts first, so blue fires
     # first, but the tie goes to the lowest level index, red
-    cell = voted([rule(on(0), (COLOR, 1), 0.5, 0.9), rule(on(1), (COLOR, 0), 0.5, 0.9)], COLOR)
-    assert cell.rules[0].consequent == (COLOR, 1) and cell.value == "red"
-    cell = voted([rule(on(0), (COLOR, 1), 0.5, 0.9), rule(on(1), (COLOR, 0), 0.5, 0.9),
-                  rule(on(0, 1), (COLOR, 1), 0.5, 0.6), rule(on(2), (COLOR, 0), 0.5, 0.8)], COLOR)
-    assert cell.rules[0].consequent == (COLOR, 1) and cell.value == "red"
+    cell, fired = voted([rule(on(0), (COLOR, 1), 0.5, 0.9), rule(on(1), (COLOR, 0), 0.5, 0.9)],
+                        COLOR)
+    assert fired[0].consequent == (COLOR, 1) and cell.value == "red"
+    cell, fired = voted([rule(on(0), (COLOR, 1), 0.5, 0.9), rule(on(1), (COLOR, 0), 0.5, 0.9),
+                         rule(on(0, 1), (COLOR, 1), 0.5, 0.6), rule(on(2), (COLOR, 0), 0.5, 0.8)],
+                        COLOR)
+    assert fired[0].consequent == (COLOR, 1) and cell.value == "red"
 
 
 @pytest.mark.parametrize("strengths, expected", [
@@ -206,7 +210,7 @@ def test_array_vote_count_ties_match_the_scalar_vote(strengths, expected):
     antecedents = [on(*c) for n in range(5) for c in itertools.combinations(range(4), n)]
     rules = [rule(a, (COLOR, level), support, confidence)
              for a, (level, support, confidence) in zip(antecedents, strengths)]
-    assert voted(rules, COLOR).value == expected
+    assert voted(rules, COLOR)[0].value == expected
 
 
 BIG = 2.0 ** 1023  # two middle representatives of the overflow bins sum past the largest float
@@ -224,7 +228,7 @@ BIG = 2.0 ** 1023  # two middle representatives of the overflow bins sum past th
 def test_array_vote_numeric_medians_match_the_scalar_vote(bins, expected, bins_fired):
     antecedents = [on(*c) for n in range(5) for c in itertools.combinations(range(4), n)]
     rules = [rule(a, (X, b), 0.5, 0.8) for a, b in zip(antecedents, bins_fired)]
-    assert voted(rules, X, bins).value == expected
+    assert voted(rules, X, bins)[0].value == expected
 
 
 def test_array_vote_matches_the_scalar_vote_on_random_tied_rule_sets():
@@ -248,7 +252,7 @@ def test_array_vote_matches_the_scalar_vote_on_random_tied_rule_sets():
         for cell in report.cells:
             known = oracle_itemize(ds, ds.record_by_id(cell.record_id), VOTE_BINS)
             fired = oracle_fired(rules, known, cell.attribute)
-            assert cell.rules == fired
+            assert fired_rules(report, cell) == fired
             if fired:
                 covered += 1
                 bins = VOTE_BINS.get(cell.attribute)
@@ -384,7 +388,7 @@ def test_impute_dataset_totality_and_branch_soundness():
             fired = oracle_fired(rules, known, cell.attribute)
             if cell.source == SOURCE_RULES:
                 assert fired
-                assert set(cell.rules) <= set(fired)
+                assert set(fired_rules(report, cell)) <= set(fired)
             else:
                 assert fired == ()
 
@@ -400,8 +404,9 @@ def test_batched_firing_order_matches_fire_rules():
     done, report = impute_dataset(ds, rules)
     cell = next(c for c in report.cells if (c.record_id, c.attribute) == (4, 2))
     known = oracle_itemize(ds, ds.record_by_id(4))
-    assert cell.rules == oracle_fired(rules, known, 2)
-    assert list(cell.rules) == sorted(cell.rules, key=AssociationRule.sort_key)
+    fired = fired_rules(report, cell)
+    assert fired == oracle_fired(rules, known, 2)
+    assert list(fired) == sorted(fired, key=AssociationRule.sort_key)
 
 
 def test_record_order_permutation_invariance():
@@ -544,7 +549,7 @@ def test_each_cell_of_a_repeated_table_matches_the_oracles():
         for (record, j), cell in zip(missing_cells(ds), report.cells):
             fired = oracle_fired(rules, oracle_itemize(ds, record, bins, exclude), j)
             if cell.source == SOURCE_RULES:
-                assert cell.rules == fired
+                assert fired_rules(report, cell) == fired
                 assert cell.value == impute_from_rules(fired, ds.schema[j], bins.get(j))
             else:
                 assert fired == () and cell.rules == ()
@@ -622,7 +627,8 @@ def test_shuffled_records_keep_each_cell_value_source_and_provenance():
         for table in (ds, shuffled):
             _, report = impute_dataset(table, rules, KnnParams(k), bins, exclude)
             outcomes.append({
-                (c.record_id, c.attribute): (c.value, c.source, c.rules, c.neighbor_ids)
+                (c.record_id, c.attribute):
+                    (c.value, c.source, fired_rules(report, c), c.neighbor_ids)
                 for c in report.cells
             })
         assert outcomes[0] == outcomes[1]
@@ -656,22 +662,37 @@ def test_report_provenance_ids_resolve_to_each_cells_fired_rules():
     rule_cells = 0
     for _, payload, report in report_tables(random.Random(57)):
         assert payload["schema"] == "rulefill-report-v2"
+        assert payload["rules"] == [rule_to_dict(r) for r in report.rules]
         for cell, entry in zip(report.cells, payload["cells"], strict=True):
-            if cell.source == SOURCE_RULES:
-                rule_cells += 1
-                resolved = [rule_from_dict(payload["rules"][i], {}) for i in entry["provenance"]]
-                assert tuple(resolved) == cell.rules
-            else:
-                assert entry["provenance"] == list(cell.neighbor_ids)
+            rule_cells += cell.source == SOURCE_RULES
+            assert entry["provenance"] == list(cell.rules or cell.neighbor_ids)
     assert rule_cells > 0
 
 
 def test_report_rule_table_lists_each_fired_rule_once_in_sort_key_order():
-    for _, payload, report in report_tables(random.Random(58)):
-        listed = [rule_from_dict(d, {}) for d in payload["rules"]]
-        assert set(listed) == {r for c in report.cells for r in c.rules}
+    for _, _, report in report_tables(random.Random(58)):
+        listed = report.rules
+        assert {i for c in report.cells for i in c.rules} == set(range(len(listed)))
         assert len(set(listed)) == len(listed)
         assert listed == sorted(listed, key=AssociationRule.sort_key)
+
+
+def test_a_rule_listed_twice_is_reported_once_per_copy():
+    schema = [AttributeSchema("a", CATEGORICAL, ("a0", "a1")),
+              AttributeSchema("y", CATEGORICAL, ("red", "blue"))]
+    ds = Dataset(schema, [Record(0, ("a0", "red")), Record(1, ("a1", "blue")),
+                          Record(2, ("a0", None))])
+    r = rule({(0, 0)}, (1, 1), support=0.3, confidence=0.9)
+    rules = [r, rule({(0, 0)}, (1, 1), support=0.3, confidence=0.9),
+             rule({(0, 0)}, (1, 0), support=0.3, confidence=0.8),
+             rule(set(), (1, 0), support=0.5, confidence=0.5)]
+    _, report = impute_dataset(ds, rules, KnnParams(1))
+    (cell,) = report.cells
+    assert (cell.source, cell.value) == (SOURCE_RULES, "blue")  # both copies of r vote
+    assert report.rules == rules
+    assert cell.rules == (0, 1, 2, 3)
+    (entry,) = json.loads(json.dumps(report.to_dict()))["cells"]
+    assert entry["provenance"] == [0, 1, 2, 3]
 
 
 def test_report_rule_table_does_not_depend_on_record_order():
