@@ -223,10 +223,10 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
     """Run the configured sweep and return one report row per (value, method).
 
     The missing-rate axis draws a fresh mask per position (seed = spec.seed
-    + position); support and confidence sweeps keep the mask drawn at
-    position 0, so coverage comparisons across thresholds are exact.  All
-    methods at one position share the same mask; the hybrid mines its rules
-    just before it imputes.
+    + position); support and confidence sweeps keep the mask drawn, and its
+    bins fitted, at position 0, so coverage comparisons across thresholds are
+    exact.  All methods at one position share the same mask; the hybrid mines
+    its rules just before it imputes.
     """
     if dataset is None:
         dataset = load_csv(
@@ -246,7 +246,7 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
             masked, truth = inject_missing(
                 dataset, rate, seed_used, exclude_class=not spec.inject_class
             )
-        bins = fit_all_bins(masked, spec.n_bins, spec.bin_strategy, exclude)
+            bins = fit_all_bins(masked, spec.n_bins, spec.bin_strategy, exclude)
 
         for method in spec.methods:
             rules = time_mine = None

@@ -225,14 +225,13 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
     and parallel lists of each covered key's index, value and hit-rule positions.
 
     ``key_firsts`` and ``key_attrs`` are ``impute_dataset``'s key table: per
-    key, its group's first position and its attribute.  ``rules`` are in
-    firing order.  Each rule fires on every group at once: ``need[j]``, the
-    bitset of the first positions of the groups lacking attribute j, ANDed
-    with the bitsets of the rule's antecedent items (``Dataset.tidsets``).
-    Neither is built unless some rule targets a missing attribute.  One
-    ``np.unpackbits`` turns the hits into (rule, key) pairs, one sort orders
-    them by key, then firing order, and each key votes once from the counts
-    of its rules' consequent levels or bins:
+    key index, its group's first position and its attribute.  Each rule, in
+    firing order, fires on every group at once: ``need[j]``, the bitset of the
+    first positions of the groups lacking attribute j, ANDed with the bitsets
+    of the rule's antecedent items (``Dataset.tidsets``); neither is built
+    unless some rule targets a missing attribute.  The hits unpack to (rule,
+    key index) pairs, one sort orders them by key index, then firing order,
+    and each key votes once from the counts of its rules' consequent levels or bins:
 
     * categorical: a dense rank of (confidence, support), which ascends in
       firing order among the rules of one target, breaks count ties by each
@@ -242,10 +241,10 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
       them the middle one or two.
     """
     width, n = dataset.n_attributes, dataset.n_records
-    lacking = np.zeros((width, n), bool)
-    lacking[key_attrs, key_firsts] = True
+    index = np.full((width, n), -1, np.intp)  # each key's index at its attribute and first position
+    index[key_attrs, key_firsts] = np.arange(key_attrs.size)
     need = [int.from_bytes(row, "little")
-            for row in np.packbits(lacking, axis=1, bitorder="little")]
+            for row in np.packbits(index >= 0, axis=1, bitorder="little")]
     if not any(need[rule.consequent[0]] for rule in rules):
         return [], [], [], []
 
@@ -272,10 +271,10 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
     attrs, levels = fields[:, :2].T.astype(np.intp)
     # a dense rank of each hit rule's (confidence, support), ascending in firing order
     rank = np.cumsum(np.any(np.diff(fields[:, 2:], axis=0, prepend=np.nan) != 0, axis=1)) - 1
-    # by key, each key's rules in firing order: (position, attribute) codes ascend in key order
-    codes, which = np.divmod(np.sort((positions * width + attrs[which]) * len(hit_rules) + which),
-                             len(hit_rules))
-    new_key = np.diff(codes, prepend=-1) != 0
+    # by key index, each key's rules in firing order
+    keys, which = np.divmod(np.sort(index[attrs[which], positions] * len(hit_rules) + which),
+                            len(hit_rules))
+    new_key = np.diff(keys, prepend=-1) != 0
     starts, local = np.flatnonzero(new_key), np.cumsum(new_key) - 1  # local: covered key number
     span = int(levels.max()) + 1
     cells = local * span + levels[which]
@@ -306,7 +305,7 @@ def _fire_rules(dataset: Dataset, rules, bins, exclude, key_firsts, key_attrs):
             if not math.isfinite(value):  # halve first only when the sum overflows
                 value = low / 2.0 + high / 2.0
             values[u] = value
-    covered = np.searchsorted(key_firsts * width + key_attrs, codes[starts]).tolist()
+    covered = keys[starts].tolist()
     return hit_rules, covered, values, [fired[a:b] for a, b in zip(bounds, bounds[1:])]
 
 

@@ -71,6 +71,9 @@ def test_inject_unsatisfiable_rate_errors():
     ds = Dataset(schema, [Record(0, ("x",)), Record(1, ("x",))])
     with pytest.raises(DataError):
         inject_missing(ds, 0.8, seed=0, exclude_class=False)
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match="missing rate must be in"):
+            inject_missing(ds, rate, seed=0, exclude_class=False)
 
 
 def test_inject_masks_only_present_cells(credit_dataset):
@@ -284,6 +287,8 @@ def test_spec_validation():
         ExperimentSpec(dataset_path="x", sweep_axis="support")
     with pytest.raises(ValueError):
         ExperimentSpec(dataset_path="x", methods=("mystery",))
+    with pytest.raises(ValueError, match="at least one method"):
+        ExperimentSpec(dataset_path="x", methods=())
     with pytest.raises(ValueError):
         ExperimentSpec(dataset_path="x", missing_rate=1.0)
     # every sweep value is range-checked up front, not when its position runs

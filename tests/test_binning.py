@@ -60,6 +60,8 @@ def test_fit_bins_errors():
         fit_bins([1.0, math.nan], 2)
     with pytest.raises(ValueError):
         fit_bins([1.0, 2.0], 2, "entropy")
+    with pytest.raises(ValueError, match="one representative per bin"):
+        Bins((0.0, 1.0, 2.0), (0.5,))
 
 
 def test_span_that_overflows_a_float_raises_for_both_strategies():

@@ -559,9 +559,11 @@ def test_unknown_method_is_usage_error(car_csv):
 @pytest.mark.parametrize("command, option, value", [
     ("mine", "--support", "abc"),
     ("bench", "--missing-rate", "100"),
+    ("bench", "--missing-rate", "abc"),
     ("impute", "--k", "0"),
     ("impute", "--k", "x"),
     ("bench", "--values", "10..5"),
+    ("bench", "--values", "a..5"),
     ("bench", "--values", "a,b"),
     ("bench", "--values", "0..inf"),
     ("bench", "--values", "10..nan"),
@@ -583,6 +585,10 @@ def test_data_dir_env_var(tmp_path, car_csv, capsys, monkeypatch):
         ["mine", "--data", car_csv.name, "--out", str(tmp_path / "r.jsonl")], capsys
     )
     assert code == 0
+    code, _, err = run_cli(
+        ["mine", "--data", "absent.csv", "--out", str(tmp_path / "r.jsonl")], capsys
+    )
+    assert code == 1 and err.startswith("error:") and "absent.csv" in err
 
 
 def child_env():

@@ -70,6 +70,8 @@ def test_numeric_inference_and_hints(tmp_path):
         load_csv(path, "?", schema_hints={"z": NUMERIC})
     with pytest.raises(DataError):
         load_csv(path, "?", schema_hints={"missing_column": NUMERIC})
+    with pytest.raises(DataError, match="unknown kind 'text'"):
+        load_csv(path, "?", schema_hints={"x": "text"})
 
 
 def test_load_csv_parses_each_observed_cell_at_most_once(tmp_path, monkeypatch):
@@ -126,6 +128,12 @@ def test_class_column_lookup(tmp_path):
     path = make_csv(tmp_path, "x,y\na,b\n")
     ds = load_csv(path, "?", class_column="y")
     assert ds.class_index == 1
+    assert ds.attribute_index("x") == 0 and ds.attribute_index("y") == 1
+    with pytest.raises(DataError, match="no attribute named 'nope'"):
+        ds.attribute_index("nope")
+    assert ds.record_by_id(0).cells == ("a", "b")
+    with pytest.raises(DataError, match="no record with id 1"):
+        ds.record_by_id(1)
     with pytest.raises(DataError):
         load_csv(path, "?", class_column="nope")
 

@@ -1,12 +1,15 @@
 import gc
 import json
 import math
+import re
 
 import pytest
 
 from rulefill import (
     AssociationRule,
+    AttributeSchema,
     DataError,
+    Dataset,
     MiningParams,
     fit_all_bins,
     load_csv,
@@ -61,6 +64,12 @@ def test_schema_mismatch_detected(tmp_path, car_dataset, credit_dataset):
     loaded = read_rules(path)
     with pytest.raises(DataError, match="attributes"):
         check_compatible(loaded, credit_dataset)
+    first = car_dataset.schema[0]
+    renamed = Dataset([AttributeSchema("cost", first.kind, first.levels), *car_dataset.schema[1:]],
+                      car_dataset.records, car_dataset.class_column)
+    detail = f"column 0: expected {first.name!r} ({first.kind}), found 'cost' ({first.kind})"
+    with pytest.raises(DataError, match=re.escape(detail)):
+        check_compatible(loaded, renamed)
 
 
 def test_bad_files_rejected(tmp_path):
