@@ -10,7 +10,6 @@ from collections import Counter
 from pathlib import Path
 
 from rulefill import (
-    KnnParams,
     MiningParams,
     SOURCE_RULES,
     evaluate,
@@ -35,7 +34,7 @@ params = MiningParams(min_support=0.40, min_confidence=0.60, min_support_count=4
 rules = mine_rules(masked, params)
 print(f"mined {len(rules)} rules from the masked table")
 
-completed, report = impute_dataset(masked, rules, KnnParams(k=10))
+completed, report = impute_dataset(masked, rules, k=10)
 print(
     f"imputed {report.n_imputed} cells: {report.n_from_rules} from rules, "
     f"{report.n_from_knn} from the kNN fallback "

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from rulefill import (
     ExperimentSpec,
-    KnnParams,
     MiningParams,
     run_sweep,
     write_report_files,
@@ -25,7 +24,7 @@ base = dict(
     class_column="class",
     seed=7,
     mining=MiningParams(0.40, 0.60, min_support_count=40),
-    knn=KnnParams(k=10),
+    k=10,
 )
 
 print("1) accuracy versus injected missing rate (both methods, paired masks)")

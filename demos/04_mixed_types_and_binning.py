@@ -10,7 +10,6 @@ from pathlib import Path
 
 from rulefill import (
     NUMERIC,
-    KnnParams,
     MiningParams,
     fit_all_bins,
     fit_bins,
@@ -41,7 +40,7 @@ j = dataset.attribute_index(numeric[0])
 print(f"fitted bins for {numeric[0]!r}: edges {tuple(round(e, 2) for e in all_bins[j].edges)}")
 
 rules = mine_rules(dataset, MiningParams(0.40, 0.60, min_support_count=60), all_bins)
-completed, report = impute_dataset(dataset, rules, KnnParams(k=10), all_bins)
+completed, report = impute_dataset(dataset, rules, k=10, bins=all_bins)
 print(
     f"\nimputed the table's own {report.n_imputed} missing cells: "
     f"{report.n_from_rules} from rules, {report.n_from_knn} from knn"

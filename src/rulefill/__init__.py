@@ -20,7 +20,6 @@ from .data import (
     write_csv,
 )
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
-from .knn import KnnParams
 from .imputer import SOURCE_KNN, SOURCE_RULES, impute_dataset, mine_rules
 from .bench import ExperimentSpec, evaluate, inject_missing, run_sweep, write_report_files
 from .rules_io import read_rules, write_rules
@@ -34,7 +33,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "ExperimentSpec",
-    "KnnParams",
     "MiningParams",
     "NUMERIC",
     "Record",

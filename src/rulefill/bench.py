@@ -13,9 +13,9 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from .binning import EQUAL_FREQUENCY, EQUAL_WIDTH
 from .data import CATEGORICAL, DataError, Dataset, Record, load_csv, parse_number, fit_all_bins
 from .imputer import impute_dataset, mine_rules
-from .knn import KnnParams
 from .mining import MiningParams
 
 METHOD_HYBRID = "hmit"
@@ -136,7 +136,7 @@ class ExperimentSpec:
     missing_rate: float = 0.20
     seed: int = 0
     mining: MiningParams = field(default_factory=MiningParams)
-    knn: KnnParams = field(default_factory=KnnParams)
+    k: int = 10  # kNN neighbours
     n_bins: int = 5
     bin_strategy: str = "frequency"
     sweep_axis: str = "none"
@@ -157,11 +157,23 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method: {m!r}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be at least 1, got {self.n_bins}")
+        if self.bin_strategy not in (EQUAL_WIDTH, EQUAL_FREQUENCY):
+            raise ValueError(f"unknown bin strategy: {self.bin_strategy!r}")
         rate_axis = self.sweep_axis == "missing_rate"
         for value in self.sweep_values if self.sweep_axis != "none" else ():
             if not (0.0 <= value < 1.0 if rate_axis else 0.0 < value <= 1.0):
                 bounds = "[0, 1)" if rate_axis else "(0, 1]"
                 raise ValueError(f"{self.sweep_axis} must be in {bounds}, got {value}")
+
+    def to_dict(self) -> dict:
+        """The spec as JSON-ready data, k written as ``knn``: ``{"distance": "heom", "k": k}``."""
+        spec = asdict(self)
+        spec["knn"] = {"distance": "heom", "k": spec.pop("k")}
+        return spec
 
 
 @dataclass
@@ -201,7 +213,7 @@ class BenchReport:
                 for name in self.TIMING_FIELDS:
                     payload[name] = None
             rows.append(payload)
-        return {"spec": asdict(self.spec), "rows": rows}
+        return {"spec": self.spec.to_dict(), "rows": rows}
 
     def to_json(self, timings: bool = True) -> str:
         return json.dumps(self.to_dict(timings), indent=2, sort_keys=True)
@@ -255,7 +267,7 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
                 rules = mine_rules(masked, mining, bins, exclude)
                 time_mine = round(time.perf_counter() - start, 6)
             start = time.perf_counter()
-            completed, report = impute_dataset(masked, rules or [], spec.knn, bins, exclude)
+            completed, report = impute_dataset(masked, rules or [], spec.k, bins, exclude)
             time_impute = time.perf_counter() - start
             metrics = evaluate(completed, truth) if truth else EvalMetrics(None, None, 0, 0, 0, 0)
             rows.append(
@@ -269,7 +281,7 @@ def run_sweep(spec: ExperimentSpec, dataset: Dataset | None = None) -> BenchRepo
                     min_support=mining.min_support,
                     min_support_count=mining.min_support_count,
                     min_confidence=mining.min_confidence,
-                    k=spec.knn.k,
+                    k=spec.k,
                     n_missing=len(truth),
                     rule_count=None if rules is None else len(rules),
                     rule_coverage=report.rule_coverage(),

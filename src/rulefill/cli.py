@@ -19,7 +19,6 @@ from pathlib import Path
 from .bench import ExperimentSpec, run_sweep, write_report_files
 from .data import DataError, Dataset, fit_all_bins, load_csv, write_csv
 from .imputer import impute_dataset, mine_rules
-from .knn import KnnParams
 from .mining import MiningParams
 from .rules_io import check_compatible, read_rules, write_rules
 
@@ -64,8 +63,6 @@ def _positive_int(text: str) -> int:
 def _values_list(text: str) -> list[float]:
     """Comma list ("5,10,15") or inclusive range ("10..60" or "10..60:5")."""
     text = text.strip()
-    if not text:
-        raise argparse.ArgumentTypeError("empty sweep value list")
     if ".." in text:
         body, _, step_text = text.partition(":")
         lo_text, _, hi_text = body.partition("..")
@@ -82,9 +79,12 @@ def _values_list(text: str) -> list[float]:
         count = math.floor((hi - lo) / step + 1e-9) + 1
         return [round(lo + i * step, 10) for i in range(count)]
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("empty sweep value list")
+    return values
 
 
 def _methods_list(text: str) -> list[str]:
@@ -195,7 +195,6 @@ def cmd_mine(args) -> int:
 def cmd_impute(args) -> int:
     dataset = _load(args)
     params = _mining_params(args)
-    knn_params = KnnParams(k=args.k)
     _echo_config("impute", {
         "data": args.data, "marker": args.marker, "rules": args.rules,
         "class_column": dataset.class_column, "exclude_class": args.exclude_class,
@@ -215,7 +214,7 @@ def cmd_impute(args) -> int:
         mined_params = params
 
     completed, report = impute_dataset(
-        dataset, rules, knn_params, bins, exclude,
+        dataset, rules, args.k, bins, exclude,
         parameters={
             "mining": asdict(mined_params) if mined_params else None,
             "bins": {dataset.schema[j].name: asdict(b) for j, b in sorted(bins.items())},
@@ -253,7 +252,7 @@ def cmd_bench(args) -> int:
         missing_rate=args.missing_rate,
         seed=args.seed,
         mining=_mining_params(args),
-        knn=KnnParams(k=args.k),
+        k=args.k,
         n_bins=args.bins,
         bin_strategy=args.bin_strategy,
         sweep_axis=axis,
@@ -262,7 +261,7 @@ def cmd_bench(args) -> int:
         exclude_class=args.exclude_class,
         inject_class=args.inject_class,
     )
-    _echo_config("bench", asdict(spec))
+    _echo_config("bench", spec.to_dict())
 
     report = run_sweep(spec, dataset)
     written = write_report_files(report, args.out_dir)

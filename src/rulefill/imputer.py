@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, DataError, Dataset, Record
-from .knn import KnnImputer, KnnParams
+from .knn import KnnImputer
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
 from .rules_io import rule_to_dict
 
@@ -129,13 +129,14 @@ def mine_rules(dataset: Dataset, params: MiningParams | None = None, bins=None,
     return generate_rules(frequents, params)
 
 
-def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
-                   bins=None, exclude=(), parameters: dict | None = None):
+def impute_dataset(dataset: Dataset, rules, k: int = 10, bins=None, exclude=(),
+                   parameters: dict | None = None):
     """Impute every missing cell of the dataset in one pass.
 
     Returns (completed dataset, report).  Each cell is imputed from the
     record's original known values only: fired rules when any match,
-    otherwise the kNN fallback over the original dataset.
+    otherwise the vote of its k HEOM-nearest records (``KnnImputer``); a k
+    below 1 raises ``ValueError`` before any work.
 
     A rule fires on a missing cell when its consequent targets the cell's
     attribute and the record holds each antecedent item (an AND of
@@ -160,9 +161,10 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     distance from every candidate.  Each completed record keeps its own
     cells' text, so ``1.0`` and ``1.00`` share a key but not a cell.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     rules = sorted(rules, key=AssociationRule.sort_key)
     _check_rules_fit_schema(rules, dataset, bins)
-    knn_params = knn_params or KnnParams()
     key_firsts, key_attrs, lacking, rows, key_index = _key_table(dataset)
 
     attributes = key_attrs.tolist()
@@ -173,7 +175,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     # The keys no rule covers; a record's are adjacent and share one kNN distance row
     pending = [i for i, key in enumerate(keys) if key is None]
     if pending:
-        knn = KnnImputer(dataset, knn_params, exclude)
+        knn = KnnImputer(dataset, k, exclude)
         results = knn._impute(key_firsts[pending], key_attrs[pending])
         for i, (value, neighbor_ids) in zip(pending, results):
             keys[i] = (attributes[i], value, SOURCE_KNN, (), neighbor_ids)
@@ -190,7 +192,7 @@ def impute_dataset(dataset: Dataset, rules, knn_params: KnnParams | None = None,
     report = ImputationReport(
         hit_rules, keys, [ids[r] for r in rows], key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
-        parameters={"k": knn_params.k, "distance": knn_params.distance,
+        parameters={"k": k, "distance": "heom",
                     "rule_count": len(rules), **(parameters or {})},
     )
     return dataset._refilled(records), report

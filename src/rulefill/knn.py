@@ -17,24 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import NUMERIC, DataError, Dataset
-
-
-@dataclass(frozen=True)
-class KnnParams:
-    """Neighbour count k of the HEOM kNN fallback; ``distance`` is fixed."""
-
-    k: int = 10
-    distance: str = field(default="heom", init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
 
 
 # Distance rows computed at once: a block of query records is at most this many
@@ -54,9 +41,9 @@ class KnnParams:
 _BLOCK_BYTES = 1 << 18
 
 # A query record keeps its first W = 2 * (2k + _HEAD_SLACK) records in
-# (distance, id) order (k from KnnParams, at most every record) as its head:
-# room for k holders of the target attribute even when three in four of the
-# nearest lack it.  A cell whose head holds fewer than k holders of its
+# (distance, id) order (at most every record) as its head: room for k
+# holders of the target attribute even when three in four of the nearest
+# lack it.  A cell whose head holds fewer than k holders of its
 # attribute is scanned again as its own query.  On car at 6,912 rows with a 20% mask
 # (seed 3) and maint blanked in 65% of records (seed 5), heads of 2k + 8 sent
 # 1,877 of 8,084 keys to that rescan and kNN-only impute_dataset took 0.285 s
@@ -102,9 +89,9 @@ class KnnImputer:
     ``DataError``.
     """
 
-    def __init__(self, dataset: Dataset, params: KnnParams | None = None, exclude=()):
+    def __init__(self, dataset: Dataset, k: int = 10, exclude=()):
         self.dataset = dataset
-        self.params = params or KnnParams()
+        self.k = k
         self.exclude = frozenset(exclude)
         self.ranges = {}  # per participating numeric attribute: max minus min, 0.0 if none
 
@@ -201,14 +188,14 @@ class KnnImputer:
         block buffers and heads are freed on return.
         """
         n = self._ids.size
-        ks = np.minimum(self.params.k, self._known[attributes] - self._present[attributes, owners])
+        ks = np.minimum(self.k, self._known[attributes] - self._present[attributes, owners])
         if not ks.all():
             name = self.dataset.schema[attributes[np.argmin(ks)]].name  # the first k of 0
             raise DataError(f"attribute {name!r} has no known value anywhere; cannot impute")
-        chosen = np.empty((owners.size, min(self.params.k, n)), np.int32)
+        chosen = np.empty((owners.size, min(self.k, n)), np.int32)
 
         rows = max(1, _BLOCK_BYTES // (self._far.itemsize * max(n, 1)))
-        width = min(n, 2 * (2 * self.params.k + _HEAD_SLACK))
+        width = min(n, 2 * (2 * self.k + _HEAD_SLACK))
         # The most pairs one pick takes, whose int32 heads fill half of
         # _BLOCK_BYTES, and the most query records whose heads fill at once:
         # a whole number of blocks, at least one

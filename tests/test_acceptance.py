@@ -15,7 +15,6 @@ import pytest
 
 from rulefill import (
     ExperimentSpec,
-    KnnParams,
     MiningParams,
     SOURCE_RULES,
     evaluate,
@@ -107,9 +106,9 @@ def test_criterion_3_accuracy_falls_with_missing_rate(car_dataset):
         for seed in seeds:
             masked, truth = inject_missing(car_dataset, rate, seed)
             rules = mine_rules(masked, params)
-            completed, _ = impute_dataset(masked, rules, KnnParams(K))
+            completed, _ = impute_dataset(masked, rules, K)
             hybrid_accs.append(evaluate(completed, truth).categorical_accuracy)
-            completed, _ = impute_dataset(masked, [], KnnParams(K))
+            completed, _ = impute_dataset(masked, [], K)
             knn_accs.append(evaluate(completed, truth).categorical_accuracy)
         mean_hybrid[rate] = statistics.mean(hybrid_accs)
         mean_knn[rate] = statistics.mean(knn_accs)
@@ -140,7 +139,7 @@ def test_criterion_4_coverage_monotone_in_support(car_dataset):
     coverages = []
     for support in sweeps:
         rules = mine_rules(masked, MiningParams(support, CONFIDENCE))
-        _, report = impute_dataset(masked, rules, KnnParams(K))
+        _, report = impute_dataset(masked, rules, K)
         coverages.append(report.rule_coverage())
     for lower, higher in zip(coverages, coverages[1:]):
         assert higher <= lower, f"coverage rose along support sweep: {coverages}"
@@ -151,7 +150,7 @@ def test_criterion_4_coverage_monotone_in_support(car_dataset):
     low_cov = []
     for support in low_band:
         rules = mine_rules(masked, MiningParams(support, CONFIDENCE))
-        _, report = impute_dataset(masked, rules, KnnParams(K))
+        _, report = impute_dataset(masked, rules, K)
         low_cov.append(report.rule_coverage())
     assert low_cov[0] > 0.0, "no coverage anywhere; monotonicity check is vacuous"
     for lower, higher in zip(low_cov, low_cov[1:]):
@@ -174,7 +173,7 @@ def test_criterion_5_confidence_raises_rule_cell_accuracy(car_dataset):
             rules = mine_rules(
                 masked, MiningParams(SUPPORT, confidence, min_support_count=40)
             )
-            _, report = impute_dataset(masked, rules, KnnParams(K))
+            _, report = impute_dataset(masked, rules, K)
             rule_cells = [c for c in report.cells if c.source == SOURCE_RULES]
             assert rule_cells, f"no rule-sourced cells at confidence {confidence}"
             correct = sum(
@@ -200,7 +199,7 @@ def test_criterion_6_hybrid_imputation_no_slower_than_knn(car_dataset):
     t0 = time.perf_counter()
     rules = mine_rules(masked, MiningParams(SUPPORT, 0.40, min_support_count=40))
     time_mine = time.perf_counter() - t0
-    _, report = impute_dataset(masked, rules, KnnParams(K))
+    _, report = impute_dataset(masked, rules, K)
     assert report.rule_coverage() > 0.0, "regime fired no rules; timing claim vacuous"
 
     def best_of(run, repeats=3):
@@ -211,10 +210,10 @@ def test_criterion_6_hybrid_imputation_no_slower_than_knn(car_dataset):
             best = min(best, time.perf_counter() - t0)
         return best
 
-    impute_dataset(masked, rules, KnnParams(K))  # warm both paths
-    impute_dataset(masked, [], KnnParams(K))
-    time_hybrid = best_of(lambda: impute_dataset(masked, rules, KnnParams(K)))
-    time_knn = best_of(lambda: impute_dataset(masked, [], KnnParams(K)))
+    impute_dataset(masked, rules, K)  # warm both paths
+    impute_dataset(masked, [], K)
+    time_hybrid = best_of(lambda: impute_dataset(masked, rules, K))
+    time_knn = best_of(lambda: impute_dataset(masked, [], K))
 
     assert time_hybrid <= time_knn, (
         f"hybrid imputation slower than knn: {time_hybrid:.3f}s vs {time_knn:.3f}s"
@@ -233,7 +232,7 @@ def test_criterion_7_knn_oracle_exact():
         categorical_only = datasets % 2 == 0
         ds = random_dataset(rng, max_records=200, allow_numeric=not categorical_only)
         k = rng.randint(1, 12)
-        knn = KnnImputer(ds, KnnParams(k))
+        knn = KnnImputer(ds, k)
         probes = 0
         for record in ds.records:
             for attribute in range(ds.n_attributes):
@@ -270,7 +269,7 @@ def test_criterion_8_bench_determinism(car_csv):
         missing_rate=0.10,
         seed=9,
         mining=MiningParams(SUPPORT, CONFIDENCE, min_support_count=40),
-        knn=KnnParams(K),
+        k=K,
         sweep_axis="confidence",
         sweep_values=(0.3, 0.6),
         methods=("hmit", "knn"),
@@ -300,7 +299,7 @@ def test_criterion_9_totality_and_branch_soundness(car_dataset):
     for ds, params in cases:
         bins = fit_all_bins(ds, 4)
         rules = mine_rules(ds, params, bins)
-        completed, report = impute_dataset(ds, rules, KnnParams(5), bins)
+        completed, report = impute_dataset(ds, rules, 5, bins)
         assert completed.missing_cells() == [], "missing cells survived imputation"
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)

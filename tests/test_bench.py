@@ -14,7 +14,6 @@ from rulefill import (
     DataError,
     Dataset,
     ExperimentSpec,
-    KnnParams,
     MiningParams,
     Record,
     evaluate,
@@ -170,7 +169,7 @@ def spec_for(path, **overrides) -> ExperimentSpec:
         missing_rate=0.10,
         seed=5,
         mining=MiningParams(0.40, 0.60),
-        knn=KnnParams(5),
+        k=5,
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -291,6 +290,12 @@ def test_spec_validation():
         ExperimentSpec(dataset_path="x", methods=())
     with pytest.raises(ValueError):
         ExperimentSpec(dataset_path="x", missing_rate=1.0)
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        ExperimentSpec(dataset_path="x", k=0)
+    with pytest.raises(ValueError, match="n_bins must be at least 1, got 0"):
+        ExperimentSpec(dataset_path="x", n_bins=0)
+    with pytest.raises(ValueError, match="unknown bin strategy: 'widht'"):
+        ExperimentSpec(dataset_path="x", bin_strategy="widht")
     # every sweep value is range-checked up front, not when its position runs
     for axis, values in [
         ("missing_rate", (0.1, 1.0)),
@@ -365,3 +370,16 @@ def test_masks_differ_across_positions_for_rate_axis(car_csv):
     # same rate at two positions: deterministic but distinct masks
     assert report.rows[0].seed_used != report.rows[1].seed_used
     assert report.rows[0].categorical_accuracy != report.rows[1].categorical_accuracy
+
+
+def test_untimed_sweep_report_is_pinned(tmp_path):
+    # the spec echo, its knn object included, and every row but the timings
+    path = tmp_path / "car.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([CAR_COLUMNS, *car_rows()])
+    spec = ExperimentSpec("car.csv", class_column="class", sweep_axis="missing_rate",
+                          sweep_values=(0.05, 0.1),
+                          mining=MiningParams(min_confidence=0.6, min_support_count=40))
+    text = run_sweep(spec, load_csv(path, "?", class_column="class")).to_json(timings=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "121e4773d068531e33a9ba040dfab3de12cdf4b1958d1b3de86bff0d772e681d")

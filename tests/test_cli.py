@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import rulefill
 from rulefill import (
     NUMERIC,
-    KnnParams,
     MiningParams,
     fit_all_bins,
     impute_dataset,
@@ -174,7 +173,7 @@ def test_impute_class_flags_match_library(tmp_path, credit_csv, capsys, no_class
     bins = fit_all_bins(dataset, 5, "frequency", exclude)
     params = MiningParams(min_confidence=0.6, min_support_count=40)
     rules = mine_rules(dataset, params, bins, exclude)
-    completed, _ = impute_dataset(dataset, rules, KnnParams(k=10), bins, exclude)
+    completed, _ = impute_dataset(dataset, rules, 10, bins, exclude)
     write_csv(completed, tmp_path / "library.csv", "?")
     assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
@@ -206,7 +205,7 @@ def test_impute_report_is_one_json_line_equal_to_the_library_report(tmp_path, ta
         params = MiningParams(min_confidence=0.6, min_support_count=40)
         bins = fit_all_bins(dataset, 5, "frequency")
         rules = mine_rules(dataset, params, bins)
-    _, report = impute_dataset(dataset, rules, KnnParams(k=10), bins, parameters={
+    _, report = impute_dataset(dataset, rules, 10, bins, parameters={
         "mining": asdict(params),
         "bins": {
             dataset.schema[j].name: {"edges": list(b.edges),
@@ -536,10 +535,12 @@ def test_range_values_hit_both_endpoints(lo, step, count, scale):
     assert values == [(lo + i * step) / scale for i in range(count)]
 
 
-def test_bench_empty_values_is_usage_error(car_csv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--data", str(car_csv), "--sweep", "support", "--values", ""])
-    assert excinfo.value.code == 2
+def test_bench_empty_values_is_usage_error(car_csv, capsys):
+    for values in ("", ",", " , "):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--data", str(car_csv), "--sweep", "support", "--values", values])
+        assert excinfo.value.code == 2
+        assert "empty sweep value list" in capsys.readouterr().err
 
 
 def test_bench_sweep_without_values_exits_one(car_csv, capsys):
@@ -624,7 +625,7 @@ def test_demo_runs(demo, tmp_path):
 
 PUBLIC_NAMES = [
     "AssociationRule", "AttributeSchema", "CATEGORICAL", "DataError", "Dataset",
-    "ExperimentSpec", "KnnParams", "MiningParams", "NUMERIC", "Record",
+    "ExperimentSpec", "MiningParams", "NUMERIC", "Record",
     "SOURCE_KNN", "SOURCE_RULES", "evaluate", "fit_all_bins", "fit_bins", "generate_rules",
     "impute_dataset", "inject_missing", "load_csv", "mine_frequent", "mine_rules",
     "read_rules", "run_sweep", "write_csv", "write_report_files", "write_rules",

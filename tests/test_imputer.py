@@ -14,7 +14,6 @@ from rulefill import (
     AttributeSchema,
     DataError,
     Dataset,
-    KnnParams,
     MiningParams,
     Record,
     SOURCE_KNN,
@@ -26,7 +25,6 @@ from rulefill import (
 )
 from rulefill.bench import inject_missing
 from rulefill.binning import Bins
-from rulefill.imputer import _key_table
 from rulefill.knn import KnnImputer
 from rulefill.rules_io import rule_to_dict
 from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
@@ -248,7 +246,7 @@ def test_array_vote_matches_the_scalar_vote_on_random_tied_rule_sets():
                 rules.append(rule(antecedent, (rng.choice((COLOR, X)), rng.randrange(3)),
                                   rng.choice((0.3, 0.5)), rng.choice((0.6, 0.8))))
         rng.shuffle(rules)
-        _, report = impute_dataset(ds, rules, KnnParams(3), VOTE_BINS)
+        _, report = impute_dataset(ds, rules, 3, VOTE_BINS)
         for cell in report.cells:
             known = oracle_itemize(ds, ds.record_by_id(cell.record_id), VOTE_BINS)
             fired = oracle_fired(rules, known, cell.attribute)
@@ -329,7 +327,7 @@ def test_rule_less_imputation_needs_no_bins():
     ])
     # no rule, then categorical rules that all target the complete column d
     for rules in ([], [rule({(1, 0)}, (2, 0)), rule(set(), (2, 1))]):
-        done, report = impute_dataset(ds, rules, KnnParams(2))
+        done, report = impute_dataset(ds, rules, 2)
         assert not done.missing_cells()
         assert report.n_imputed == report.n_from_knn == 4
         for cell in report.cells:
@@ -354,7 +352,7 @@ def test_equal_numbers_share_a_key_but_each_record_keeps_its_own_cell():
     ])
     # kNN alone, then a rule that fires on the shared key
     for rules, source in (([], SOURCE_KNN), ([rule({(2, 0)}, (1, 1))], SOURCE_RULES)):
-        done, report = impute_dataset(ds, rules, KnnParams(2), bins=fit_all_bins(ds, 2))
+        done, report = impute_dataset(ds, rules, 2, bins=fit_all_bins(ds, 2))
         assert report.record_ids == [0, 1, 2] and len(set(report.key_index)) == 1
         ((attribute, value, got, _, _),) = report.keys
         assert (attribute, got) == (1, source)
@@ -380,7 +378,7 @@ def test_impute_dataset_totality_and_branch_soundness():
         params = MiningParams(0.3, 0.5)
         bins = fit_all_bins(ds, 3)
         rules = mine_rules(ds, params, bins)
-        done, report = impute_dataset(ds, rules, KnnParams(3), bins)
+        done, report = impute_dataset(ds, rules, 3, bins)
         assert not done.missing_cells()
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)
@@ -414,7 +412,7 @@ def test_record_order_permutation_invariance():
     ds = random_dataset(rng, max_records=30, allow_numeric=False)
     params = MiningParams(0.25, 0.5)
     rules = mine_rules(ds, params)
-    _, report = impute_dataset(ds, rules, KnnParams(3))
+    _, report = impute_dataset(ds, rules, 3)
     baseline = {(c.record_id, c.attribute): c.value for c in report.cells}
 
     shuffled_records = list(ds.records)
@@ -424,7 +422,7 @@ def test_record_order_permutation_invariance():
     assert {(r.antecedent, r.consequent) for r in rules2} == {
         (r.antecedent, r.consequent) for r in rules
     }
-    _, report2 = impute_dataset(shuffled, rules2, KnnParams(3))
+    _, report2 = impute_dataset(shuffled, rules2, 3)
     assert {(c.record_id, c.attribute): c.value for c in report2.cells} == baseline
 
 
@@ -541,7 +539,7 @@ def test_each_cell_of_a_repeated_table_matches_the_oracles():
     for _ in range(40):
         ds, rules, bins, exclude, k = repeated_patterns(rng)
         rng.shuffle(rules)  # firing order comes from the sort, not the input order
-        _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
+        _, report = impute_dataset(ds, rules, k, bins, exclude)
         assert [(c.record_id, c.attribute) for c in report.cells] == [
             (r.id, j) for r, j in missing_cells(ds)
         ]
@@ -562,7 +560,14 @@ def test_each_cell_of_a_repeated_table_matches_the_oracles():
     assert shared > 100  # the tables do repeat patterns
 
 
-def test_key_table_matches_the_record_by_record_oracle():
+def test_key_table_matches_the_record_by_record_oracle(monkeypatch):
+    firsts = []  # the first position of each key, as the kNN fallback receives them
+
+    def placeholder(self, positions, attributes):
+        firsts.extend(positions.tolist())
+        return [(None, ())] * positions.size
+
+    monkeypatch.setattr(KnnImputer, "_impute", placeholder)
     rng = random.Random(22)
     wide = AttributeSchema("wide", CATEGORICAL, tuple(f"w{i}" for i in range(130)))
     complete = zeros = 0
@@ -582,10 +587,10 @@ def test_key_table_matches_the_record_by_record_oracle():
         ds = Dataset(schema, [Record(i, row) for i, row in zip(ids, rows)])
         assert ds.columns[0].dtype == np.int16  # 130 levels
         complete += sum(None not in row for row in rows)
-        key_firsts, key_attrs, lacking, cell_rows, key_index = _key_table(ds)
-        record_ids = [ds.records[p].id for p in lacking[cell_rows].tolist()]
-        assert (key_firsts.tolist(), key_attrs.tolist(), record_ids, key_index.tolist()) == \
-            oracle_key_table(ds)
+        firsts.clear()
+        _, report = impute_dataset(ds, [])
+        key_attrs = [attribute for attribute, *_ in report.keys]
+        assert (firsts, key_attrs, report.record_ids, report.key_index) == oracle_key_table(ds)
     assert complete > 0 and zeros > 0
 
 
@@ -603,7 +608,7 @@ def test_knn_runs_once_per_distinct_uncovered_key(monkeypatch):
     for _ in range(20):
         ds, rules, bins, exclude, k = repeated_patterns(rng)
         received.clear()
-        _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
+        _, report = impute_dataset(ds, rules, k, bins, exclude)
         representative = {}
         for record in ds.records:
             representative.setdefault(record.cells, record)
@@ -625,7 +630,7 @@ def test_shuffled_records_keep_each_cell_value_source_and_provenance():
         shuffled = Dataset(ds.schema, shuffled_records)
         outcomes = []
         for table in (ds, shuffled):
-            _, report = impute_dataset(table, rules, KnnParams(k), bins, exclude)
+            _, report = impute_dataset(table, rules, k, bins, exclude)
             outcomes.append({
                 (c.record_id, c.attribute):
                     (c.value, c.source, fired_rules(report, c), c.neighbor_ids)
@@ -642,7 +647,7 @@ def overflowing_mean_dataset():
 
 
 def test_knn_mean_of_neighbours_past_the_largest_float_stays_finite():
-    _, report = impute_dataset(overflowing_mean_dataset(), [], KnnParams(2))
+    _, report = impute_dataset(overflowing_mean_dataset(), [], 2)
     (cell,) = report.cells
     assert (cell.record_id, cell.source, cell.neighbor_ids) == (3, SOURCE_KNN, (0, 1))
     assert cell.value == 1e308
@@ -654,7 +659,7 @@ def report_tables(rng, tables=20):
     for _ in range(tables):
         ds, rules, bins, exclude, k = repeated_patterns(rng)
         rng.shuffle(rules)  # firing order comes from the sort, not the input order
-        _, report = impute_dataset(ds, rules, KnnParams(k), bins, exclude)
+        _, report = impute_dataset(ds, rules, k, bins, exclude)
         yield ds, json.loads(json.dumps(report.to_dict(), sort_keys=True)), report
 
 
@@ -686,7 +691,7 @@ def test_a_rule_listed_twice_is_reported_once_per_copy():
     rules = [r, rule({(0, 0)}, (1, 1), support=0.3, confidence=0.9),
              rule({(0, 0)}, (1, 0), support=0.3, confidence=0.8),
              rule(set(), (1, 0), support=0.5, confidence=0.5)]
-    _, report = impute_dataset(ds, rules, KnnParams(1))
+    _, report = impute_dataset(ds, rules, 1)
     (cell,) = report.cells
     assert (cell.source, cell.value) == (SOURCE_RULES, "blue")  # both copies of r vote
     assert report.rules == rules
@@ -704,7 +709,7 @@ def test_report_rule_table_does_not_depend_on_record_order():
         rng.shuffle(shuffled_records)
         tables = []
         for table in (ds, Dataset(ds.schema, shuffled_records)):
-            _, report = impute_dataset(table, rules, KnnParams(k), bins, exclude)
+            _, report = impute_dataset(table, rules, k, bins, exclude)
             tables.append(json.dumps(report.to_dict()["rules"], sort_keys=True))
         assert tables[0] == tables[1]
         listed += tables[0] != "[]"
@@ -749,7 +754,7 @@ def test_impute_dataset_outputs_are_pinned(tmp_path, key):
     bins = fit_all_bins(masked)
     rules = mine_rules(masked, MiningParams(min_confidence=0.6, min_support_count=40), bins)
     completed, report = impute_dataset(masked, rules if method == "hybrid" else [],
-                                       KnnParams(10), bins)
+                                       10, bins)
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
         repr([r.cells for r in completed.records]),
         json.dumps(report.to_dict(), sort_keys=True),

@@ -1,7 +1,7 @@
+import itertools
 import math
 import random
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from rulefill import (
     CATEGORICAL,
     NUMERIC,
+    AssociationRule,
     AttributeSchema,
     DataError,
     Dataset,
-    KnnParams,
     Record,
-    fit_all_bins,
     impute_dataset,
 )
 from rulefill import knn as knn_module
@@ -55,7 +54,7 @@ def every_cell(ds):
 
 def knn_only_cell(ds, k):
     """The imputation of ``ds``'s one missing cell by ``impute_dataset`` without rules."""
-    _, report = impute_dataset(ds, [], KnnParams(k=k))
+    _, report = impute_dataset(ds, [], k)
     [cell] = report.cells
     return cell
 
@@ -95,11 +94,17 @@ def test_zero_range_terms():
     assert oracle_heom(a, b, ds.schema, ranges) == 1.0  # unequal under zero range
 
 
-def test_knn_params_validation():
-    with pytest.raises(ValueError):
-        KnnParams(k=0)
-    with pytest.raises(TypeError):  # k is the only option; HEOM is fixed
-        KnnParams(distance="euclidean")
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_refused_before_any_work(k):
+    schema = [AttributeSchema("c", CATEGORICAL, ("a", "b")), MIXED_SCHEMA[1]]
+    ds = Dataset(schema, [Record(0, ("a", None)), Record(1, ("b", "red"))])
+    covering = AssociationRule((), (1, 0), 1.0, 1.0)  # fires on the one missing cell
+    misfit = AssociationRule((), (7, 0), 1.0, 1.0)  # no attribute 7: refused when checked
+    for rules in ([covering], [misfit]):
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            impute_dataset(ds, rules, k)
+    _, report = impute_dataset(ds, [covering], 1)
+    assert [(c.value, c.source) for c in report.cells] == [("red", "rules")]
 
 
 def test_nearest_exact_match_wins():
@@ -179,20 +184,20 @@ def test_global_fallback_mode_and_mean():
     # candidates exist here, so force the fallback path via a column that is
     # missing everywhere else
     lonely = Dataset(schema, [Record(0, (None, "1")), Record(1, (None, "3"))])
-    knn = KnnImputer(lonely, KnnParams(k=2))
+    knn = KnnImputer(lonely, 2)
     with pytest.raises(DataError):
         impute_pairs(knn, [(lonely.records[0], 0)])  # no known value anywhere
-    [(value, ids)] = impute_pairs(KnnImputer(ds, KnnParams(k=2)), [(ds.records[0], 0)])
+    [(value, ids)] = impute_pairs(KnnImputer(ds, 2), [(ds.records[0], 0)])
     assert ids  # normal path still returns neighbors
     empty_target = Dataset(
         schema, [Record(0, ("red", None)), Record(1, ("red", None)), Record(2, ("blue", "7"))]
     )
-    knn = KnnImputer(empty_target, KnnParams(k=2))
+    knn = KnnImputer(empty_target, 2)
     [(value, ids)] = impute_pairs(knn, [(empty_target.records[0], 1)])
     assert ids == (2,)
     # a present cell whose one other holder votes alone
     only = Dataset(schema, [Record(0, ("red", None)), Record(1, ("blue", "7"))])
-    [(value, ids)] = impute_pairs(KnnImputer(only, KnnParams(k=2)), [(only.records[0], 0)])
+    [(value, ids)] = impute_pairs(KnnImputer(only, 2), [(only.records[0], 0)])
     assert value == "blue" and ids == (1,)
 
 
@@ -239,11 +244,11 @@ def test_neighbor_selection_matches_oracle():
     for trial in range(25):
         categorical_only = trial % 2 == 0  # integer distances force real ties
         ds = random_dataset(rng, max_records=60, allow_numeric=not categorical_only)
-        knn = KnnImputer(ds, KnnParams(k=rng.randint(1, 8)))
+        knn = KnnImputer(ds, rng.randint(1, 8))
         for _ in range(6):
             record = rng.choice(ds.records)
             attribute = rng.randrange(ds.n_attributes)
-            expected = oracle_neighbors(ds, record, attribute, knn.params.k)
+            expected = oracle_neighbors(ds, record, attribute, knn.k)
             [(_, ids)] = impute_pairs(knn, [(record, attribute)])
             assert list(ids) == expected
 
@@ -253,7 +258,7 @@ def test_imputed_values_match_oracle():
     for _ in range(25):
         ds = random_dataset(rng, max_records=40)
         k = rng.randint(1, 6)
-        knn = KnnImputer(ds, KnnParams(k=k))
+        knn = KnnImputer(ds, k)
         for record in ds.records[:8]:
             for attribute in range(ds.n_attributes):
                 if record.cells[attribute] is not None:
@@ -267,16 +272,31 @@ def test_imputed_values_match_oracle():
 
 
 def test_vectorized_distances_match_scalar_bit_for_bit():
+    # k = every record: each cell's neighbours are all holders in (distance,
+    # id) order, so a distance off the scalar HEOM by one bit reorders ties
     rng = random.Random(31337)
     for _ in range(20):
         ds = random_dataset(rng, max_records=30)
-        knn = KnnImputer(ds)
-        ranges = oracle_ranges(ds)
         record = rng.choice(ds.records)
-        row = distance_rows(knn, [record])[0]  # id order
-        for squared, other in zip(row, sorted(ds.records, key=lambda r: r.id), strict=True):
-            scalar = oracle_heom(record, other, ds.schema, ranges)
-            assert math.sqrt(squared) == scalar
+        cells = [(record, j) for r, j in every_cell(ds) if r is record]
+        for (_, j), (_, ids) in zip(cells, impute_pairs(KnnImputer(ds, ds.n_records), cells)):
+            assert list(ids) == oracle_neighbors(ds, record, j, ds.n_records)
+
+
+def assert_matches_oracles(ds, k, cells, exclude=()):
+    """``_impute`` on ``cells``, and kNN-only ``impute_dataset`` on those of
+    them that are missing, agree with the oracles."""
+    results = impute_pairs(KnnImputer(ds, k, exclude), cells)
+    for (record, j), (value, ids) in zip(cells, results, strict=True):
+        assert list(ids) == oracle_neighbors(ds, record, j, k, exclude)
+        assert value == oracle_knn_value(ds, record, j, k, exclude)
+
+    _, report = impute_dataset(ds, [], k, exclude=exclude)
+    assert report.n_imputed == len(ds.missing_cells())
+    expected = {(record.id, j): result for (record, j), result in zip(cells, results)}
+    for cell in report.cells:
+        if (cell.record_id, cell.attribute) in expected:
+            assert (cell.value, cell.neighbor_ids) == expected[cell.record_id, cell.attribute]
 
 
 BATCH_SCHEMA = [
@@ -308,95 +328,6 @@ def batch_dataset(rng, n_records):
     return Dataset(BATCH_SCHEMA, records)
 
 
-def position(knn, record):
-    """``record``'s position in id order, the order of a ``_distances`` row."""
-    return knn._rank[knn.dataset._position_of[record.id]]
-
-
-def distance_rows(knn, records):
-    """Squared HEOM rows of ``records``, each in ascending id of the other record;
-    on the exact path, the distance part of each key."""
-    rows = knn._distances([position(knn, r) for r in records], knn._workspace(len(records)))
-    return rows if knn._base is None else rows // knn._ids.size
-
-
-def assert_block_is_scalar_heom(knn, queries):
-    ds = knn.dataset
-    by_id = sorted(ds.records, key=lambda r: r.id)
-    for row, record in zip(distance_rows(knn, queries), queries, strict=True):
-        for squared, other in zip(row, by_id, strict=True):
-            scalar = oracle_heom(record, other, ds.schema, knn.ranges, knn.exclude)
-            assert math.sqrt(squared) == scalar
-
-
-def expected_retries(knn, ds, cells, size, width=None):
-    """Cells whose nearest records hold fewer target holders than they need.
-
-    A record's nearest records are those at or below its ``size``-th smallest
-    squared distance, the record itself counting as infinitely far; with a
-    ``width``, only the first ``width`` of them in (distance, id) order count.
-    """
-    by_id = sorted(ds.records, key=lambda r: r.id)  # the order of a _distances row
-    retries = 0
-    for record, attribute in cells:
-        row = [math.inf if other.id == record.id else squared
-               for squared, other in zip(distance_rows(knn, [record])[0], by_id)]
-        kth = sorted(row)[size - 1]
-        nearest = sorted((squared, p) for p, squared in enumerate(row) if squared <= kth)
-        holds = [other.id != record.id and other.cells[attribute] is not None for other in by_id]
-        need = min(knn.params.k, sum(holds))
-        retries += sum(holds[p] for _, p in nearest[:width]) < need
-    return retries
-
-
-def head_width(n_records, k):
-    """W: the records a head holds."""
-    return min(n_records, 2 * (2 * k + knn_module._HEAD_SLACK))
-
-
-def expected_fallbacks(knn, ds, cells):
-    """Cells whose heads hold fewer target holders than they need: those that are scanned again."""
-    width = head_width(ds.n_records, knn.params.k)
-    return expected_retries(knn, ds, cells, width, width)
-
-
-def count_rescans(monkeypatch):
-    """Patch KnnImputer._blocks to count the query rows of rescans, one per pair."""
-    blocks, rescanned = KnnImputer._blocks, [0]
-
-    def counting_blocks(knn, positions, rows, work, reach=None):
-        if reach is not None:
-            rescanned[0] += positions.size
-        return blocks(knn, positions, rows, work, reach)
-
-    monkeypatch.setattr(KnnImputer, "_blocks", counting_blocks)
-    return rescanned
-
-
-def check_knn_against_oracles(monkeypatch, ds, k, cells):
-    """_impute and impute_dataset agree with the oracles, and exactly the
-    cells whose heads fall short of k holders are scanned again, once each.
-
-    Returns how many pairs were scanned again."""
-    knn = KnnImputer(ds, KnnParams(k=k))
-    rescanned = count_rescans(monkeypatch)
-    results, rescans = impute_pairs(knn, cells), rescanned[0]
-    assert rescans == expected_fallbacks(knn, ds, cells)
-
-    for (record, j), (value, ids) in zip(cells, results, strict=True):
-        expected = oracle_neighbors(ds, record, j, k)
-        assert list(ids) == expected
-        assert value == oracle_knn_value(ds, record, j, k)
-
-    _, report = impute_dataset(ds, [], KnnParams(k=k), fit_all_bins(ds))
-    assert report.n_imputed == len(ds.missing_cells())
-    for cell in report.cells:
-        record = ds.record_by_id(cell.record_id)
-        assert list(cell.neighbor_ids) == oracle_neighbors(ds, record, cell.attribute, k)
-        assert cell.value == oracle_knn_value(ds, record, cell.attribute, k)
-    return rescans
-
-
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 def test_batched_path_matches_oracle(block_rows, monkeypatch):
     rng = random.Random(4242 + (block_rows or 0))
@@ -405,10 +336,8 @@ def test_batched_path_matches_oracle(block_rows, monkeypatch):
         if block_rows is not None:
             monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * block_rows)
         k = rng.randint(1, ds.n_records + 3)  # often more than the candidates
-        assert_block_is_scalar_heom(KnnImputer(ds, KnnParams(k=k)), ds.records[:5])
         # every cell, present ones too, so candidate counts differ within a block
-        cells = every_cell(ds)
-        check_knn_against_oracles(monkeypatch, ds, k, cells)
+        assert_matches_oracles(ds, k, every_cell(ds))
 
 
 def test_reused_block_buffers_carry_nothing_over(monkeypatch):
@@ -418,63 +347,17 @@ def test_reused_block_buffers_carry_nothing_over(monkeypatch):
     rng = random.Random(4545)
     ds = batch_dataset(rng, 20)
     monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 8 * ds.n_records * 3)
-    by_id = sorted(ds.records, key=lambda r: r.id)
-    blocks = record_blocks(monkeypatch)
     cells = every_cell(ds)
     for k in (1, 3, ds.n_records + 3):
-        blocks.clear()
-        knn = KnnImputer(ds, KnnParams(k=k))
-        results = impute_pairs(knn, cells)
-        # the main pass: every query record in order, in blocks of 3; any later
-        # block recomputes rows for the fallback
-        main = blocks[:7]
-        assert [len(positions) for positions, _ in main] == [3] * 6 + [2]
-        assert [p for positions, _ in main for p in positions] == [
-            position(knn, r) for r in ds.records]
-        assert all(len(positions) <= 3 for positions, _ in blocks[7:])
-        for positions, block in blocks:
-            for p, row in zip(positions, block, strict=True):
-                record = by_id[p]
-                for squared, other in zip(row, by_id, strict=True):
-                    assert math.sqrt(squared) == oracle_heom(record, other, ds.schema, knn.ranges)
-        for (record, j), (value, ids) in zip(cells, results, strict=True):
+        knn = KnnImputer(ds, k)
+        for (record, j), (value, ids) in zip(cells, impute_pairs(knn, cells), strict=True):
             assert list(ids) == oracle_neighbors(ds, record, j, k)
             assert value == oracle_knn_value(ds, record, j, k)
-
         # one imputer, two calls of different lengths: each as from a fresh imputer
         state = dict(vars(knn))
-        short = cells[7:30]
-        for pairs in (short, cells):
-            assert impute_pairs(knn, pairs) == impute_pairs(KnnImputer(ds, KnnParams(k=k)), pairs)
+        for pairs in (cells[7:30], cells):
+            assert impute_pairs(knn, pairs) == impute_pairs(KnnImputer(ds, k), pairs)
         assert vars(knn).keys() == state.keys()  # no buffer stays on the instance
-
-
-def test_votes_once_per_categorical_attribute_and_k(monkeypatch):
-    rng = random.Random(4343)
-    monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 1)  # one record per block
-    mode, calls = knn_module._mode, []
-
-    def counting_mode(codes, n_levels):
-        calls.append(codes.shape)
-        return mode(codes, n_levels)
-
-    monkeypatch.setattr(knn_module, "_mode", counting_mode)
-    for _ in range(12):
-        ds = batch_dataset(rng, rng.randint(3, 30))
-        k = rng.randint(1, ds.n_records + 3)
-        cells = every_cell(ds)
-        expected = [oracle_neighbors(ds, record, j, k) for record, j in cells]
-        calls.clear()
-        results = impute_pairs(KnnImputer(ds, KnnParams(k=k)), cells)
-        # one call per categorical (attribute, k) group, with all of its cells as rows
-        groups = Counter(
-            (j, len(ids)) for (_, j), ids in zip(cells, expected)
-            if ds.schema[j].kind == CATEGORICAL
-        )
-        assert sorted(calls) == sorted((size, width) for (_, width), size in groups.items())
-        for (record, j), (value, ids), neighbors in zip(cells, results, expected, strict=True):
-            assert list(ids) == neighbors
-            assert value == oracle_knn_value(ds, record, j, k)
 
 
 FAR_SCHEMA = [
@@ -518,19 +401,32 @@ def near_constant_dataset(rng, n_records):
     return Dataset(schema, records)
 
 
-@pytest.mark.parametrize("slack", [1, 8])
-def test_few_near_holders_take_tie_band_then_retry(slack, monkeypatch):
-    monkeypatch.setattr(knn_module, "_HEAD_SLACK", slack)
-    rng = random.Random(808 + slack)
+def oracle_rescans(ds, k, cells):
+    """Cells whose head, the first W = 2 * (2k + 8) other records in (HEOM,
+    id) order (see knn.py), holds fewer holders of the cell's attribute
+    than k or than all of them: the cells that are scanned again."""
+    ranges = oracle_ranges(ds)
+    rescans = 0
+    for record, j in cells:
+        holds = [held for _, _, held in sorted(
+            (oracle_heom(record, other, ds.schema, ranges), other.id, other.cells[j] is not None)
+            for other in ds.records if other.id != record.id)]
+        rescans += sum(holds[: 2 * (2 * k + 8)]) < min(k, sum(holds))
+    return rescans
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_few_near_holders_take_tie_band_then_retry(seed):
+    # every rare cell's holders lie far away, past its first head
+    rng = random.Random(808 + seed)
     for _ in range(3):
         ds = far_holders_dataset(rng, rng.randint(100, 130), rng.randint(2, 5))
         k = rng.choice([1, 3, 10])
-        # every rare cell (its holders all lie far away) and a sample of the rest
         cells = [(r, 3) for r in ds.records] + [
             (r, j) for r in rng.sample(ds.records, 25) for j in range(3)
         ]
-        assert expected_fallbacks(KnnImputer(ds, KnnParams(k=k)), ds, cells) > 0
-        check_knn_against_oracles(monkeypatch, ds, k, cells)
+        assert oracle_rescans(ds, k, cells) > 0
+        assert_matches_oracles(ds, k, cells)
 
 
 SPARSE_SCHEMA = [
@@ -558,23 +454,21 @@ def sparse_holders_dataset(rng, n_records):
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
-def test_sparse_holders_mostly_take_the_fallback_and_match_oracle(k, monkeypatch):
+def test_sparse_holders_mostly_take_the_fallback_and_match_oracle(k):
     rng = random.Random(7070 + k)
     ds = sparse_holders_dataset(rng, 200)
     assert 0.6 < sum(r.cells[4] is None for r in ds.records) / ds.n_records < 0.8
     sparse = [(r, 4) for r in ds.records]
-    assert expected_fallbacks(KnnImputer(ds, KnnParams(k=k)), ds, sparse) > len(sparse) // 2
+    assert oracle_rescans(ds, k, sparse) > len(sparse) // 2
     cells = sparse + [(r, j) for r in rng.sample(ds.records, 30) for j in range(4)]
-    check_knn_against_oracles(monkeypatch, ds, k, cells)
+    assert_matches_oracles(ds, k, cells)
 
 
 @pytest.mark.parametrize("k", [1, 10, None])  # None: more than the records
-def test_heavy_ties_match_oracle(k, monkeypatch):
+def test_heavy_ties_match_oracle(k):
     rng = random.Random(9090)
     ds = near_constant_dataset(rng, 300)
-    k = k or ds.n_records + 3
-    cells = every_cell(ds)
-    check_knn_against_oracles(monkeypatch, ds, k, cells)
+    assert_matches_oracles(ds, k or ds.n_records + 3, every_cell(ds))
 
 
 EDGE_SCHEMA = [
@@ -611,21 +505,14 @@ def test_leading_categorical_run_with_exclusions_is_bit_exact(exclude):
     # joins it; (0, 1, 2) empties it, so the numeric term comes first.
     rng = random.Random(str(exclude))
     ds = edge_dataset(rng, EDGE_SCHEMA, 40)
-    knn = KnnImputer(ds, KnnParams(k=4), exclude)
-    assert knn.ranges == oracle_ranges(ds, exclude)
-    assert_block_is_scalar_heom(knn, ds.records)
-    for record in ds.records[:10]:
-        for j in range(ds.n_attributes):
-            [(_, ids)] = impute_pairs(knn, [(record, j)])
-            assert list(ids) == oracle_neighbors(ds, record, j, 4, exclude)
+    assert KnnImputer(ds, 4, exclude).ranges == oracle_ranges(ds, exclude)
+    assert_matches_oracles(ds, 4, every_cell(ds), exclude)
 
 
 def test_numeric_first_schema_has_no_leading_run():
     schema = [EDGE_SCHEMA[3], *EDGE_SCHEMA[:3], EDGE_SCHEMA[4]]
     ds = edge_dataset(random.Random(5), schema, 40)
-    knn = KnnImputer(ds)
-    assert knn._lead == 0
-    assert_block_is_scalar_heom(knn, ds.records)
+    assert_matches_oracles(ds, 4, every_cell(ds))
 
 
 CATEGORICAL_SCHEMA = [a for a in EDGE_SCHEMA if a.kind == CATEGORICAL]
@@ -638,51 +525,23 @@ def categorical_dataset(rng, n_records):
     return Dataset(CATEGORICAL_SCHEMA, [Record(10 * n_records, first), *rest])
 
 
-def record_blocks(monkeypatch):
-    """Patch KnnImputer._distances to keep (positions, copy of block) per block."""
-    distances, blocks = KnnImputer._distances, []
-
-    def recording_distances(knn, positions, work):
-        block = distances(knn, positions, work)
-        blocks.append((list(positions), block.copy()))
-        return block
-
-    monkeypatch.setattr(KnnImputer, "_distances", recording_distances)
-    return blocks
-
-
 @pytest.mark.parametrize("block_rows", [1, 3])
 def test_all_categorical_int32_blocks_match_oracle(block_rows, monkeypatch):
-    # the int32 item size: BATCH_SCHEMA's 8 * n * rows patches run the float64 path
+    # 4 bytes a distance: the int32 path, in blocks of block_rows rows
     rng = random.Random(5151 + block_rows)
-    blocks = record_blocks(monkeypatch)
     for _ in range(8):
         ds = categorical_dataset(rng, rng.randint(4, 30))
-        n = ds.n_records
-        monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 4 * n * block_rows)
-        k = rng.randint(1, n + 3)
-        knn = KnnImputer(ds, KnnParams(k=k))
-        assert_block_is_scalar_heom(knn, ds.records[:5])
-        cells = every_cell(ds)
-        blocks.clear()
-        impute_pairs(knn, cells)
-        assert [len(positions) for positions, _ in blocks] == (
-            [block_rows] * (n // block_rows) + [n % block_rows] * (n % block_rows > 0))
-        assert all(block.dtype == np.int32 for _, block in blocks)
-        check_knn_against_oracles(monkeypatch, ds, k, cells)
+        monkeypatch.setattr(knn_module, "_BLOCK_BYTES", 4 * ds.n_records * block_rows)
+        assert_matches_oracles(ds, rng.randint(1, ds.n_records + 3), every_cell(ds))
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
-def test_tiny_tables_partition_up_to_the_own_record_sentinel(k, monkeypatch):
-    # n <= W: every row's head spans the whole row, whose largest key is the
-    # row's own position, which holds the int32 sentinel
+def test_tiny_tables_partition_up_to_the_own_record_sentinel(k):
+    # n <= W: every row's head spans the whole row, the own record included
     rng = random.Random(k)
-    for n in range(2, 2 * k + knn_module._HEAD_SLACK + 1):
+    for n in range(2, 2 * k + 9):
         ds = categorical_dataset(rng, n)
-        knn = KnnImputer(ds, KnnParams(k=k))
-        assert knn._far == np.iinfo(np.int32).max
-        cells = every_cell(ds)
-        check_knn_against_oracles(monkeypatch, ds, k, cells)
+        assert_matches_oracles(ds, k, every_cell(ds))
 
 
 @pytest.mark.parametrize("case, dtype", [
@@ -692,6 +551,8 @@ def test_tiny_tables_partition_up_to_the_own_record_sentinel(k, monkeypatch):
     ("numeric", np.float64),
 ])
 def test_distance_dtype_is_int32_without_a_non_zero_numeric_range(case, dtype):
+    # dtype names the distances each case's blocks hold: int32 keys unless
+    # some numeric term has a non-zero range (see KnnImputer)
     rng = random.Random(case)
     schema, exclude = EDGE_SCHEMA, ()
     if case == "categorical":
@@ -703,16 +564,31 @@ def test_distance_dtype_is_int32_without_a_non_zero_numeric_range(case, dtype):
         assert oracle_ranges(ds)[3] == 0.0
     else:
         ds = edge_dataset(rng, schema, 30)
-    knn = KnnImputer(ds, KnnParams(k=4), exclude)
-    work = knn._workspace(2)
-    assert work.distances.dtype == knn._far.dtype == dtype
-    assert (work.floats is None) == (dtype == np.int32)
-    assert_block_is_scalar_heom(knn, ds.records)
-    for record in ds.records[:10]:
-        for j in range(ds.n_attributes):
-            [(value, ids)] = impute_pairs(knn, [(record, j)])
-            assert list(ids) == oracle_neighbors(ds, record, j, 4, exclude)
-            assert value == oracle_knn_value(ds, record, j, 4, exclude)
+    assert (np.float64 if any(oracle_ranges(ds, exclude).values()) else np.int32) is dtype
+    assert_matches_oracles(ds, 4, every_cell(ds), exclude)
+
+
+def peak_bytes(run):
+    """``run()`` and the tracemalloc peak during it, less what stays allocated after."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+def documented_bound():
+    """The kNN fallback's working-memory bound (see ``knn._BLOCK_BYTES``), plus an allowance."""
+    return 9 * knn_module._BLOCK_BYTES + (512 << 10)
+
+
+def block_bound(n_records):
+    """A block's four buffers (distances, match counts, flags and float64
+    terms), each at most ``_BLOCK_BYTES`` or one row of 8-byte values, plus
+    an allowance."""
+    return 4 * max(knn_module._BLOCK_BYTES, 8 * n_records) + (64 << 10)
 
 
 @pytest.mark.parametrize("numeric", [False, True])
@@ -728,23 +604,12 @@ def test_workspace_buffers_stay_within_the_block_bound(numeric, block_bytes, mon
     ds = Dataset(schema, [Record(i, row) for i, row in enumerate(rows)])
     if block_bytes is not None:
         monkeypatch.setattr(knn_module, "_BLOCK_BYTES", block_bytes)
-    workspace, built = KnnImputer._workspace, []
-
-    def recording_workspace(knn, rows):
-        built.append(workspace(knn, rows))
-        return built[-1]
-
-    monkeypatch.setattr(KnnImputer, "_workspace", recording_workspace)
-    knn = KnnImputer(ds, KnnParams(k=10))
-    [(value, ids)] = impute_pairs(knn, [(ds.records[0], 0)])
-    assert len(ids) == 10 and value in schema[0].levels
-    [work] = built
-    assert work.distances.shape == (1 if block_bytes else 4 if numeric else 9, 6912)
-    assert work.distances.itemsize == (8 if numeric else 4)
-    assert (work.floats is not None) == numeric
-    for buffer in filter(lambda b: b is not None, work):
-        assert buffer.shape == work.distances.shape
-        assert buffer.nbytes <= max(knn_module._BLOCK_BYTES, buffer[0].nbytes)
+    knn = KnnImputer(ds, 10)
+    # one pair: little but the block buffers
+    [(value, ids)], peak = peak_bytes(lambda: impute_pairs(knn, [(ds.records[0], 0)]))
+    assert peak < block_bound(ds.n_records)
+    assert list(ids) == oracle_neighbors(ds, ds.records[0], 0, 10)
+    assert value == oracle_knn_value(ds, ds.records[0], 0, 10)
 
 
 def test_unique_valued_leading_column_keeps_memory_small():
@@ -761,8 +626,7 @@ def test_unique_valued_leading_column_keeps_memory_small():
     cells = [(r, 1) for r in ds.records if r.cells[1] is None]
     tracemalloc.start()
     try:
-        knn = KnnImputer(ds, KnnParams(k=5))
-        results = impute_pairs(knn, cells)
+        results = impute_pairs(KnnImputer(ds, 5), cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -771,7 +635,6 @@ def test_unique_valued_leading_column_keeps_memory_small():
     for (record, j), (value, ids) in list(zip(cells, results))[:20]:
         assert list(ids) == oracle_neighbors(ds, record, j, 5)
         assert value == oracle_knn_value(ds, record, j, 5)
-    assert_block_is_scalar_heom(knn, ds.records[:2])
 
 
 def test_match_counts_do_not_overflow_on_long_categorical_runs():
@@ -784,13 +647,10 @@ def test_match_counts_do_not_overflow_on_long_categorical_runs():
                Record(2, (*base[:-1], None, "3.0")),
                Record(3, (*(rng.choice("ab") for _ in range(300)), None))]
     ds = Dataset(schema, records)
-    knn = KnnImputer(ds)
-    assert knn._lead == 300
-    assert_block_is_scalar_heom(knn, ds.records)
-    assert distance_rows(knn, [records[0]])[0][1] == 0.25
+    assert_matches_oracles(ds, 1, every_cell(ds))
 
 
-def test_int16_codes_of_a_200_level_attribute_match_oracle(monkeypatch):
+def test_int16_codes_of_a_200_level_attribute_match_oracle():
     levels = tuple(f"l{i}" for i in range(200))
     schema = [AttributeSchema("wide", CATEGORICAL, levels), *CATEGORICAL_SCHEMA]
     rng = random.Random(200)
@@ -799,14 +659,11 @@ def test_int16_codes_of_a_200_level_attribute_match_oracle(monkeypatch):
                    *edge_dataset(rng, CATEGORICAL_SCHEMA, 1).records[0].cells))
         for i in rng.sample(range(400), 40)
     ])
-    knn = KnnImputer(ds, KnnParams(k=4))
-    assert ds.columns[0].dtype == knn._codes.dtype == np.int16  # encoded once, not cast again
-    assert distance_rows(knn, ds.records[:1]).dtype == np.int32
-    assert_block_is_scalar_heom(knn, ds.records)
-    check_knn_against_oracles(monkeypatch, ds, 4, [(r, j) for r in ds.records for j in range(5)])
+    assert ds.columns[0].dtype == np.int16
+    assert_matches_oracles(ds, 4, [(r, j) for r in ds.records for j in range(5)])
 
 
-def test_300_categorical_terms_use_int32_distances_and_uint16_matches(monkeypatch):
+def test_300_categorical_terms_use_int32_distances_and_uint16_matches():
     # all-categorical, so no numeric term follows the 300-term leading run
     schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
     rng = random.Random(300)
@@ -817,18 +674,21 @@ def test_300_categorical_terms_use_int32_distances_and_uint16_matches(monkeypatc
         for i in range(12)
     ]
     ds = Dataset(schema, records)
-    knn = KnnImputer(ds, KnnParams(k=3))
-    assert knn._lead == 300 and knn._match_dtype == np.uint16
-    assert distance_rows(knn, records[:1]).dtype == np.int32
-    assert_block_is_scalar_heom(knn, records)
     attributes = rng.sample(range(300), 6)
-    check_knn_against_oracles(monkeypatch, ds, 3, [(r, j) for r in records for j in attributes])
+    assert_matches_oracles(ds, 3, [(r, j) for r in records for j in attributes])
 
 
-def brute_force_runs(block, flags):
-    """Each row's flagged positions in (distance, position) order."""
-    return [sorted(np.flatnonzero(below).tolist(), key=lambda p: (row[p], p))
-            for row, below in zip(block.tolist(), flags)]
+def test_one_block_of_120_records_over_300_terms_matches_oracle():
+    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
+    rng = random.Random(120)
+    base = [rng.choice("ab") for _ in range(300)]
+    ds = Dataset(schema, [
+        Record(i, tuple(None if rng.random() < 0.03 else
+                        (rng.choice("ab") if rng.random() < 0.02 else cell) for cell in base))
+        for i in range(120)
+    ])
+    cells = [(r, rng.randrange(300)) for r in ds.records]
+    assert_matches_oracles(ds, 3, cells)
 
 
 @pytest.mark.parametrize("terms, rows, numeric", [
@@ -837,57 +697,31 @@ def brute_force_runs(block, flags):
     (3, 6, True),
     (4, 40, True),
 ])
-def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, numeric,
-                                                                   monkeypatch):
-    # without numeric terms, as past the int32 key bound: the float64 path
-    monkeypatch.setattr(knn_module, "_exact", lambda scales, n_records: False)
-    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(terms)]
-    cells = ["a"] * terms
-    if numeric:
-        schema.append(AttributeSchema("x", NUMERIC))
-    ds = Dataset(schema, [Record(i, (*cells, f"{i}.5")[:len(schema)]) for i in range(2)])
-    knn = KnnImputer(ds)
-    assert knn._far.dtype == np.float64
-    rng = np.random.default_rng(terms + rows)
-    width = 50
-    for _ in range(10):
-        if numeric:  # few values, so ties; inf is the own-record sentinel
-            block = rng.choice([0.0, 0.25, 1.0, 1.5, np.inf], size=(rows, width))
-        else:
-            block = rng.integers(0, terms + 1, size=(rows, width)).astype(np.float64)
-            block[rng.random((rows, width)) < 0.05] = knn._far
-        # a different threshold per row: runs of different lengths, tied at the threshold
-        flags = block <= np.sort(block, axis=1)[np.arange(rows), rng.integers(0, width, rows)][:, None]
-        ordered, starts = knn._sorted_nearest(block.copy(), flags)
-        assert starts.tolist() == [0, *np.cumsum(flags.sum(axis=1)).tolist()]
-        runs = [ordered[a:b].tolist() for a, b in zip(starts, starts[1:])]
-        assert runs == brute_force_runs(block, flags)
-
-
-def brute_force_heads(knn, queries, reach, width):
-    """Each query's first ``width`` other records in (HEOM, id) order, less
-    those lacking its ``reach`` attribute (None: none), as positions in id
-    order padded with n."""
-    ds, n = knn.dataset, knn._ids.size
-    by_id = sorted(ds.records, key=lambda r: r.id)
-    heads = []
-    for record, j in zip(queries, reach, strict=True):
-        order = sorted((oracle_heom(record, other, ds.schema, knn.ranges), p)
-                       for p, other in enumerate(by_id)
-                       if other.id != record.id and (j is None or other.cells[j] is not None))
-        head = [p for _, p in order[:width]]
-        heads.append(head + [n] * (width - len(head)))
-    return heads
+def test_sorted_nearest_orders_each_run_by_distance_then_position(terms, rows, numeric):
+    # x has a non-zero range, so distances are float64; with values 0 and 1
+    # alone its terms are 0 or 1, as past the int32 key bound
+    rng = random.Random(terms + rows)
+    schema = [*(AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(terms)),
+              AttributeSchema("x", NUMERIC)]
+    values = ["0.0", "0.25", "1.0", "1.5"] if numeric else ["0", "1"]
+    ds = Dataset(schema, [
+        Record(i, (*(None if rng.random() < 0.05 else rng.choice("aab") for _ in range(terms)),
+                   rng.choice(values)))
+        for i in rng.sample(range(10 * rows), rows)  # shuffled ids
+    ])
+    cells = [(r, rng.randrange(terms + 1)) for r in rng.sample(ds.records, min(rows, 12))]
+    assert_matches_oracles(ds, rng.randint(1, rows), cells)
 
 
 @pytest.mark.parametrize("kind, n_records, k", [
-    ("categorical", 5, 3),  # n <= W: a head is every other record, then padding
+    ("categorical", 5, 3),  # n <= W: a head is every other record
     ("categorical", 60, 1),
     ("categorical", 200, 3),
     ("zero-range numeric", 80, 2),
     ("300 terms", 40, 2),
 ])
 def test_exact_heads_are_the_first_w_of_a_scalar_heom_id_sort(kind, n_records, k):
+    # int32 keys; the neighbours are the first k holders of that sort
     rng = random.Random(f"{kind}-{n_records}")
     if kind == "categorical":
         ds = categorical_dataset(rng, n_records)
@@ -899,24 +733,16 @@ def test_exact_heads_are_the_first_w_of_a_scalar_heom_id_sort(kind, n_records, k
             Record(i, tuple(None if rng.random() < 0.05 else rng.choice("ab") for _ in schema))
             for i in rng.sample(range(10 * n_records), n_records)  # shuffled ids
         ])
-    knn = KnnImputer(ds, KnnParams(k=k))
-    assert knn._far.dtype == np.int32
-    width = head_width(n_records, k)
     queries = rng.sample(ds.records, min(n_records, 12))
-    positions = np.array([position(knn, r) for r in queries])
-    work = knn._workspace(5)  # blocks of 5 rows, the last one shorter
-    for reach in (None, np.array(rng.choices(range(ds.n_attributes), k=len(queries)))):
-        heads = np.empty((len(queries), width), np.int32)
-        for offset, block in knn._blocks(positions, 5, work, reach):
-            knn._head(block, heads[offset : offset + len(block)], work)
-        expected = brute_force_heads(knn, queries, [None] * len(queries) if reach is None
-                                     else reach.tolist(), width)
-        assert heads.tolist() == expected
+    attributes = min(ds.n_attributes, 3)
+    cells = [(r, j) for r in queries for j in rng.sample(range(ds.n_attributes), attributes)]
+    assert_matches_oracles(ds, k, cells)
 
 
 def test_exact_keys_only_while_the_largest_key_fits_int32():
     # T terms and n records: keys reach (T + 1) * n - 1, which must lie below
-    # the int32 sentinel; past it, the float64 path
+    # the int32 sentinel; past it, the float64 path.  No table in a test can
+    # reach the bound, so this calls the check itself.
     top = np.iinfo(np.int32).max
     for scales in ([None] * 300, [None, 0.0], [0.0]):
         most = top // (len(scales) + 1)
@@ -925,76 +751,53 @@ def test_exact_keys_only_while_the_largest_key_fits_int32():
 
 
 def test_a_rescan_takes_the_nearest_holders_past_a_head_of_non_holders(monkeypatch):
-    # the query's 24 nearest records lack t, as many as a head holds for k = 2,
-    # so its first head holds no holder; the rescan finds a at distance 2, then
-    # b and c tied at 3 for the second neighbour: b, the lower id.  The query
-    # holds t itself, at distance 0.
-    schema = [*(AttributeSchema(f"a{j}", CATEGORICAL, ("x", "y")) for j in range(5)),
-              AttributeSchema("t", CATEGORICAL, ("p", "q"))]
-    query = Record(3, ("x",) * 5 + ("p",))
-    a = Record(20, ("y", "y", "x", "x", "x", "p"))
-    b = Record(5, ("y", "y", "y", "x", "x", "p"))
-    c = Record(9, ("y", "y", "x", "x", "x", "q"))
-    lacking = [Record(i, ("x",) * 5 + (None,)) for i in (*range(10, 20), *range(21, 35))]
-    far = [Record(i, ("y",) * 4 + ("x", "p")) for i in range(40, 45)]
-    ds = Dataset(schema, [c, *far, b, *lacking, query, a])
-    assert len(lacking) == head_width(ds.n_records, 2) < ds.n_records
+    # For k = 2 a head holds W = 2 * (2k + 8) = 24 records (see knn.py).
+    # The query holds t; in (distance, id) order its nearest records are one
+    # holder h (distance 0), then, at distance 1, the records lacking t, then
+    # holders g and f, g first by id.  With 22 lacking records g is the 24th:
+    # the head holds both neighbours.  With 23 the head holds only h, so the
+    # query is scanned again, over the holders alone, and that head holds
+    # every holder, then padding: the position past the last record.
+    # Without and with a numeric column n of range 10, whose terms are 0 but
+    # for the distant records: int32 keys, then float64 distances.
     head, heads = KnnImputer._head, []
 
     def recording(knn, block, rows, work):
         head(knn, block, rows, work)
-        heads.append(rows.tolist())
+        heads.extend(rows.tolist())
 
     monkeypatch.setattr(KnnImputer, "_head", recording)
-    assert check_knn_against_oracles(monkeypatch, ds, 2, [(query, 5)]) == 1
-    # the first head is the records lacking t, in id order; the rescan's holds
-    # the 8 holders in (distance, id) order, then the padding past the last
-    # record, and no record out of its reach
-    by_id = sorted(r.id for r in ds.records)
-    assert heads[0] == [[by_id.index(r.id) for r in lacking]]
-    assert heads[1] == [[by_id.index(r.id) for r in (a, b, c, *far)] + [ds.n_records] * 16]
-    [(value, ids)] = impute_pairs(KnnImputer(ds, KnnParams(k=2)), [(query, 5)])
-    assert ids == (a.id, b.id) and value == "p"
+    for numeric, n_lacking in itertools.product((False, True), (22, 23)):
+        schema = [*(AttributeSchema(f"a{j}", CATEGORICAL, ("x", "y")) for j in range(5)),
+                  AttributeSchema("t", CATEGORICAL, ("p", "q")),
+                  *[AttributeSchema("n", NUMERIC)] * numeric]
+        near, far = ("x",) * 5 + ("0",) * numeric, ("y",) * 3 + ("x",) * 2 + ("10",) * numeric
+        query, h = Record(3, (*near[:5], "p", *near[5:])), Record(60, (*near[:5], "p", *near[5:]))
+        g, f = Record(40, (*near[:5], "q", *near[5:])), Record(50, (*near[:5], "q", *near[5:]))
+        distant = [Record(i, (*far[:5], "p", *far[5:])) for i in range(70, 75)]
+        lacking = [Record(i, (*near[:5], None, *near[5:])) for i in range(10, 10 + n_lacking)]
+        ds = Dataset(schema, [f, *distant, g, *lacking, query, h])
+        by_id = sorted(r.id for r in ds.records)
+        heads.clear()
+        assert_matches_oracles(ds, 2, [(query, 5)])
+        first = [by_id.index(r.id) for r in (h, *lacking, g, f)][:24]
+        rescan = [by_id.index(r.id) for r in (h, g, f, *distant)]
+        expected = [first] if n_lacking == 22 else [first, rescan + [ds.n_records] * 16]
+        # each query's heads, then those of impute_dataset's cells
+        assert heads[:len(expected)] == expected
+        [(value, ids)] = impute_pairs(KnnImputer(ds, 2), [(query, 5)])
+        assert ids == (h.id, g.id) and value == "p"  # one vote each: the lower level
 
 
-def test_one_block_of_120_records_over_300_terms_matches_oracle(monkeypatch):
-    schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b")) for j in range(300)]
-    rng = random.Random(120)
-    base = [rng.choice("ab") for _ in range(300)]
-    ds = Dataset(schema, [
-        Record(i, tuple(None if rng.random() < 0.03 else
-                        (rng.choice("ab") if rng.random() < 0.02 else cell) for cell in base))
-        for i in range(120)
-    ])
-    blocks = record_blocks(monkeypatch)
-    knn = KnnImputer(ds, KnnParams(k=3))
-    cells = [(r, rng.randrange(300)) for r in ds.records]
-    results = impute_pairs(knn, cells)
-    [(positions, _)] = blocks
-    assert len(positions) * (knn._lead + 2) > np.iinfo(np.int16).max
-    for (record, j), (value, ids) in rng.sample(list(zip(cells, results)), 12):
-        assert list(ids) == oracle_neighbors(ds, record, j, 3)
-        assert value == oracle_knn_value(ds, record, j, 3)
-
-
-def test_runs_of_different_lengths_in_one_block_match_oracle(monkeypatch):
-    rng = random.Random(6161)
-    ds = near_constant_dataset(rng, 120)  # one float64 block of every record
-    # the float64 path, as past the int32 key bound; runs belong to it alone
-    monkeypatch.setattr(knn_module, "_exact", lambda scales, n_records: False)
-    sorted_nearest, runs = KnnImputer._sorted_nearest, []
-
-    def recording(knn, block, flags):
-        ordered, starts = sorted_nearest(knn, block, flags)
-        runs.append(np.diff(starts))
-        return ordered, starts
-
-    monkeypatch.setattr(KnnImputer, "_sorted_nearest", recording)
-    cells = every_cell(ds)
-    check_knn_against_oracles(monkeypatch, ds, 3, cells)
-    lengths = runs[0]
-    assert len(lengths) == ds.n_records and len(set(lengths.tolist())) > 1
-    assert lengths.max() > head_width(ds.n_records, 3)  # ties at the threshold
+def test_runs_of_different_lengths_in_one_block_match_oracle():
+    ds = near_constant_dataset(random.Random(6161), 120)  # one block of every record
+    # one record's x of 1 gives x a range, so the block holds float64
+    # distances, integral as past the int32 key bound: heavy ties, and runs
+    # of different lengths
+    schema = [*ds.schema, AttributeSchema("x", NUMERIC)]
+    ds = Dataset(schema, [Record(r.id, (*r.cells, "1" if p == 0 else "0"))
+                          for p, r in enumerate(ds.records)])
+    assert_matches_oracles(ds, 3, every_cell(ds))
 
 
 def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
@@ -1003,49 +806,17 @@ def test_a_fully_tied_block_stays_within_the_documented_memory_bound():
     schema = [AttributeSchema("a", CATEGORICAL, ("x",)), AttributeSchema("b", CATEGORICAL, ("y",))]
     ds = Dataset(schema, [Record(i, ("x", None if i % 2 else "y")) for i in range(n)])
     cells = [(r, 1) for r in ds.records if r.cells[1] is None]
-    knn = KnnImputer(ds, KnnParams(k=5))
-    tracemalloc.start()
-    try:
-        results = impute_pairs(knn, cells)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the block's four buffers, five blocks' worth while its nearest records
-    # sort, and a fixed allowance for the results
-    assert peak < 9 * knn_module._BLOCK_BYTES + (512 << 10)
+    knn = KnnImputer(ds, 5)
+    results, peak = peak_bytes(lambda: impute_pairs(knn, cells))
+    assert peak < documented_bound()
     assert results == [("y", (0, 2, 4, 6, 8))] * len(cells)  # ties go to the lowest ids
-
-
-def assert_within_the_documented_memory_bound(monkeypatch, ds, cells, k):
-    """_impute's results, with its block and pick stages, and the whole
-    call less the results it returns, each within the documented bound."""
-    mode, before_vote = knn_module._mode, []
-
-    def first_vote(codes, n_levels):
-        if not before_vote:
-            before_vote.append(tracemalloc.get_traced_memory()[1])
-        return mode(codes, n_levels)
-
-    monkeypatch.setattr(knn_module, "_mode", first_vote)
-    knn = KnnImputer(ds, KnnParams(k=k))
-    tracemalloc.start()
-    try:
-        results = impute_pairs(knn, cells)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    bound = 9 * knn_module._BLOCK_BYTES + (512 << 10)
-    # the block and pick stages, before any result exists; then the whole
-    # call, less the results it returns
-    assert before_vote[0] < bound
-    assert peak - held < bound
-    return results
 
 
 def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypatch):
     # a narrow table, every cell of 5,000 records: an unchunked pick's copy of
     # all 20,000 cells' heads would alone take about the whole bound (the
-    # results are about 4 MB of tuples)
+    # results are about 4 MB of tuples, so the peak of the block and pick
+    # stages is taken at the first vote, before any result exists)
     n = 5000
     rng = random.Random(2020)
     schema = [AttributeSchema(f"c{j}", CATEGORICAL, ("a", "b", "c")) for j in range(4)]
@@ -1054,13 +825,24 @@ def test_twenty_thousand_cells_pick_within_the_documented_memory_bound(monkeypat
         for i in range(n)
     ])
     cells = [(r, j) for r in ds.records for j in range(4)]
-    results = assert_within_the_documented_memory_bound(monkeypatch, ds, cells, 5)
+    mode, before_vote = knn_module._mode, []
+
+    def first_vote(codes, n_levels):
+        if not before_vote:
+            before_vote.append(tracemalloc.get_traced_memory()[1])
+        return mode(codes, n_levels)
+
+    monkeypatch.setattr(knn_module, "_mode", first_vote)
+    knn = KnnImputer(ds, 5)
+    results, peak = peak_bytes(lambda: impute_pairs(knn, cells))
+    assert before_vote[0] < documented_bound()
+    assert peak < documented_bound()
     for (record, j), (value, ids) in rng.sample(list(zip(cells, results)), 20):
         assert list(ids) == oracle_neighbors(ds, record, j, 5)
         assert value == oracle_knn_value(ds, record, j, 5)
 
 
-def test_rescans_of_whole_rows_stay_within_the_documented_memory_bound(monkeypatch):
+def test_rescans_of_whole_rows_stay_within_the_documented_memory_bound():
     # the 100 records lacking b lie at distance 1 from each other, more than
     # a head holds, and the 2,900 holders all tie at distance 2: every cell is
     # scanned again, and each rescan's run holds nearly its whole row
@@ -1070,18 +852,16 @@ def test_rescans_of_whole_rows_stay_within_the_documented_memory_bound(monkeypat
     ds = Dataset(schema, [Record(i, ("x", None, "u") if i % 30 == 0 else ("x", "y", "v"))
                           for i in range(n)])
     cells = [(r, 1) for r in ds.records if r.cells[1] is None]
-    rescanned = count_rescans(monkeypatch)
-    results = assert_within_the_documented_memory_bound(monkeypatch, ds, cells, 5)
-    assert rescanned[0] == len(cells) == 100
+    knn = KnnImputer(ds, 5)
+    results, peak = peak_bytes(lambda: impute_pairs(knn, cells))
+    assert peak < documented_bound()
     assert results == [("y", (1, 2, 3, 4, 5))] * len(cells)  # ties go to the lowest ids
 
 
 def test_empty_dataset_has_no_neighbors():
     query = Record(5, (None, "red"))
-    knn = KnnImputer(Dataset(MIXED_SCHEMA, []), KnnParams(k=3))
-    assert impute_pairs(knn, []) == []
-    knn = KnnImputer(Dataset(MIXED_SCHEMA, [query]), KnnParams(k=3))
-    assert knn._distances([0], knn._workspace(1)).shape == (1, 1)
+    assert impute_pairs(KnnImputer(Dataset(MIXED_SCHEMA, []), 3), []) == []
+    knn = KnnImputer(Dataset(MIXED_SCHEMA, [query]), 3)
     with pytest.raises(DataError, match="no known value"):
         impute_pairs(knn, [(query, 0)])
 

@@ -28,15 +28,13 @@ from pathlib import Path
 
 def trial(csv_path: str) -> None:
     """Criterion 6's procedure; prints the best hybrid and kNN-only times in microseconds."""
-    from rulefill import (KnnParams, MiningParams, impute_dataset, inject_missing, load_csv,
-                          mine_rules)
+    from rulefill import MiningParams, impute_dataset, inject_missing, load_csv, mine_rules
 
     probe = load_csv(csv_path, "?")
     dataset = load_csv(csv_path, "?", class_column=probe.schema[-1].name)
     masked, _ = inject_missing(dataset, 0.20, seed=11)
     rules = mine_rules(masked, MiningParams(0.40, 0.40, min_support_count=40))
-    knn = KnnParams(10)
-    _, report = impute_dataset(masked, rules, knn)
+    _, report = impute_dataset(masked, rules, k=10)
     if report.rule_coverage() == 0.0:
         sys.exit("no rule fired: the comparison is vacuous")
 
@@ -48,10 +46,10 @@ def trial(csv_path: str) -> None:
             best = min(best, time.perf_counter() - t0)
         return best
 
-    impute_dataset(masked, rules, knn)  # warm both paths
-    impute_dataset(masked, [], knn)
-    time_hybrid = best_of(lambda: impute_dataset(masked, rules, knn))
-    time_knn = best_of(lambda: impute_dataset(masked, [], knn))
+    impute_dataset(masked, rules, k=10)  # warm both paths
+    impute_dataset(masked, [], k=10)
+    time_hybrid = best_of(lambda: impute_dataset(masked, rules, k=10))
+    time_knn = best_of(lambda: impute_dataset(masked, [], k=10))
     print(round(time_hybrid * 1e6), round(time_knn * 1e6))
 
 
