@@ -11,7 +11,6 @@ from pathlib import Path
 
 from rulefill import (
     MiningParams,
-    SOURCE_RULES,
     evaluate,
     impute_dataset,
     inject_missing,
@@ -47,7 +46,7 @@ print(f"categorical accuracy against the hidden truth: {metrics.categorical_accu
 by_column = Counter(report.attribute_names[c.attribute] for c in report.cells)
 print("imputations per column:", dict(by_column))
 
-example = next(c for c in report.cells if c.source == SOURCE_RULES)
+example = next(c for c in report.cells if c.source == "rules")
 record = masked.record_by_id(example.record_id)
 print(
     f"\nexample rule-sourced cell: record {example.record_id}, "

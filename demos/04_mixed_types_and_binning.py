@@ -12,12 +12,11 @@ from rulefill import (
     NUMERIC,
     MiningParams,
     fit_all_bins,
-    fit_bins,
     impute_dataset,
     load_csv,
     mine_rules,
 )
-from rulefill.binning import bin_of
+from rulefill.binning import bin_of, fit_bins
 from rulefill.sample_data import write_credit_csv
 
 print("equal-frequency bins over a skewed column:")
@@ -33,7 +32,7 @@ write_credit_csv(csv_path)
 dataset = load_csv(csv_path, "?", class_column="class")
 numeric = [a.name for a in dataset.schema if a.kind == NUMERIC]
 print(f"\ncredit-like table: {dataset.n_records} records, numeric columns {numeric}")
-print(f"pre-existing missing cells: {len(dataset.missing_cells())}")
+print(f"pre-existing missing cells: {sum(r.cells.count(None) for r in dataset.records)}")
 
 all_bins = fit_all_bins(dataset, n_bins=5, strategy="frequency")
 j = dataset.attribute_index(numeric[0])
@@ -55,4 +54,4 @@ knn_cell = next(c for c in report.cells if c.source == "knn")
 name = report.attribute_names[knn_cell.attribute]
 print(f"\n{name}[record {knn_cell.record_id}] <- {knn_cell.value!r}, the vote of its "
       f"{len(knn_cell.neighbor_ids)} HEOM-nearest records: {list(knn_cell.neighbor_ids)}")
-print(f"missing cells left: {len(completed.missing_cells())}")
+print(f"missing cells left: {sum(r.cells.count(None) for r in completed.records)}")

@@ -7,7 +7,6 @@ rule covers.  A benchmark harness reproduces missing-rate, support and
 confidence sweeps over seeded MCAR masks.
 """
 
-from .binning import fit_bins
 from .data import (
     CATEGORICAL,
     NUMERIC,
@@ -20,7 +19,7 @@ from .data import (
     write_csv,
 )
 from .mining import AssociationRule, MiningParams, generate_rules, mine_frequent
-from .imputer import SOURCE_KNN, SOURCE_RULES, impute_dataset, mine_rules
+from .imputer import impute_dataset, mine_rules
 from .bench import ExperimentSpec, evaluate, inject_missing, run_sweep, write_report_files
 from .rules_io import read_rules, write_rules
 
@@ -36,11 +35,8 @@ __all__ = [
     "MiningParams",
     "NUMERIC",
     "Record",
-    "SOURCE_KNN",
-    "SOURCE_RULES",
     "evaluate",
     "fit_all_bins",
-    "fit_bins",
     "generate_rules",
     "impute_dataset",
     "inject_missing",

@@ -203,20 +203,13 @@ class BenchReport:
     spec: ExperimentSpec
     rows: list[BenchRow]
 
-    TIMING_FIELDS = ("time_mine_s", "time_impute_s")
+    TIMING_FIELDS = ("time_mine_s", "time_impute_s")  # the fields that vary from run to run
 
-    def to_dict(self, timings: bool = True) -> dict:
-        rows = []
-        for row in self.rows:
-            payload = asdict(row)
-            if not timings:
-                for name in self.TIMING_FIELDS:
-                    payload[name] = None
-            rows.append(payload)
-        return {"spec": self.spec.to_dict(), "rows": rows}
+    def to_dict(self) -> dict:
+        return {"spec": self.spec.to_dict(), "rows": [asdict(row) for row in self.rows]}
 
-    def to_json(self, timings: bool = True) -> str:
-        return json.dumps(self.to_dict(timings), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _resolved_point(spec: ExperimentSpec, value):

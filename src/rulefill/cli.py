@@ -213,14 +213,12 @@ def cmd_impute(args) -> int:
         rules = mine_rules(dataset, params, bins, exclude)
         mined_params = params
 
-    completed, report = impute_dataset(
-        dataset, rules, args.k, bins, exclude,
-        parameters={
-            "mining": asdict(mined_params) if mined_params else None,
-            "bins": {dataset.schema[j].name: asdict(b) for j, b in sorted(bins.items())},
-            "exclude_class": args.exclude_class,
-        },
-    )
+    completed, report = impute_dataset(dataset, rules, args.k, bins, exclude)
+    report.parameters.update({
+        "mining": asdict(mined_params) if mined_params else None,
+        "bins": {dataset.schema[j].name: asdict(b) for j, b in sorted(bins.items())},
+        "exclude_class": args.exclude_class,
+    })
 
     out = args.out or (Path(args.data).stem + ".imputed.csv")
     report_path = args.report or (Path(args.data).stem + ".impute_report.json")

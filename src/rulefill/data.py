@@ -187,17 +187,6 @@ class Dataset:
         self._tidsets[key] = tidsets
         return tidsets
 
-    # -- cells -------------------------------------------------------------
-
-    def missing_cells(self) -> list[tuple[int, int]]:
-        """(record id, attribute index) pairs for every missing cell."""
-        return [
-            (r.id, j)
-            for r in self.records
-            for j, cell in enumerate(r.cells)
-            if cell is None
-        ]
-
 
 def fit_all_bins(dataset: Dataset, n_bins: int = 5, strategy: str = "frequency",
                  exclude=()) -> dict:

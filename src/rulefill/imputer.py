@@ -129,8 +129,7 @@ def mine_rules(dataset: Dataset, params: MiningParams | None = None, bins=None,
     return generate_rules(frequents, params)
 
 
-def impute_dataset(dataset: Dataset, rules, k: int = 10, bins=None, exclude=(),
-                   parameters: dict | None = None):
+def impute_dataset(dataset: Dataset, rules, k: int = 10, bins=None, exclude=()):
     """Impute every missing cell of the dataset in one pass.
 
     Returns (completed dataset, report).  Each cell is imputed from the
@@ -192,8 +191,7 @@ def impute_dataset(dataset: Dataset, rules, k: int = 10, bins=None, exclude=(),
     report = ImputationReport(
         hit_rules, keys, [ids[r] for r in rows], key_index,
         attribute_names=tuple(a.name for a in dataset.schema),
-        parameters={"k": k, "distance": "heom",
-                    "rule_count": len(rules), **(parameters or {})},
+        parameters={"k": k, "distance": "heom", "rule_count": len(rules)},
     )
     return dataset._refilled(records), report
 

@@ -184,7 +184,8 @@ class KnnImputer:
         Pair i is the record at position ``owners[i]`` and attribute
         ``attributes[i]``.  k is at most the holders other than the owner;
         the pair's neighbours are the first k of ``chosen[i]``.  A k of 0,
-        when no other record holds the attribute, raises ``DataError``.  The
+        when no other record holds the attribute, raises ``DataError``, and a
+        pair still short after its one rescan raises ``RuntimeError``.  The
         block buffers and heads are freed on return.
         """
         n = self._ids.size
@@ -207,7 +208,9 @@ class KnnImputer:
         # The first scan: every pair, its query records the runs of one owner
         short, reach = np.arange(owners.size), None
         firsts = np.append(np.flatnonzero(np.diff(owners, prepend=-1)), owners.size)
-        while short.size:
+        for _ in range(2):  # the scan, then at most one rescan
+            if not short.size:
+                break
             queries, lacking = owners[short[firsts[:-1]]], []
             for start in range(0, queries.size, chunk):
                 batch = queries[start : start + chunk]
@@ -224,6 +227,8 @@ class KnnImputer:
             # the holders of the pair's attribute, so its head holds k of them
             short = np.concatenate(lacking)
             firsts, reach = np.arange(short.size + 1), attributes[short]
+        if short.size:
+            raise RuntimeError(f"{short.size} pairs still short of k holders after their rescan")
         return chosen, ks
 
     def _workspace(self, rows: int) -> _Workspace:

@@ -60,7 +60,6 @@ def _item(raw, items: dict) -> tuple[int, int]:
 class RuleFile:
     rules: list[AssociationRule]
     schema: list[AttributeSchema]
-    class_column: str | None
     bins: dict[int, Bins]
     params: MiningParams | None
 
@@ -73,7 +72,7 @@ def write_rules(path, rules, dataset: Dataset, bins=None,
             {"name": a.name, "kind": a.kind, "levels": list(a.levels)}
             for a in dataset.schema
         ],
-        "class_column": dataset.class_column,
+        "class_column": dataset.class_column,  # for readers of the file; read_rules skips it
         "bins": {str(j): asdict(b) for j, b in sorted((bins or {}).items())},
         "params": asdict(params) if params is not None else None,
     }
@@ -131,7 +130,7 @@ def _rule_file_from_header(header: dict) -> RuleFile:
             raise ValueError(f"bins key {j} is not a numeric column of the schema")
     raw_params = header.get("params")
     params = MiningParams(**raw_params) if raw_params else None
-    return RuleFile([], schema, header.get("class_column"), bins, params)
+    return RuleFile([], schema, bins, params)
 
 
 def check_compatible(rule_file: RuleFile, dataset: Dataset) -> None:

@@ -6,8 +6,10 @@ and plain sorts, written separately from the library code paths.
 
 import math
 from bisect import bisect_right
+from dataclasses import replace
 from itertools import combinations
 
+from rulefill.bench import BenchReport
 from rulefill.data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, Record
 
 
@@ -123,6 +125,17 @@ def oracle_key_table(dataset):
         record_ids += [record.id] * (starts[g + 1] - starts[g])
         key_index += range(starts[g], starts[g + 1])
     return key_firsts, key_attrs, record_ids, key_index
+
+
+def oracle_missing_cells(dataset):
+    """(record id, attribute index) for every missing cell, in record order."""
+    return [(r.id, j) for r in dataset.records for j, cell in enumerate(r.cells) if cell is None]
+
+
+def untimed_json(report):
+    """A benchmark report's JSON text with every timing field blank."""
+    rows = [replace(row, **dict.fromkeys(BenchReport.TIMING_FIELDS)) for row in report.rows]
+    return BenchReport(report.spec, rows).to_json()
 
 
 def present_values(dataset, attribute):

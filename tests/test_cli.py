@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from rulefill import (
 from rulefill.cli import _values_list, main
 from rulefill.rules_io import read_rules
 from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows, write_car_csv
+from oracles import oracle_missing_cells
 
 
 def run_cli(argv, capsys):
@@ -116,7 +118,7 @@ def test_impute_roundtrip(tmp_path, credit_csv, capsys):
     )
     assert code == 0
     completed = load_csv(out, "?")
-    assert not completed.missing_cells()
+    assert not oracle_missing_cells(completed)
     payload = json.loads(report.read_text())
     assert payload["totals"]["imputed"] == payload["totals"]["rules"] + payload["totals"]["knn"]
     assert "parameters" in payload
@@ -149,7 +151,7 @@ def test_impute_with_mined_rule_file_equals_inline_impute(tmp_path, table, reque
     assert outputs["file"] == outputs["inline"]
     payload = json.loads(outputs["file"][1])
     assert payload["totals"]["rules"] > 0 and payload["totals"]["knn"] > 0
-    assert not load_csv(tmp_path / "file.csv", "?").missing_cells()
+    assert not oracle_missing_cells(load_csv(tmp_path / "file.csv", "?"))
 
 
 @pytest.mark.parametrize("no_class, exclude_class", [
@@ -205,7 +207,8 @@ def test_impute_report_is_one_json_line_equal_to_the_library_report(tmp_path, ta
         params = MiningParams(min_confidence=0.6, min_support_count=40)
         bins = fit_all_bins(dataset, 5, "frequency")
         rules = mine_rules(dataset, params, bins)
-    _, report = impute_dataset(dataset, rules, 10, bins, parameters={
+    _, report = impute_dataset(dataset, rules, 10, bins)
+    report.parameters.update({
         "mining": asdict(params),
         "bins": {
             dataset.schema[j].name: {"edges": list(b.edges),
@@ -626,15 +629,22 @@ def test_demo_runs(demo, tmp_path):
 PUBLIC_NAMES = [
     "AssociationRule", "AttributeSchema", "CATEGORICAL", "DataError", "Dataset",
     "ExperimentSpec", "MiningParams", "NUMERIC", "Record",
-    "SOURCE_KNN", "SOURCE_RULES", "evaluate", "fit_all_bins", "fit_bins", "generate_rules",
-    "impute_dataset", "inject_missing", "load_csv", "mine_frequent", "mine_rules",
-    "read_rules", "run_sweep", "write_csv", "write_report_files", "write_rules",
+    "evaluate", "fit_all_bins", "generate_rules", "impute_dataset", "inject_missing",
+    "load_csv", "mine_frequent", "mine_rules", "read_rules", "run_sweep", "write_csv",
+    "write_report_files", "write_rules",
 ]
 
 
 def test_package_exports_exactly_the_public_names():
     assert sorted(rulefill.__all__) == PUBLIC_NAMES
     assert all(hasattr(rulefill, name) for name in PUBLIC_NAMES)
+
+
+def test_every_mutant_text_occurs_once_in_the_checkout():
+    # code that a refactor moved fails here, not at the next tools/mutants.py run
+    root = Path(__file__).resolve().parent.parent
+    mutants = runpy.run_path(str(root / "tools" / "mutants.py"))
+    assert mutants["check_texts"](root, mutants["MUTANTS"]) == []
 
 
 def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):

@@ -16,8 +16,6 @@ from rulefill import (
     Dataset,
     MiningParams,
     Record,
-    SOURCE_KNN,
-    SOURCE_RULES,
     fit_all_bins,
     impute_dataset,
     load_csv,
@@ -25,6 +23,7 @@ from rulefill import (
 )
 from rulefill.bench import inject_missing
 from rulefill.binning import Bins
+from rulefill.imputer import SOURCE_KNN, SOURCE_RULES
 from rulefill.knn import KnnImputer
 from rulefill.rules_io import rule_to_dict
 from rulefill.sample_data import CAR_COLUMNS, CREDIT_COLUMNS, car_rows, credit_rows
@@ -35,6 +34,7 @@ from oracles import (
     oracle_itemize,
     oracle_key_table,
     oracle_knn_value,
+    oracle_missing_cells,
     oracle_neighbors,
     random_dataset,
 )
@@ -328,7 +328,7 @@ def test_rule_less_imputation_needs_no_bins():
     # no rule, then categorical rules that all target the complete column d
     for rules in ([], [rule({(1, 0)}, (2, 0)), rule(set(), (2, 1))]):
         done, report = impute_dataset(ds, rules, 2)
-        assert not done.missing_cells()
+        assert not oracle_missing_cells(done)
         assert report.n_imputed == report.n_from_knn == 4
         for cell in report.cells:
             expected = oracle_knn_value(ds, ds.record_by_id(cell.record_id), cell.attribute, 2)
@@ -379,7 +379,7 @@ def test_impute_dataset_totality_and_branch_soundness():
         bins = fit_all_bins(ds, 3)
         rules = mine_rules(ds, params, bins)
         done, report = impute_dataset(ds, rules, 3, bins)
-        assert not done.missing_cells()
+        assert not oracle_missing_cells(done)
         for cell in report.cells:
             record = ds.record_by_id(cell.record_id)
             known = oracle_itemize(ds, record, bins)
@@ -449,8 +449,8 @@ def test_coverage_shrinks_with_stricter_thresholds():
 
 def test_schema_mismatch_rejected():
     ds = tiny_dataset()
-    with pytest.raises(DataError):
-        impute_dataset(ds, [rule({(0, 0)}, (9, 0))])
+    with pytest.raises(DataError, match=r"^rule references attribute index 3, dataset has 3$"):
+        impute_dataset(ds, [rule({(0, 0)}, (3, 0))])
     with pytest.raises(DataError):
         impute_dataset(ds, [rule({(0, 7)}, (2, 0))])
     with pytest.raises(DataError):
@@ -481,9 +481,9 @@ def test_numeric_rules_need_bins_in_range():
 
 def test_schema_error_names_the_same_item_whatever_the_rule_order():
     ds = tiny_dataset()
-    bad = [(0, 7), (1, 3), (0, 9)]
+    bad = [(0, 7), (1, 3), (0, 9), (4, 4)]  # a set of the items yields (4, 4) first
     rules = [
-        rule({(1, i % 2), bad[i % 3]}, (2, i % 2), confidence=0.6 + i / 100)
+        rule({(1, i % 2), bad[i % 4]}, (2, i % 2), confidence=0.6 + i / 100)
         for i in range(30)
     ]
     rng = random.Random(3)
@@ -498,7 +498,7 @@ def test_schema_error_names_the_same_item_whatever_the_rule_order():
 def test_report_serialization_shape():
     ds = tiny_dataset()
     rules = [rule({(0, 0)}, (2, 0), confidence=0.9)]
-    _, report = impute_dataset(ds, rules, parameters={"note": "unit"})
+    _, report = impute_dataset(ds, rules)
     payload = report.to_dict()
     assert payload["totals"]["imputed"] == 1
     assert payload["totals"]["rules"] == 1
@@ -507,7 +507,7 @@ def test_report_serialization_shape():
     assert entry["source"] == SOURCE_RULES
     assert payload["schema"] == "rulefill-report-v2"
     assert payload["rules"][entry["provenance"][0]]["consequent"] == [2, 0]
-    assert payload["parameters"]["note"] == "unit"
+    assert payload["parameters"] == {"k": 10, "distance": "heom", "rule_count": 1}
 
 
 def repeated_patterns(rng):
@@ -529,10 +529,6 @@ def repeated_patterns(rng):
     return ds, rules, bins, exclude, k
 
 
-def missing_cells(ds):
-    return [(r, j) for r in ds.records for j, cell in enumerate(r.cells) if cell is None]
-
-
 def test_each_cell_of_a_repeated_table_matches_the_oracles():
     rng = random.Random(2024)
     shared = 0  # cells that took another record's result
@@ -540,11 +536,10 @@ def test_each_cell_of_a_repeated_table_matches_the_oracles():
         ds, rules, bins, exclude, k = repeated_patterns(rng)
         rng.shuffle(rules)  # firing order comes from the sort, not the input order
         _, report = impute_dataset(ds, rules, k, bins, exclude)
-        assert [(c.record_id, c.attribute) for c in report.cells] == [
-            (r.id, j) for r, j in missing_cells(ds)
-        ]
+        assert [(c.record_id, c.attribute) for c in report.cells] == oracle_missing_cells(ds)
         first = {}  # (record cells, attribute) -> the key's first cell
-        for (record, j), cell in zip(missing_cells(ds), report.cells):
+        for (i, j), cell in zip(oracle_missing_cells(ds), report.cells):
+            record = ds.record_by_id(i)
             fired = oracle_fired(rules, oracle_itemize(ds, record, bins, exclude), j)
             if cell.source == SOURCE_RULES:
                 assert fired_rules(report, cell) == fired
@@ -613,8 +608,8 @@ def test_knn_runs_once_per_distinct_uncovered_key(monkeypatch):
         for record in ds.records:
             representative.setdefault(record.cells, record)
         uncovered = dict.fromkeys(
-            (record.cells, j)
-            for (record, j), cell in zip(missing_cells(ds), report.cells)
+            (ds.record_by_id(i).cells, j)
+            for (i, j), cell in zip(oracle_missing_cells(ds), report.cells)
             if cell.source == SOURCE_KNN
         )
         assert [(record.cells, j) for record, j in received] == list(uncovered)

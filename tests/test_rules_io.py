@@ -30,7 +30,6 @@ def test_rule_file_round_trip(tmp_path, credit_dataset):
 
     loaded = read_rules(path)
     assert loaded.params == params
-    assert loaded.class_column == credit_dataset.class_column
     assert [(a.name, a.kind, a.levels) for a in loaded.schema] == [
         (a.name, a.kind, a.levels) for a in credit_dataset.schema
     ]

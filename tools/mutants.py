@@ -1,7 +1,9 @@
-"""Run the tier-1 suite against single-edit mutants of the kNN fallback and the key table.
+"""Run the tier-1 suite against single-edit mutants of the kNN fallback, key table and rule layer.
 
-Each mutant replaces one piece of text in ``src/rulefill/knn.py`` or in
-``imputer._key_table``.  The script copies the whole checkout into a
+Each mutant replaces one piece of text in ``src/rulefill/knn.py``, in
+``imputer._key_table``, or in the rule layer: rule firing and its schema
+check in ``imputer``, mining and rule generation in ``mining``, and rule
+records in ``rules_io``.  The script copies the whole checkout into a
 temporary directory, checks that the unmutated copy passes, then for each
 mutant writes the edit, runs ``pytest`` there and restores the file.  It runs
 in a copy because ``pyproject.toml``'s ``pythonpath = ["src"]`` puts the
@@ -9,13 +11,14 @@ checkout's own ``src`` ahead of ``PYTHONPATH``, so a mutant outside the tree
 pytest runs from would never be imported.
 
 Each run uses ``--hypothesis-seed=0 -p no:cacheprovider`` and deselects
-acceptance criterion 6, whose wall-clock outcome varies from run to run.  A
-test that runs longer than ten seconds fails, since some mutants make the kNN
-rescan loop forever.  A mutant is caught when any test fails.  The script
-prints, per mutant, ``caught`` with the failing tests or ``SURVIVED``, then
-the count caught.  It exits 1 without running
-anything when a mutant's original text does not occur exactly once, so code
-that moved shows up as an error, not as a survivor.
+acceptance criterion 6, whose wall-clock outcome varies from run to run, and
+the test that checks these mutants' texts, which any mutant fails.  A test
+that runs longer than ten seconds fails, so a mutant that makes a loop run
+without end is caught, not waited on.  A mutant is caught when any test
+fails.  The script prints, per mutant, ``caught`` with the failing tests or
+``SURVIVED``, then the count caught.  It exits 1 without running anything
+when a mutant's original text does not occur exactly once, so code that
+moved shows up as an error, not as a survivor.
 
 Stdlib only, and not collected by pytest.  Run it from anywhere::
 
@@ -39,7 +42,12 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 KNN = "src/rulefill/knn.py"
 IMPUTER = "src/rulefill/imputer.py"
-CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_hybrid_imputation_no_slower_than_knn"
+MINING = "src/rulefill/mining.py"
+RULES_IO = "src/rulefill/rules_io.py"
+DESELECTED = [
+    "tests/test_acceptance.py::test_criterion_6_hybrid_imputation_no_slower_than_knn",
+    "tests/test_cli.py::test_every_mutant_text_occurs_once_in_the_checkout",
+]
 TEST_TIMEOUT = 10  # seconds
 
 
@@ -110,6 +118,37 @@ MUTANTS = [
            "np.unique([repr(dataset.records[p].cells) for p in lacking.tolist()],"),
     Mutant("one-key-per-record", IMPUTER,
            "lacking[first[group[rows]]] * width", "lacking[rows] * width"),
+    # rule firing and its vote
+    Mutant("rules-fire-unsorted", IMPUTER,
+           "rules = sorted(rules, key=AssociationRule.sort_key)", "rules = list(rules)"),
+    Mutant("rank-by-confidence-alone", IMPUTER,
+           "np.diff(fields[:, 2:], axis=0", "np.diff(fields[:, 2:3], axis=0"),
+    Mutant("count-tie-to-highest-level", IMPUTER,
+           "(count * top + (top - 1 - best))", "(count * span + np.arange(count.size) % span)"),
+    Mutant("even-count-takes-upper-middle", IMPUTER,
+           "value = low if total % 2 else (low + high) / 2.0",
+           "value = low if total % 2 else high"),
+    Mutant("median-overflow-unhalved", IMPUTER, "if not math.isfinite(value):", "if False:"),
+    # the rules' schema check
+    Mutant("attribute-bound-inclusive", IMPUTER,
+           "if not 0 <= attribute < dataset.n_attributes:",
+           "if not 0 <= attribute <= dataset.n_attributes:"),
+    Mutant("bin-bound-unchecked", IMPUTER, "if not 0 <= level < fitted.n_bins:", "if False:"),
+    Mutant("items-checked-in-set-order", IMPUTER,
+           "for attribute, level in sorted(items):", "for attribute, level in items:"),
+    # mining and rule generation
+    Mutant("item-support-exclusive", MINING,
+           "        if count >= minimum:\n            level",
+           "        if count > minimum:\n            level"),
+    Mutant("candidate-support-exclusive", MINING,
+           "                if count >= minimum:", "                if count > minimum:"),
+    Mutant("confidence-exclusive", MINING,
+           "if confidence >= params.min_confidence:", "if confidence > params.min_confidence:"),
+    Mutant("rules-returned-unsorted", MINING, "rules.sort(key=AssociationRule.sort_key)", "pass"),
+    # rule records
+    Mutant("bool-strengths-accepted", RULES_IO,
+           "if type(support) not in (int, float) or type(confidence) not in (int, float):",
+           "if not isinstance(support, (int, float)) or not isinstance(confidence, (int, float)):"),
 ]
 
 
@@ -150,7 +189,8 @@ def run_tests(copy: Path) -> list[str] | None:
     env = dict(os.environ, PYTHONPATH=f"{copy / 'src'}{os.pathsep}{copy / 'tools'}",
                PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-               "-p", "mutants", "--hypothesis-seed=0", "--deselect", CRITERION_6]
+               "-p", "mutants", "--hypothesis-seed=0",
+               *(arg for test in DESELECTED for arg in ("--deselect", test))]
     try:
         done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=600)
